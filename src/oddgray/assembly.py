@@ -4,7 +4,10 @@ The cycle factor is loaded into an adjacency table (vertex to its two
 neighbours), one witness cycle per spanning-tree tuple is XOR-ed in, and the
 result is checked to be 2-regular and traversed as a single cycle. Because
 the tree is conflict-free and spans every Dyck word, the splices join all
-factor cycles into one.
+factor cycles into one. Each witness comes from the derivation its tree
+entry stores, as packed values (``Derivation.witness_vals``), so generation
+runs no derivation search; ``verify.verify_tree`` checks that each stored
+derivation is its tuple's only one.
 
 Targets:
 
@@ -68,8 +71,6 @@ def _tree_for(k: int, family_mask: int | None) -> spanning.SpanningTree:
 
 
 def _adjacency_vals(k: int, tree: spanning.SpanningTree) -> dict[int, list[int]]:
-    from .flippable import canonical_witness
-
     report = spanning.validate_tree(tree)
     if not report.passed:
         raise ValueError("invalid spanning tree: " + "; ".join(report.failures))
@@ -97,10 +98,10 @@ def _adjacency_vals(k: int, tree: spanning.SpanningTree) -> dict[int, list[int]]
             adj.setdefault(b, []).append(a)
 
     for entry in tree.entries:
-        cycle = canonical_witness(entry.tup)
+        cycle = entry.derivation.witness_vals()
         m = len(cycle)
         for i in range(m):
-            toggle(cycle[i].val, cycle[(i + 1) % m].val)
+            toggle(cycle[i], cycle[(i + 1) % m])
 
     bad = [v for v, nb in adj.items() if len(nb) != 2]
     if bad:

@@ -33,7 +33,7 @@ def _ceiling() -> int:
     try:
         return max(1, min(30, int(raw)))
     except ValueError:
-        return 30
+        raise ValueError(f"ODDGRAY_MAX_K must be an integer, got {raw!r}") from None
 
 
 def _render(val: int, n: int) -> str:
@@ -246,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tree = sub.add_parser("tree", help="emit the spanning tree with derivations")
     tree.add_argument("--k", type=int, required=True)
     tree.add_argument("--family", type=int, default=None)
-    tree.add_argument("--emit", choices=("json",), default="json")
 
     ver = sub.add_parser("verify", help="check a certificate file in bits format")
     ver.add_argument("--k", type=int, required=True)

@@ -20,12 +20,20 @@ wrapping moves preserve witnesses:
 
 ``witness`` reduces an arbitrary context to those moves by repeatedly
 resolving where the prefix's leading 1 closes; the total context length
-shrinks each round, so the peeling terminates.
+shrinks each round, so the peeling terminates. The peel runs on packed
+``(val, n)`` integers; ``Derivation.witness_vals`` returns its vertices as
+packed values, which is what assembly splices in, using the derivation each
+spanning-tree entry stores.
 
+The rest of the module is the checking side, which searches instead of
+deriving: ``derivations`` finds every (pattern, context) pair reproducing a
+tuple, ``canonical_witness`` takes the witness of the least one,
+``is_witness`` tests a cycle against a tuple through ``factor.locate``, and
 ``enumerate_tuples(k)`` is the full pool of wrapped seeds on semilength k.
-It is conflict-free: two pool members whose supports share exactly one word
-always mark that word at different positions, which is what lets all their
-witnesses be applied simultaneously.
+The pool is conflict-free: two pool members whose supports share exactly one
+word always mark that word at different positions, which is what lets all
+their witnesses be applied simultaneously. Every pool tuple has exactly one
+derivation, so a tree entry's stored derivation gives the canonical witness.
 """
 
 from __future__ import annotations
@@ -39,13 +47,13 @@ from .words import (
     Bits,
     EMPTY,
     ONE,
-    ZERO,
     cat,
-    complement,
     enumerate_dyck,
-    first_return,
+    first_return_val,
     is_dyck,
     mirror,
+    mirror_val,
+    reverse_val,
 )
 
 _FAMILIES = ("fan", "bridge", "patch", "quad")
@@ -245,36 +253,52 @@ def _pattern_witness(p: Pattern) -> tuple[Bits, ...]:
     return tuple(Bits.parse(s) for s in _WITNESS_LITERALS[p.family])
 
 
-def witness(pattern: Pattern, ctx: Context) -> tuple[Bits, ...]:
-    """A witness cycle for ``apply_context(pattern.tuple(), ctx)``.
+def _witness_vals(pattern: Pattern, ctx: Context) -> tuple[tuple[int, ...], int]:
+    """``witness(pattern, ctx)`` as packed values, with their common length.
 
     Peels the context one move per round. With u the prefix and v the suffix,
     the leading 1 of u closes either inside u (u = 1a0b with a Dyck: prepend
-    1a0 as complement, recurse on (b, v)) or inside v (v = v'0d: the word
-    u.tuple.v equals 1 mirror(tuple') 0 d for the context (mirror(v'),
-    mirror(u minus its leading 1)) wrapped around the same seed, so recurse
-    there, mirror-wrap the vertices as 1 mirror(y) 1 and append d).
+    ~(1a0), go on with (b, v)) or inside v (v = v'0d: the word u.tuple.v
+    equals 1 mirror(tuple') 0 d for the context (mirror(v'), mirror(u minus
+    its leading 1)) wrapped around the same seed, so go on there, then
+    mirror-wrap the vertices as 1 mirror(y) 1 and append d). Once the prefix
+    is empty, the seed's vertices gain the remaining suffix, and the moves
+    are applied innermost first.
     """
-    u, v = ctx.prefix, ctx.suffix
-    if u.n == 0:
-        base = pattern.base_witness()
-        if v.n == 0:
-            return base
-        return tuple(y + v for y in base)
-    z = u + v
-    p = first_return(z)
-    if p <= u.n:
-        a = z.slice(2, p - 1)
-        b = u.slice(p + 1, u.n)
-        inner = witness(pattern, Context(b, v))
-        pre = complement(cat(ONE, a, ZERO))
-        return tuple(pre + y for y in inner)
-    q = p - u.n
-    head = v.slice(1, q - 1)
-    tail = v.slice(q + 1, v.n)
-    body = u.slice(2, u.n)
-    inner = witness(pattern, Context(mirror(head), mirror(body)))
-    return tuple(cat(ONE, mirror(y), ONE, tail) for y in inner)
+    u, un = ctx.prefix.val, ctx.prefix.n
+    v, vn = ctx.suffix.val, ctx.suffix.n
+    moves = []  # (wrapped, bits, length): a prefix ~(1a0), or a mirror-wrap with tail d
+    while un:
+        p = first_return_val(u | v << un, un + vn)
+        if p <= un:
+            moves.append((False, ~u & ((1 << p) - 1), p))
+            u >>= p
+            un -= p
+        else:
+            q = p - un
+            moves.append((True, v >> q, vn - q))
+            head, body = v & ((1 << (q - 1)) - 1), u >> 1
+            u, un, v, vn = mirror_val(head, q - 1), q - 1, mirror_val(body, un - 1), un - 1
+    base = pattern.base_witness()
+    n = base[0].n
+    ys = [y.val | v << n for y in base]
+    n += vn
+    for wrapped, w, wn in reversed(moves):
+        if wrapped:
+            # 1 mirror(y) 1 d: complementing the reversed y folds into one XOR
+            ones = 1 | ((1 << n) - 1) << 1 | (1 | w << 1) << (n + 1)
+            ys = [reverse_val(y, n) << 1 ^ ones for y in ys]
+            n += 2 + wn
+        else:
+            ys = [w | y << wn for y in ys]
+            n += wn
+    return tuple(ys), n
+
+
+def witness(pattern: Pattern, ctx: Context) -> tuple[Bits, ...]:
+    """A witness cycle for ``apply_context(pattern.tuple(), ctx)``."""
+    vals, n = _witness_vals(pattern, ctx)
+    return tuple(Bits(y, n) for y in vals)
 
 
 @dataclass(frozen=True)
@@ -289,6 +313,10 @@ class Derivation:
 
     def witness(self) -> tuple[Bits, ...]:
         return witness(self.pattern, self.context)
+
+    def witness_vals(self) -> tuple[int, ...]:
+        """The witness cycle as packed vertex values, without building ``Bits``."""
+        return _witness_vals(self.pattern, self.context)[0]
 
     def sort_key(self) -> tuple:
         return (str(self.context.prefix), str(self.context.suffix), *self.pattern.sort_key())

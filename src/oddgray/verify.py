@@ -230,7 +230,11 @@ def verify_tuple_closure(k: int) -> VerificationReport:
 
 
 def verify_tree(k: int, mask: int | None = None) -> VerificationReport:
-    """The (counting) tree validates, re-derives, and has edge-disjoint witnesses."""
+    """The (counting) tree validates, re-derives, and has edge-disjoint witnesses.
+
+    Each entry's stored derivation must be the only derivation of its tuple,
+    so the witness the splice takes from it is the canonical one.
+    """
     from .flippable import canonical_witness, derivations, is_witness
     from .spanning import counting_tree, full_tree, validate_tree
 
@@ -243,7 +247,7 @@ def verify_tree(k: int, mask: int | None = None) -> VerificationReport:
     for entry in tree.entries:
         if entry.derivation.tuple() != entry.tup:
             failures.append(("derivation", str(entry.tup)))
-        if not derivations(entry.tup):
+        if derivations(entry.tup) != [entry.derivation]:
             failures.append(("closure-membership", str(entry.tup)))
         cycle = canonical_witness(entry.tup)
         if k <= 7 and not is_witness(entry.tup, cycle):

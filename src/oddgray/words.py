@@ -110,17 +110,23 @@ def complement(x: Bits) -> Bits:
     return Bits(x.val ^ ((1 << x.n) - 1), x.n)
 
 
+def reverse_val(val: int, n: int) -> int:
+    """``reverse`` on a packed value of length n."""
+    return int(f"{val:0{n}b}"[::-1], 2)
+
+
 def reverse(x: Bits) -> Bits:
-    v, r = x.val, 0
-    for _ in range(x.n):
-        r = (r << 1) | (v & 1)
-        v >>= 1
-    return Bits(r, x.n)
+    return Bits(reverse_val(x.val, x.n), x.n)
+
+
+def mirror_val(val: int, n: int) -> int:
+    """``mirror`` on a packed value of length n."""
+    return reverse_val(val, n) ^ ((1 << n) - 1)
 
 
 def mirror(x: Bits) -> Bits:
     """The complement of the reverse; an involution mapping Dyck words to Dyck words."""
-    return complement(reverse(x))
+    return Bits(mirror_val(x.val, x.n), x.n)
 
 
 def is_dyck(x: Bits) -> bool:
@@ -135,15 +141,20 @@ def is_dyck(x: Bits) -> bool:
     return h == 0
 
 
-def first_return(x: Bits) -> int:
-    """Position of the first return to height zero of a non-empty Dyck word."""
-    h, v = 0, x.val
-    for i in range(1, x.n + 1):
+def first_return_val(val: int, n: int) -> int:
+    """``first_return`` on a packed value of length n."""
+    h, v = 0, val
+    for i in range(1, n + 1):
         h += 1 if (v & 1) else -1
         if h == 0:
             return i
         v >>= 1
-    raise ValueError(f"{x!r} is not a non-empty Dyck word")
+    raise ValueError(f"{Bits(val, n)!r} is not a non-empty Dyck word")
+
+
+def first_return(x: Bits) -> int:
+    """Position of the first return to height zero of a non-empty Dyck word."""
+    return first_return_val(x.val, x.n)
 
 
 def decompose(x: Bits) -> tuple[Bits, Bits]:

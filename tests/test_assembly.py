@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -40,6 +42,22 @@ def test_hamilton_gplus_rejects_invalid_tree():
     broken = SpanningTree(base, (TreeEntry(fan().tuple(), derivations(fan().tuple())[0]),))
     with pytest.raises(ValueError):
         hamilton_gplus(3, broken)
+
+
+def test_generation_runs_no_derivation_search():
+    # The splice takes each witness from the derivation its tree entry
+    # stores, so a fresh process never fills the derivation-search cache.
+    code = (
+        "import io\n"
+        "from oddgray import cli, flippable\n"
+        "for argv in (['gen', '--k', '8'], ['gen', '--k', '7', '--family', '3'],"
+        " ['middle', '--k', '6']):\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0\n"
+        "print(flippable._derivations.cache_info().misses)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0"
 
 
 def test_hamilton_gplus_rejects_mismatched_base():

@@ -81,6 +81,12 @@ def test_max_k_env_lowers_ceiling():
     assert res.returncode == 2
     res = run_cli("gen", "--k", "4", env=env)
     assert res.returncode == 0
+    # a value that is not an integer is refused, not replaced by the default
+    env = dict(os.environ, ODDGRAY_MAX_K="abc")
+    res = run_cli("gen", "--k", "3", env=env)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "ODDGRAY_MAX_K" in res.stderr and "'abc'" in res.stderr
 
 
 def test_middle_k1_golden():
