@@ -1,13 +1,21 @@
 """Hamilton-cycle assembly.
 
-The cycle factor is loaded into an adjacency table (vertex to its two
-neighbours), one witness cycle per spanning-tree tuple is XOR-ed in, and the
-result is checked to be 2-regular and traversed as a single cycle. Because
-the tree is conflict-free and spans every Dyck word, the splices join all
-factor cycles into one. Each witness comes from the derivation its tree
-entry stores, as packed values (``Derivation.witness_vals``), so generation
-runs no derivation search; ``verify.verify_tree`` checks that each stored
-derivation is its tuple's only one.
+The Hamilton cycle is the cycle factor with one witness cycle per
+spanning-tree tuple XOR-ed in. Because the tree is conflict-free and spans
+every Dyck word, the splices join all factor cycles into one. Only the
+witness vertices get neighbours that differ from the factor's, so only they
+are stored: the splice table maps each to its two final neighbours and to
+its (Dyck origin, index) on the factor. Every other vertex keeps its two
+factor-cycle neighbours, which its path's flip sequence gives, so checking
+the table for degree 2 checks the whole graph. The walk steps along each
+factor path by its flip sequence, switches paths only at table vertices,
+and must return to its start after exactly binomial(2k+1, k) vertices.
+Memory thus grows with the witness vertices, not with the whole graph.
+
+Each witness comes from the derivation its tree entry stores, as packed
+values (``Derivation.witness_vals``), so generation runs no derivation
+search; ``verify.verify_tree`` checks that each stored derivation is its
+tuple's only one.
 
 Targets:
 
@@ -31,11 +39,12 @@ maps to the subset {1..k}).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
 
 from . import spanning
-from .factor import _path_vals
-from .words import Bits, ONE, ZERO, complement, enumerate_dyck, is_dyck
+from .factor import _path_vals, flip_sequence
+from .words import Bits, enumerate_dyck, is_dyck, positions
 
 TARGET_GPLUS = "gplus"
 TARGET_ODD = "odd"
@@ -45,6 +54,10 @@ PETERSEN_NOTE = (
     "k = 2 is the Petersen graph, the one odd graph without a Hamilton cycle; "
     "generation needs k >= 3"
 )
+
+
+# _BIT[a] flips position a: one shared int per position, for every path.
+_BIT = (0, *(1 << j for j in range(62)))
 
 
 class AssemblyError(RuntimeError):
@@ -70,62 +83,144 @@ def _tree_for(k: int, family_mask: int | None) -> spanning.SpanningTree:
     return spanning.counting_tree(k, family_mask)
 
 
-def _adjacency_vals(k: int, tree: spanning.SpanningTree) -> dict[int, list[int]]:
+def _splice_table(k: int, tree: spanning.SpanningTree, dyck: list[Bits]) -> dict:
+    """Witness vertex -> (neighbour, neighbour, origin number, path index).
+
+    The origin number indexes ``dyck``; the two neighbours are the vertex's
+    final ones, its factor neighbours with the witness edges toggled in.
+    Every vertex not in the table keeps its two factor-cycle neighbours.
+    """
     report = spanning.validate_tree(tree)
     if not report.passed:
         raise ValueError("invalid spanning tree: " + "; ".join(report.failures))
-    if tree.base != frozenset(enumerate_dyck(k)):
+    if tree.base != frozenset(dyck):
         raise ValueError("tree does not span the Dyck words of this semilength")
 
-    adj: dict[int, list[int]] = {}
-    for x in enumerate_dyck(k):
-        vals = _path_vals(x)
-        prev = vals[0]
-        for cur in vals[1:]:
-            adj.setdefault(prev, []).append(cur)
-            adj.setdefault(cur, []).append(prev)
-            prev = cur
-        adj.setdefault(vals[0], []).append(vals[-1])
-        adj.setdefault(vals[-1], []).append(vals[0])
+    # First the toggled edges, as a list of toggled neighbours per vertex;
+    # an edge toggled twice cancels, and a vertex left with none drops out.
+    table: dict = {}
 
     def toggle(a: int, b: int) -> None:
-        la = adj.setdefault(a, [])
-        if b in la:
+        la = table.get(a)
+        if la is None:
+            table[a] = [b]
+        elif b in la:
             la.remove(b)
-            adj[b].remove(a)
+            if not la:
+                del table[a]
         else:
             la.append(b)
-            adj.setdefault(b, []).append(a)
 
     for entry in tree.entries:
         cycle = entry.derivation.witness_vals()
-        m = len(cycle)
-        for i in range(m):
-            toggle(cycle[i], cycle[(i + 1) % m])
+        prev = cycle[-1]
+        for cur in cycle:
+            toggle(prev, cur)
+            toggle(cur, prev)
+            prev = cur
 
-    bad = [v for v, nb in adj.items() if len(nb) != 2]
+    # One scan of the factor paths locates each witness vertex and replaces
+    # its toggle list by its entry; a list left over lies on no factor path.
+    last = 2 * k
+    full = (1 << last) - 1
+    bad = []
+    for o, x in enumerate(dyck):
+        seq = flip_sequence(x)
+        v = x.val
+        before = v ^ full
+        for i in range(last + 1):
+            after = v ^ (_BIT[seq[i]] if i < last else full)
+            toggled = table.get(v)
+            if toggled is not None:
+                nb = [before, after]
+                for w in toggled:
+                    if w in nb:
+                        nb.remove(w)
+                    else:
+                        nb.append(w)
+                if len(nb) != 2:
+                    bad.append((v, o, i, len(nb)))
+                table[v] = (*nb[:2], o, i)
+            before, v = v, after
     if bad:
+        v, o, i, d = bad[0]
         raise AssemblyError(
             f"{len(bad)} vertices do not have degree 2 after splicing, e.g. "
-            f"{Bits(bad[0], 2 * k)!r}"
+            f"{Bits(v, last)}, index {i} on the factor path of {dyck[o]}, has {d} neighbours"
         )
-    return adj
-
-
-def _traverse(adj: dict[int, list[int]]) -> Iterator[int]:
-    start = min(adj)
-    a, b = adj[start]
-    prev, cur = start, min(a, b)
-    yield start
-    count = 1
-    while cur != start:
-        yield cur
-        count += 1
-        a, b = adj[cur]
-        prev, cur = cur, (b if a == prev else a)
-    if count != len(adj):
+    stray = [v for v, e in table.items() if type(e) is list]
+    if stray:
         raise AssemblyError(
-            f"splice produced more than one cycle ({count} of {len(adj)} vertices reached)"
+            f"{len(stray)} witness vertices lie on no factor path, e.g. "
+            f"{Bits(stray[0], last)!r}"
+        )
+    return table
+
+
+def _walk(k: int, table: dict, dyck: list[Bits]) -> Iterator[int]:
+    """The spliced cycle from the least vertex (1 << k) - 1, toward its smaller neighbour.
+
+    Off the table the walk steps along the current factor path by that
+    path's flip sequence (the closing edge {x, ~x} is the step from index 2k
+    to index 0). At a table vertex it takes the neighbour it did not come
+    from, and sets its path and direction from that vertex's entry. The
+    walk is cut after binomial(2k+1, k) vertices, so a broken table cannot
+    make it loop forever.
+    """
+    last = 2 * k
+    full = (1 << last) - 1
+    total = comb(last + 1, k)
+    get = table.get
+    seqs = [flip_sequence(x) for x in dyck]
+    start = (1 << k) - 1  # dyck[0] = 1^k 0^k, at index 0 of its own path
+    seq = seqs[0]
+    entry = get(start) or (start ^ _BIT[seq[0]], start ^ full, 0, 0)
+    prev = max(entry[:2])
+    reached = bytearray(len(dyck))  # the paths whose table vertices the walk met
+    reached[0] = 1
+    v, i, forward = start, 0, True
+    for count in range(1, total + 1):
+        yield v
+        if entry is None:
+            prev = v
+            if forward:
+                if i < last:
+                    v ^= _BIT[seq[i]]
+                    i += 1
+                else:
+                    v ^= full
+                    i = 0
+            elif i:
+                i -= 1
+                v ^= _BIT[seq[i]]
+            else:
+                v ^= full
+                i = last
+        else:
+            a, b, o, i = entry
+            reached[o] = 1
+            nxt = b if a == prev else a
+            seq = seqs[o]
+            if nxt == v ^ (_BIT[seq[i]] if i < last else full):
+                forward = True
+                i = i + 1 if i < last else 0
+            elif nxt == v ^ (_BIT[seq[i - 1]] if i else full):
+                forward = False
+                i = i - 1 if i else last
+            # otherwise nxt is a table vertex, whose entry gives its position
+            prev, v = v, nxt
+        if v == start:
+            break
+        entry = get(v)
+    else:
+        raise AssemblyError(f"the walk did not return to its start after {total} vertices")
+    if count != total:
+        missed = [str(x) for x, r in zip(dyck, reached) if not r]
+        raise AssemblyError(
+            f"splice produced more than one cycle: the walk reached {count} of "
+            f"{total} vertices, and no factor path of these {len(missed)} of "
+            f"{len(dyck)} Dyck words: {', '.join(missed[:8])}"
+            + (", ..." if len(missed) > 8 else "")
         )
 
 
@@ -135,7 +230,8 @@ def stream_gplus_vals(k: int, tree: spanning.SpanningTree | None = None) -> Iter
         raise ValueError(PETERSEN_NOTE if k == 2 else "assembly needs k >= 3")
     if tree is None:
         tree = spanning.full_tree(k)
-    return _traverse(_adjacency_vals(k, tree))
+    dyck = enumerate_dyck(k)
+    return _walk(k, _splice_table(k, tree, dyck), dyck)
 
 
 def hamilton_gplus(k: int, tree: spanning.SpanningTree) -> CycleCertificate:
@@ -148,8 +244,7 @@ def to_odd_vertex(y: Bits) -> tuple[int, ...]:
     k = y.n // 2
     if y.n % 2 or y.weight not in (k, k + 1):
         raise ValueError(f"{y!r} is not a mid-layer vertex")
-    z = y + ZERO if y.weight == k else complement(y) + ONE
-    return tuple(i for i in range(1, z.n + 1) if z.bit(i))
+    return positions(odd_val(y.val, k))
 
 
 def odd_val(v: int, k: int) -> int:
@@ -166,9 +261,7 @@ def hamilton_odd(k: int, family_mask: int | None = None) -> CycleCertificate:
     if k < 3:
         raise ValueError("odd-graph generation needs k >= 3")
     tree = _tree_for(k, family_mask)
-    vertices = tuple(
-        to_odd_vertex(Bits(v, 2 * k)) for v in stream_gplus_vals(k, tree)
-    )
+    vertices = tuple(positions(odd_val(v, k)) for v in stream_gplus_vals(k, tree))
     return CycleCertificate(k, TARGET_ODD, vertices)
 
 

@@ -23,7 +23,7 @@ from typing import IO
 
 from . import assembly, spanning, verify
 from .factor import cycle_factor
-from .words import Bits, enumerate_dyck
+from .words import Bits, positions
 
 
 def _ceiling() -> int:
@@ -40,13 +40,8 @@ def _render(val: int, n: int) -> str:
     return f"{val:0{n}b}"[::-1]
 
 
-def _subset_line(val: int, n: int) -> str:
-    out = []
-    while val:
-        low = val & -val
-        out.append(str(low.bit_length()))
-        val ^= low
-    return "{" + ",".join(out) + "}"
+def _subset_line(val: int) -> str:
+    return "{" + ",".join(map(str, positions(val))) + "}"
 
 
 def _check_family(parser: argparse.ArgumentParser, k: int, family: int | None) -> None:
@@ -77,7 +72,7 @@ def _cmd_gen(args, parser, out: IO[str]) -> int:
             out.write("\n")
     elif args.format == "subsets":
         for v in vals:
-            out.write(_subset_line(assembly.odd_val(v, k), n))
+            out.write(_subset_line(assembly.odd_val(v, k)))
             out.write("\n")
     else:  # delta: the one position left unflipped by each step
         first = None
@@ -149,9 +144,7 @@ def _cmd_verify(args, parser, out: IO[str]) -> int:
     if not failures:
         if args.target == "odd":
             # lines are characteristic vectors of k-subsets of [2k+1]
-            verts = tuple(
-                tuple(i for i in range(1, n + 1) if v.bit(i)) for v in vertices
-            )
+            verts = tuple(positions(v.val) for v in vertices)
         else:
             verts = tuple(vertices)
         cert = assembly.CycleCertificate(k, args.target, verts)

@@ -129,6 +129,16 @@ def mirror(x: Bits) -> Bits:
     return Bits(mirror_val(x.val, x.n), x.n)
 
 
+def positions(val: int) -> tuple[int, ...]:
+    """The 1-based positions of the set bits of a packed value, in increasing order."""
+    out = []
+    while val:
+        low = val & -val
+        out.append(low.bit_length())
+        val ^= low
+    return tuple(out)
+
+
 def is_dyck(x: Bits) -> bool:
     if x.n % 2:
         return False

@@ -4,7 +4,9 @@ The digests were recorded by running ``cli.main`` in-process into a
 ``StringIO``, before the splice switched from searching each tuple's
 derivation to using the one its tree entry stores. Any change to the
 emitted cycles, trees or renderings changes a digest; a speed-up must leave
-every one of them as it is.
+every one of them as it is. The ``middle --family``, k = 10 and
+``hamilton_odd`` digests were recorded later, before the splice switched
+from an adjacency dict over every vertex to the splice-table walker.
 """
 
 import hashlib
@@ -12,7 +14,7 @@ import io
 
 import pytest
 
-from oddgray import cli
+from oddgray import cli, hamilton_odd
 
 GOLDEN = {
     "gen --k 3 --format bits": "2cb1324da834c277d629b5ac2c831c8ae49920bf60d807cb899c2e8bf7b276ee",
@@ -55,6 +57,15 @@ GOLDEN = {
     "gen --k 8 --family 0": "fe9c50c47880a6bc1bfb5382b4fe6fcfd6648e3a5e180709a4eecc57f3f160f2",
     "gen --k 8 --family 21": "a207a45bc65add101d68a316bc79906dd8d294e06f2573c5414a2f28f195ff93",
     "gen --k 9 --family 1582": "88b05b10e153486bb0683fc693fddcae351644fb95f3f12d7b49beef7d280cf7",
+    "middle --k 7 --family 3": "d78626c1c20a266b63dce6fbd6539be5b979db2460640372b86c4884b3fa32ee",
+    "middle --k 8 --family 21": "7a0a1755d02c9c360f5f4f53c16e9f59ddbecdc9f06a4e903e0a542924c23b85",
+    "gen --k 10 --format delta": "5eec05bc9366b084be5d8a8c5f529d2f86e57a76a8312cd12fd1a0076a8e0920",
+}
+
+# hamilton_odd(8, mask).vertices, one comma-separated subset per line.
+GOLDEN_ODD_CERTIFICATES = {
+    5: "6f99e75d7b5c92cb04dbdfd126838b8f76f1c7f12fd4d132a721ccfe71585145",
+    26: "00c58ea2e03ebc359132d7fb24057d84f911d29ec086c316b163531fbafaafae",
 }
 
 
@@ -63,3 +74,10 @@ def test_output_digest(argv):
     out = io.StringIO()
     assert cli.main(argv.split(), out=out) == 0
     assert hashlib.sha256(out.getvalue().encode("ascii")).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("mask", list(GOLDEN_ODD_CERTIFICATES))
+def test_odd_certificate_digest(mask):
+    cert = hamilton_odd(8, mask)
+    text = "".join(",".join(map(str, s)) + "\n" for s in cert.vertices)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == GOLDEN_ODD_CERTIFICATES[mask]
