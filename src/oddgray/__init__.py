@@ -64,62 +64,3 @@ from .verify import (
     verify_tuple_closure,
 )
 
-__all__ = [
-    "Bits",
-    "cat",
-    "complement",
-    "decompose",
-    "enumerate_dyck",
-    "is_dyck",
-    "mirror",
-    "FactorPath",
-    "cycle_factor",
-    "flip_edge",
-    "flip_sequence",
-    "locate",
-    "path",
-    "BRIDGE",
-    "Context",
-    "Derivation",
-    "FlippableTuple",
-    "MarkedWord",
-    "PATCH",
-    "Pattern",
-    "QUAD",
-    "apply_context",
-    "canonical_witness",
-    "conflict_violations",
-    "derivations",
-    "enumerate_tuples",
-    "fan",
-    "is_witness",
-    "mirror_marked",
-    "mirror_tuple",
-    "witness",
-    "wrap_marked",
-    "Partition",
-    "SpanningTree",
-    "TreeEntry",
-    "TreeReport",
-    "counting_tree",
-    "flat_tree",
-    "full_tree",
-    "mask_width",
-    "partition",
-    "steep_tree",
-    "tree_family",
-    "validate_tree",
-    "AssemblyError",
-    "CycleCertificate",
-    "hamilton_gplus",
-    "hamilton_middle_levels",
-    "hamilton_odd",
-    "to_odd_vertex",
-    "VerificationReport",
-    "brute_force_hamilton",
-    "verify_certificate",
-    "verify_factor",
-    "verify_flip_properties",
-    "verify_tree",
-    "verify_tuple_closure",
-]

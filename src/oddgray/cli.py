@@ -23,7 +23,7 @@ from typing import IO
 
 from . import assembly, spanning, verify
 from .factor import cycle_factor
-from .words import Bits, positions
+from .words import Bits, bitstring, positions
 
 
 def _ceiling() -> int:
@@ -34,10 +34,6 @@ def _ceiling() -> int:
         return max(1, min(30, int(raw)))
     except ValueError:
         raise ValueError(f"ODDGRAY_MAX_K must be an integer, got {raw!r}") from None
-
-
-def _render(val: int, n: int) -> str:
-    return f"{val:0{n}b}"[::-1]
 
 
 def _subset_line(val: int) -> str:
@@ -68,7 +64,7 @@ def _cmd_gen(args, parser, out: IO[str]) -> int:
     vals = assembly.stream_gplus_vals(k, tree)
     if args.format == "bits":
         for v in vals:
-            out.write(_render(assembly.odd_val(v, k), n))
+            out.write(bitstring(assembly.odd_val(v, k), n))
             out.write("\n")
     elif args.format == "subsets":
         for v in vals:
@@ -97,7 +93,7 @@ def _cmd_middle(args, parser, out: IO[str]) -> int:
     _check_family(parser, k, args.family)
     n = 2 * k + 1
     for v in assembly.stream_middle_vals(k, args.family):
-        out.write(_render(v, n))
+        out.write(bitstring(v, n))
         out.write("\n")
     return 0
 

@@ -23,7 +23,8 @@ resolving where the prefix's leading 1 closes; the total context length
 shrinks each round, so the peeling terminates. The peel runs on packed
 ``(val, n)`` integers; ``Derivation.witness_vals`` returns its vertices as
 packed values, which is what assembly splices in, using the derivation each
-spanning-tree entry stores.
+spanning-tree entry stores; ``Derivation.support_vals`` wraps the seed's
+marked words the same way, for ``spanning.validate_tree``.
 
 The rest of the module is the checking side, which searches instead of
 deriving: ``derivations`` finds every (pattern, context) pair reproducing a
@@ -310,6 +311,22 @@ class Derivation:
 
     def tuple(self) -> FlippableTuple:
         return apply_context(self.pattern.tuple(), self.context)
+
+    def support_vals(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """``tuple()`` as packed ``(word_val, mark)`` members, with their word length.
+
+        Wraps the seed (even prefix) or its mirror (odd prefix) on integers,
+        as ``apply_context`` does on ``Bits``; members come in seed order.
+        """
+        u, v = self.context.prefix, self.context.suffix
+        seed = self.pattern.tuple()
+        n = seed.word_length
+        high = v.val << (u.n + n)
+        if u.n % 2:
+            members = ((mirror_val(m.word.val, n), n + 1 - m.mark) for m in seed.members)
+        else:
+            members = ((m.word.val, m.mark) for m in seed.members)
+        return tuple((u.val | x << u.n | high, u.n + mark) for x, mark in members), u.n + n + v.n
 
     def witness(self) -> tuple[Bits, ...]:
         return witness(self.pattern, self.context)

@@ -28,8 +28,8 @@ bitmask over the semilength k-5 enumeration, the alternate order-4 split
 instead. Distinct masks give distinct trees, hence 2^Catalan(k-5) trees in
 total, each yielding a different Hamilton cycle downstream.
 
-Every emitted tuple carries its derivation (seed pattern plus context), so
-witnesses are reproducible without search.
+Each entry is its derivation (seed pattern plus context); tuples are computed
+on demand, and witnesses are reproducible without search.
 """
 
 from __future__ import annotations
@@ -60,8 +60,13 @@ class Partition:
 
 @dataclass(frozen=True)
 class TreeEntry:
-    tup: FlippableTuple
+    """A tree tuple held as its derivation; a class still, as perfbench reads ``e.tup``."""
+
     derivation: Derivation
+
+    @property
+    def tup(self) -> FlippableTuple:
+        return self.derivation.tuple()
 
 
 @dataclass(frozen=True)
@@ -73,12 +78,10 @@ class SpanningTree:
         return frozenset(e.tup for e in self.entries)
 
     def to_json(self) -> dict:
+        pairs = sorted(((e.tup, e.derivation) for e in self.entries), key=lambda p: p[0])
         return {
             "base": sorted(str(x) for x in self.base),
-            "tuples": [
-                {**e.tup.to_json(), "derivation": e.derivation.to_json()}
-                for e in sorted(self.entries, key=lambda e: e.tup)
-            ],
+            "tuples": [{**t.to_json(), "derivation": d.to_json()} for t, d in pairs],
         }
 
 
@@ -108,8 +111,7 @@ def partition(k: int) -> Partition:
 
 
 def _entry(pattern, prefix: Bits, suffix: Bits) -> TreeEntry:
-    d = Derivation(pattern, Context(prefix, suffix))
-    return TreeEntry(d.tuple(), d)
+    return TreeEntry(Derivation(pattern, Context(prefix, suffix)))
 
 
 def _shift(entries: tuple[TreeEntry, ...], pre: Bits) -> list[TreeEntry]:
@@ -117,8 +119,7 @@ def _shift(entries: tuple[TreeEntry, ...], pre: Bits) -> list[TreeEntry]:
     out = []
     for e in entries:
         c = e.derivation.context
-        d = Derivation(e.derivation.pattern, Context(pre + c.prefix, c.suffix))
-        out.append(TreeEntry(d.tuple(), d))
+        out.append(_entry(e.derivation.pattern, pre + c.prefix, c.suffix))
     return out
 
 
@@ -127,11 +128,8 @@ def _mirror_wrap(entries: tuple[TreeEntry, ...], suffix: Bits) -> list[TreeEntry
     out = []
     for e in entries:
         c = e.derivation.context
-        d = Derivation(
-            e.derivation.pattern,
-            Context(ONE + mirror(c.suffix), cat(mirror(c.prefix), ZERO, suffix)),
-        )
-        out.append(TreeEntry(d.tuple(), d))
+        prefix = ONE + mirror(c.suffix)
+        out.append(_entry(e.derivation.pattern, prefix, cat(mirror(c.prefix), ZERO, suffix)))
     return out
 
 
@@ -257,56 +255,74 @@ def validate_tree(t: SpanningTree) -> TreeReport:
     implies (2) and matches the recursive block-splitting definition of a
     spanning hypertree, since removing any tuple from a tree of incidences
     leaves one component per support word.
-    """
-    failures: list[str] = []
-    entries = t.entries
-    for e in entries:
-        extra = e.tup.support - t.base
-        if extra:
-            failures.append(f"support of {e.tup} leaves the base set: {sorted(extra)}")
 
-    by_word: dict[Bits, list[int]] = {}
+    The checks run on each entry's packed support (``Derivation.support_vals``);
+    a word is keyed by its packed value with a stop bit above its last
+    position, so words of different lengths never collide. Tuples and words
+    are rendered only for a failure message.
+    """
+
+    def word(key: int) -> Bits:
+        n = key.bit_length() - 1
+        return Bits(key ^ 1 << n, n)
+
+    entries = t.entries
+    base = [x.val | 1 << x.n for x in t.base]
+    parent = dict(zip(base, base))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # One pass makes check (1), counts for (3), gathers the marked words of
+    # (2) and (5), and joins the words of (4).
+    failures: list[str] = []
+    by_word: dict[int, list[tuple[int, int]]] = {}
+    count = 0
     for idx, e in enumerate(entries):
-        for m in e.tup.members:
-            by_word.setdefault(m.word, []).append(idx)
-    pair_shared: dict[tuple[int, int], list[Bits]] = {}
-    for word, idxs in by_word.items():
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                pair_shared.setdefault((idxs[a], idxs[b]), []).append(word)
+        members, n = e.derivation.support_vals()
+        stop = 1 << n
+        count += len(members) - 1
+        inside, outside = [], []
+        for val, mark in members:
+            w = val | stop
+            by_word.setdefault(w, []).append((idx, mark))
+            (inside if w in parent else outside).append(w)
+        if outside:
+            failures.append(
+                f"support of {e.tup} leaves the base set: {sorted(map(word, outside))}"
+            )
+        for other in inside[1:]:
+            ra, rb = find(inside[0]), find(other)
+            if ra != rb:
+                parent[rb] = ra
+
+    pair_shared: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+    for w, marked in by_word.items():
+        for a in range(len(marked)):
+            for b in range(a + 1, len(marked)):
+                (ia, ma), (ib, mb) = marked[a], marked[b]
+                pair_shared.setdefault((ia, ib), []).append((w, ma == mb))
     for (a, b), shared in sorted(pair_shared.items()):
         if len(shared) > 1:
             failures.append(
                 f"tuples {entries[a].tup} and {entries[b].tup} share {len(shared)} words"
             )
         else:
-            (x,) = shared
-            if entries[a].tup.mark_of(x) == entries[b].tup.mark_of(x):
+            ((w, same),) = shared
+            if same:
                 failures.append(
-                    f"tuples {entries[a].tup} and {entries[b].tup} mark {x} identically"
+                    f"tuples {entries[a].tup} and {entries[b].tup} mark {word(w)} identically"
                 )
 
-    count = sum(len(e.tup.members) - 1 for e in entries)
     if count != len(t.base) - 1:
         failures.append(
             f"tuple-size accounting: sum(size - 1) = {count}, expected {len(t.base) - 1}"
         )
 
-    parent: dict[Bits, Bits] = {x: x for x in t.base}
-
-    def find(x: Bits) -> Bits:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in entries:
-        words = [w for w in e.tup.support if w in parent]
-        for other in words[1:]:
-            ra, rb = find(words[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
-    roots = {find(x) for x in t.base}
+    roots = {find(x) for x in parent}
     if len(roots) > 1:
         failures.append(f"incidence structure has {len(roots)} components")
 

@@ -232,10 +232,10 @@ def verify_tuple_closure(k: int) -> VerificationReport:
 def verify_tree(k: int, mask: int | None = None) -> VerificationReport:
     """The (counting) tree validates, re-derives, and has edge-disjoint witnesses.
 
-    Each entry's stored derivation must be the only derivation of its tuple,
-    so the witness the splice takes from it is the canonical one.
+    Each entry's derivation must be the only derivation of its tuple, so the
+    witness the splice takes from it is the canonical one.
     """
-    from .flippable import canonical_witness, derivations, is_witness
+    from .flippable import derivations, is_witness
     from .spanning import counting_tree, full_tree, validate_tree
 
     failures: list[tuple[str, str]] = []
@@ -245,17 +245,16 @@ def verify_tree(k: int, mask: int | None = None) -> VerificationReport:
         failures.append(("tree", f))
     seen_edges: set[frozenset] = set()
     for entry in tree.entries:
-        if entry.derivation.tuple() != entry.tup:
-            failures.append(("derivation", str(entry.tup)))
-        if derivations(entry.tup) != [entry.derivation]:
-            failures.append(("closure-membership", str(entry.tup)))
-        cycle = canonical_witness(entry.tup)
-        if k <= 7 and not is_witness(entry.tup, cycle):
-            failures.append(("witness", str(entry.tup)))
+        t = entry.tup
+        if derivations(t) != [entry.derivation]:
+            failures.append(("closure-membership", str(t)))
+        cycle = entry.derivation.witness()
+        if k <= 7 and not is_witness(t, cycle):
+            failures.append(("witness", str(t)))
         m = len(cycle)
         for i in range(m):
             e = frozenset((cycle[i], cycle[(i + 1) % m]))
             if e in seen_edges:
-                failures.append(("witness-overlap", str(entry.tup)))
+                failures.append(("witness-overlap", str(t)))
             seen_edges.add(e)
     return _report(failures)

@@ -19,6 +19,11 @@ from functools import reduce
 MAX_LEN = 62
 
 
+def bitstring(val: int, n: int) -> str:
+    """The ASCII rendering of a packed value of length n, position 1 first."""
+    return f"{val:0{n}b}"[::-1] if n else ""
+
+
 class Bits:
     """Immutable bitstring of length 0..62."""
 
@@ -90,7 +95,7 @@ class Bits:
         return self == other or self < other
 
     def __str__(self) -> str:
-        return f"{self.val:0{self.n}b}"[::-1] if self.n else ""
+        return bitstring(self.val, self.n)
 
     def __repr__(self) -> str:
         return f"Bits({str(self)!r})"

@@ -156,7 +156,9 @@ def test_criterion_09_oracle_cross_check():
     valid = []
     for r in range(len(pool) + 1):
         for sub in combinations(pool, r):
-            entries = tuple(TreeEntry(t, derivations(t)[0]) for t in sub)
+            ds = [derivations(t)[0] for t in sub]
+            assert [d.tuple() for d in ds] == list(sub)
+            entries = tuple(TreeEntry(d) for d in ds)
             if validate_tree(SpanningTree(base, entries)).passed:
                 valid.append(set(sub))
     assert {fan().tuple(), BRIDGE.tuple()} in valid

@@ -39,25 +39,35 @@ def test_hamilton_gplus_4():
 
 def test_hamilton_gplus_rejects_invalid_tree():
     base = frozenset(enumerate_dyck(3))
-    broken = SpanningTree(base, (TreeEntry(fan().tuple(), derivations(fan().tuple())[0]),))
+    d = derivations(fan().tuple())[0]
+    assert d.tuple() == fan().tuple()
+    broken = SpanningTree(base, (TreeEntry(d),))
     with pytest.raises(ValueError):
         hamilton_gplus(3, broken)
 
 
 def test_generation_runs_no_derivation_search():
     # The splice takes each witness from the derivation its tree entry
-    # stores, so a fresh process never fills the derivation-search cache.
+    # stores, so a fresh process never fills the derivation-search cache;
+    # the tree is built and validated on derivations, so it wraps no tuple.
     code = (
         "import io\n"
         "from oddgray import cli, flippable\n"
+        "wraps = 0\n"
+        "apply_context = flippable.apply_context\n"
+        "def counted(*args):\n"
+        "    global wraps\n"
+        "    wraps += 1\n"
+        "    return apply_context(*args)\n"
+        "flippable.apply_context = counted\n"
         "for argv in (['gen', '--k', '8'], ['gen', '--k', '7', '--family', '3'],"
         " ['middle', '--k', '6']):\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0\n"
-        "print(flippable._derivations.cache_info().misses)\n"
+        "print(flippable._derivations.cache_info().misses, wraps)\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "0"
+    assert res.stdout.split() == ["0", "0"]
 
 
 def test_hamilton_gplus_rejects_mismatched_base():

@@ -37,7 +37,12 @@ def catalan(k):
 
 def entries_only(tuples):
     """Wrap bare tuples for validate_tree (derivations from the pool)."""
-    return tuple(TreeEntry(t, derivations(t)[0]) for t in tuples)
+    entries = []
+    for t in tuples:
+        d = derivations(t)[0]
+        assert d.tuple() == t
+        entries.append(TreeEntry(d))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------- partition
@@ -114,9 +119,13 @@ def test_trees_validate():
 
 
 def test_tree_entries_carry_their_derivations():
+    # ``tup`` is computed from the derivation, so compare it with the packed
+    # support that validate_tree reads from the same derivation.
     for k in (3, 4, 5, 6):
         for e in full_tree(k).entries:
-            assert e.derivation.tuple() == e.tup
+            members, n = e.derivation.support_vals()
+            assert set(members) == {(m.word.val, m.mark) for m in e.tup.members}
+            assert n == e.tup.word_length
 
 
 def test_tree_tuples_are_pool_members():
@@ -153,6 +162,21 @@ def test_validate_rejects_foreign_support():
     r = validate_tree(SpanningTree(base, entries_only([BRIDGE.tuple()])))
     assert not r.passed
     assert any("base set" in f for f in r.failures)
+
+
+def test_validate_rejects_support_of_another_length():
+    # Supports are compared as packed integers. The k = 3 tree must fail
+    # both on the k = 4 words and on length-8 words packing to the same
+    # values as its own words, where only the length tells them apart.
+    tree = entries_only([fan().tuple(), BRIDGE.tuple()])
+    assert validate_tree(SpanningTree(frozenset(enumerate_dyck(3)), tree)).passed
+    for base in (
+        frozenset(enumerate_dyck(4)),
+        frozenset(Bits(x.val, 8) for x in enumerate_dyck(3)),
+    ):
+        r = validate_tree(SpanningTree(base, tree))
+        assert not r.passed
+        assert any("leaves the base set" in f for f in r.failures)
 
 
 def recursive_spanning(base, tuples):

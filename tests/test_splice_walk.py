@@ -77,10 +77,19 @@ def component_of_start(k, tree):
     return seen
 
 
-def with_derivation(tree, idx, derivation):
-    """``tree`` with entry idx keeping its tuple but storing another derivation."""
+class _SwappedWitness:
+    """A derivation with ``kept``'s tuple and packed support but ``other``'s witness."""
+
+    def __init__(self, kept, other):
+        self.tuple = kept.tuple
+        self.support_vals = kept.support_vals
+        self.witness_vals = other.witness_vals
+
+
+def with_derivation(tree, idx, other):
+    """``tree`` with entry idx keeping its tuple but splicing ``other``'s witness."""
     entries = list(tree.entries)
-    entries[idx] = TreeEntry(entries[idx].tup, derivation)
+    entries[idx] = TreeEntry(_SwappedWitness(entries[idx].derivation, other))
     return SpanningTree(tree.base, tuple(entries))
 
 
@@ -111,7 +120,7 @@ def test_table_holds_exactly_the_witness_vertices():
 
 
 def test_duplicated_derivation_fails_the_count_check():
-    # Entry 0 stores entry 1's derivation: its tuple still validates, but
+    # Entry 0 splices entry 1's witness: its tuple still validates, but
     # entry 1's witness is toggled twice and cancels, and entry 0's is never
     # toggled, so their factor cycles stay apart.
     k = 4

@@ -5,7 +5,8 @@ are wrapped in random Dyck contexts (wrapped word length at most 16), and
 each witness is checked three ways: by ``is_witness``, which rests on the
 independent ``factor.locate``; against the recursive peel on ``Bits`` kept
 below as the reference; and against the three wrapping moves the peel is
-built from.
+built from. The packed support ``validate_tree`` checks is compared with the
+wrapped tuple on ``Bits``.
 """
 
 from hypothesis import given, settings
@@ -84,6 +85,17 @@ def test_packed_peel_matches_reference(case):
     ref = reference_witness(pattern, ctx)
     assert Derivation(pattern, ctx).witness_vals() == tuple(y.val for y in ref)
     assert witness(pattern, ctx) == ref
+
+
+@relaxed
+@given(wrapped_seeds())
+def test_packed_support_matches_tuple(case):
+    d = Derivation(*case)
+    t = d.tuple()
+    members, n = d.support_vals()
+    assert len(members) == len(t.members)
+    assert set(members) == {(m.word.val, m.mark) for m in t.members}
+    assert n == t.word_length
 
 
 @relaxed
