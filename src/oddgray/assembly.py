@@ -43,8 +43,8 @@ from math import comb
 from typing import Iterator
 
 from . import spanning
-from .factor import _path_vals, flip_sequence
-from .words import Bits, enumerate_dyck, is_dyck, positions
+from .factor import _path_vals, flip_sequences
+from .words import Bits, enumerate_dyck, positions
 
 TARGET_GPLUS = "gplus"
 TARGET_ODD = "odd"
@@ -83,10 +83,13 @@ def _tree_for(k: int, family_mask: int | None) -> spanning.SpanningTree:
     return spanning.counting_tree(k, family_mask)
 
 
-def _splice_table(k: int, tree: spanning.SpanningTree, dyck: list[Bits]) -> dict:
+def _splice_table(
+    k: int, tree: spanning.SpanningTree, dyck: list[Bits], seqs: list[tuple[int, ...]]
+) -> dict:
     """Witness vertex -> (neighbour, neighbour, origin number, path index).
 
-    The origin number indexes ``dyck``; the two neighbours are the vertex's
+    The origin number indexes ``dyck`` and ``seqs``, their flip sequences
+    (``factor.flip_sequences``); the two neighbours are the vertex's
     final ones, its factor neighbours with the witness edges toggled in.
     Every vertex not in the table keeps its two factor-cycle neighbours.
     """
@@ -124,8 +127,7 @@ def _splice_table(k: int, tree: spanning.SpanningTree, dyck: list[Bits]) -> dict
     last = 2 * k
     full = (1 << last) - 1
     bad = []
-    for o, x in enumerate(dyck):
-        seq = flip_sequence(x)
+    for o, (x, seq) in enumerate(zip(dyck, seqs)):
         v = x.val
         before = v ^ full
         for i in range(last + 1):
@@ -157,7 +159,9 @@ def _splice_table(k: int, tree: spanning.SpanningTree, dyck: list[Bits]) -> dict
     return table
 
 
-def _walk(k: int, table: dict, dyck: list[Bits]) -> Iterator[int]:
+def _walk(
+    k: int, table: dict, dyck: list[Bits], seqs: list[tuple[int, ...]]
+) -> Iterator[int]:
     """The spliced cycle from the least vertex (1 << k) - 1, toward its smaller neighbour.
 
     Off the table the walk steps along the current factor path by that
@@ -171,7 +175,6 @@ def _walk(k: int, table: dict, dyck: list[Bits]) -> Iterator[int]:
     full = (1 << last) - 1
     total = comb(last + 1, k)
     get = table.get
-    seqs = [flip_sequence(x) for x in dyck]
     start = (1 << k) - 1  # dyck[0] = 1^k 0^k, at index 0 of its own path
     seq = seqs[0]
     entry = get(start) or (start ^ _BIT[seq[0]], start ^ full, 0, 0)
@@ -224,14 +227,24 @@ def _walk(k: int, table: dict, dyck: list[Bits]) -> Iterator[int]:
         )
 
 
-def stream_gplus_vals(k: int, tree: spanning.SpanningTree | None = None) -> Iterator[int]:
-    """Packed vertices of the Hamilton cycle, in canonical rotation."""
+def stream_gplus_vals(
+    k: int,
+    tree: spanning.SpanningTree | None = None,
+    seqs: list[tuple[int, ...]] | None = None,
+) -> Iterator[int]:
+    """Packed vertices of the Hamilton cycle, in canonical rotation.
+
+    ``seqs`` is ``factor.flip_sequences(k)``, passed by a caller that holds
+    it already, so that the sequences are not computed and kept twice.
+    """
     if k < 3:
         raise ValueError(PETERSEN_NOTE if k == 2 else "assembly needs k >= 3")
     if tree is None:
         tree = spanning.full_tree(k)
     dyck = enumerate_dyck(k)
-    return _walk(k, _splice_table(k, tree, dyck), dyck)
+    if seqs is None:
+        seqs = flip_sequences(k)
+    return _walk(k, _splice_table(k, tree, dyck, seqs), dyck, seqs)
 
 
 def hamilton_gplus(k: int, tree: spanning.SpanningTree) -> CycleCertificate:
@@ -288,30 +301,35 @@ def stream_middle_vals(k: int, family_mask: int | None = None) -> Iterator[int]:
         return
 
     tree = _tree_for(k, family_mask)
+    seqs = flip_sequences(k)
+    seq_of = dict(zip([x.val for x in enumerate_dyck(k)], seqs))
     full = (1 << (2 * k)) - 1
-    top = 1 << (2 * k)
-    first = None
-    prev = None
-    for v in stream_gplus_vals(k, tree):
-        if prev is not None:
-            yield from _closing_detour(prev, v, full, top, k)
-        else:
+    first = prev = None
+    for v in stream_gplus_vals(k, tree, seqs):
+        if prev is None:
             first = v
+        elif prev ^ v == full:
+            yield from _closing_detour(prev, v, seq_of, k)
         yield v  # v with 0 appended keeps its packed value
         prev = v
-    yield from _closing_detour(prev, first, full, top, k)
+    if prev ^ first == full:
+        yield from _closing_detour(prev, first, seq_of, k)
 
 
-def _closing_detour(a: int, b: int, full: int, top: int, k: int) -> Iterator[int]:
-    if a ^ b != full:
-        return
-    x = Bits(a, 2 * k)
-    if not is_dyck(x):
-        x = Bits(b, 2 * k)
-    detour = [w ^ full | top for w in _path_vals(x)]
-    if a == x.val:
+def _closing_detour(a: int, b: int, seq_of: dict, k: int) -> list[int]:
+    """The vertices replacing the closing edge from a0 to b0, in walking order.
+
+    One of a and b is a Dyck word x, a key of ``seq_of`` (its flip
+    sequence); the detour is the complemented factor path of x, with 1
+    appended to each vertex, walked from a1 to b1.
+    """
+    full = (1 << (2 * k)) - 1
+    top = 1 << (2 * k)
+    x = a if a in seq_of else b
+    detour = [w ^ full | top for w in _path_vals(x, seq_of[x])]
+    if a == x:
         detour.reverse()
-    yield from detour
+    return detour
 
 
 def hamilton_middle_levels(k: int, family_mask: int | None = None) -> CycleCertificate:

@@ -3,8 +3,9 @@
 Subcommands: ``gen`` (odd-graph Hamilton cycle), ``middle`` (middle-levels
 cycle), ``factor`` (the underlying cycle factor), ``tree`` (spanning tree as
 JSON), ``verify`` (check a certificate file), ``selfcheck`` (run the
-verification suites), ``bench`` (generation throughput). Output is streamed
-line by line; identical invocations produce byte-identical output.
+verification suites), ``bench`` (generation throughput). ``gen``, ``middle``
+and ``factor`` stream their lines in blocks of BLOCK_LINES, one ``write`` per
+block; identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments. The
 environment variable ODDGRAY_MAX_K lowers the accepted k ceiling (default
@@ -18,12 +19,16 @@ import json
 import os
 import sys
 import time
+from itertools import islice, repeat
 from math import comb
-from typing import IO
+from typing import IO, Iterable, Iterator
 
 from . import assembly, spanning, verify
 from .factor import cycle_factor
-from .words import Bits, bitstring, positions
+from .words import Bits, line_renderer, positions
+
+# Lines joined into one string per ``out.write``.
+BLOCK_LINES = 4096
 
 
 def _ceiling() -> int:
@@ -36,8 +41,26 @@ def _ceiling() -> int:
         raise ValueError(f"ODDGRAY_MAX_K must be an integer, got {raw!r}") from None
 
 
+def _write_blocks(out: IO[str], lines: Iterable[str]) -> None:
+    """Write lines (each ending in a newline) BLOCK_LINES at a time, one ``out.write`` per block."""
+    lines = iter(lines)
+    while block := "".join(islice(lines, BLOCK_LINES)):
+        out.write(block)
+
+
 def _subset_line(val: int) -> str:
-    return "{" + ",".join(map(str, positions(val))) + "}"
+    return "{" + ",".join(map(str, positions(val))) + "}\n"
+
+
+def _delta_lines(odd: Iterator[int], n: int) -> Iterator[str]:
+    """Per step of the cycle, and for the closing step, the one position left unflipped."""
+    full = (1 << n) - 1
+    labels = [f"{i}\n" for i in range(n + 1)]
+    first = prev = next(odd)
+    for ov in odd:
+        yield labels[(full ^ (prev | ov)).bit_length()]
+        prev = ov
+    yield labels[(full ^ (prev | first)).bit_length()]
 
 
 def _check_family(parser: argparse.ArgumentParser, k: int, family: int | None) -> None:
@@ -60,29 +83,14 @@ def _cmd_gen(args, parser, out: IO[str]) -> int:
     _check_family(parser, k, args.family)
     tree = assembly._tree_for(k, args.family)
     n = 2 * k + 1
-    full = (1 << n) - 1
-    vals = assembly.stream_gplus_vals(k, tree)
+    odd = map(assembly.odd_val, assembly.stream_gplus_vals(k, tree), repeat(k))
     if args.format == "bits":
-        for v in vals:
-            out.write(bitstring(assembly.odd_val(v, k), n))
-            out.write("\n")
+        lines = map(line_renderer(n), odd)
     elif args.format == "subsets":
-        for v in vals:
-            out.write(_subset_line(assembly.odd_val(v, k)))
-            out.write("\n")
-    else:  # delta: the one position left unflipped by each step
-        first = None
-        prev = None
-        for v in vals:
-            ov = assembly.odd_val(v, k)
-            if prev is None:
-                first = ov
-            else:
-                out.write(str((full ^ (prev | ov)).bit_length()))
-                out.write("\n")
-            prev = ov
-        out.write(str((full ^ (prev | first)).bit_length()))
-        out.write("\n")
+        lines = map(_subset_line, odd)
+    else:
+        lines = _delta_lines(odd, n)
+    _write_blocks(out, lines)
     return 0
 
 
@@ -91,10 +99,8 @@ def _cmd_middle(args, parser, out: IO[str]) -> int:
     if not 1 <= k <= _ceiling():
         parser.error(f"middle needs 1 <= k <= {_ceiling()}")
     _check_family(parser, k, args.family)
-    n = 2 * k + 1
-    for v in assembly.stream_middle_vals(k, args.family):
-        out.write(bitstring(v, n))
-        out.write("\n")
+    render = line_renderer(2 * k + 1)
+    _write_blocks(out, map(render, assembly.stream_middle_vals(k, args.family)))
     return 0
 
 
@@ -102,9 +108,10 @@ def _cmd_factor(args, parser, out: IO[str]) -> int:
     k = args.k
     if not 1 <= k <= _ceiling():
         parser.error(f"factor needs 1 <= k <= {_ceiling()}")
-    for p in cycle_factor(k):
-        out.write(",".join(str(v) for v in p.vertices))
-        out.write("\n")
+    render = line_renderer(2 * k, ",")
+    # each vertex renders with a trailing comma; the line's last becomes its newline
+    lines = ("".join([render(v.val) for v in p.vertices])[:-1] + "\n" for p in cycle_factor(k))
+    _write_blocks(out, lines)
     return 0
 
 
@@ -193,6 +200,8 @@ def _cmd_bench(args, parser, out: IO[str]) -> int:
     k = args.k
     if not 3 <= k <= _ceiling():
         parser.error(f"bench needs 3 <= k <= {_ceiling()}")
+    if args.repeat < 1:
+        parser.error("bench needs --repeat >= 1")
     total = comb(2 * k + 1, k)
     for _ in range(args.repeat):
         t0 = time.perf_counter()

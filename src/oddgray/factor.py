@@ -31,8 +31,10 @@ from .words import (
     complement,
     decompose,
     enumerate_dyck,
+    first_return_val,
     is_dyck,
     mirror,
+    mirror_val,
 )
 
 
@@ -54,18 +56,39 @@ def flip_sequence(x: Bits) -> tuple[int, ...]:
     return (base, *(base - a for a in head), 1, *(base + a for a in tail))
 
 
-def _path_vals(x: Bits) -> list[int]:
-    v = x.val
-    vals = [v]
-    for a in flip_sequence(x):
-        v ^= 1 << (a - 1)
-        vals.append(v)
+def flip_sequences(k: int) -> list[tuple[int, ...]]:
+    """``flip_sequence`` of every Dyck word of semilength k, in enumeration order.
+
+    The recursion runs on packed values, and the sequences of the inner
+    words it meets are memoized for this call only, so nothing outlives it.
+    """
+    memo: dict[int, tuple[int, ...]] = {1: ()}  # packed word with a stop bit above it
+
+    def seq(val: int, n: int) -> tuple[int, ...]:
+        key = val | 1 << n
+        s = memo.get(key)
+        if s is None:
+            base = first_return_val(val, n)  # x = 1u0v with |u| = base - 2
+            head = seq(mirror_val(val >> 1 & (1 << (base - 2)) - 1, base - 2), base - 2)
+            tail = seq(val >> base, n - base)
+            s = memo[key] = (base, *[base - a for a in head], 1, *[base + a for a in tail])
+        return s
+
+    return [seq(x.val, x.n) for x in enumerate_dyck(k)]
+
+
+def _path_vals(val: int, seq: tuple[int, ...]) -> list[int]:
+    """The packed vertices of the factor path that starts at val and flips by seq."""
+    vals = [val]
+    for a in seq:
+        val ^= 1 << (a - 1)
+        vals.append(val)
     return vals
 
 
 def path(x: Bits) -> FactorPath:
     """The factor path from x to its complement (2k+1 vertices)."""
-    return FactorPath(x, tuple(Bits(v, x.n) for v in _path_vals(x)))
+    return FactorPath(x, tuple(Bits(v, x.n) for v in _path_vals(x.val, flip_sequence(x))))
 
 
 def flip_edge(x: Bits, i: int) -> frozenset[Bits]:
@@ -81,8 +104,8 @@ def cycle_factor(k: int) -> Iterator[FactorPath]:
     """One path per Dyck word of semilength k, in enumeration order."""
     if not 1 <= k <= 30:
         raise ValueError(f"semilength {k} outside 1..30")
-    for x in enumerate_dyck(k):
-        yield path(x)
+    for x, seq in zip(enumerate_dyck(k), flip_sequences(k)):
+        yield FactorPath(x, tuple(Bits(v, x.n) for v in _path_vals(x.val, seq)))
 
 
 def locate(y: Bits) -> tuple[Bits, int]:

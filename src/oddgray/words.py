@@ -14,7 +14,8 @@ path picture it reflects the path left-to-right.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
+from typing import Callable
 
 MAX_LEN = 62
 
@@ -22,6 +23,33 @@ MAX_LEN = 62
 def bitstring(val: int, n: int) -> str:
     """The ASCII rendering of a packed value of length n, position 1 first."""
     return f"{val:0{n}b}"[::-1] if n else ""
+
+
+# Widest chunk a line renderer looks up in one table (2^12 entries).
+CHUNK_BITS = 12
+
+
+def line_renderer(n: int, end: str = "\n") -> Callable[[int], str]:
+    """A function mapping a packed value of length n to ``bitstring(val, n) + end``.
+
+    The value is cut, from position 1 on, into chunks of equal width (at
+    most CHUNK_BITS) and a shorter or equal last chunk. One table of
+    ``bitstring`` renderings serves every chunk but the last, and a second
+    one, whose entries end in ``end``, serves the last; so a line costs one
+    lookup per chunk, two up to n = 24.
+    """
+    count = max(1, -(-n // CHUNK_BITS))
+    width = -(-n // count)
+    top = (count - 1) * width
+    last = [bitstring(i, n - top) + end for i in range(1 << (n - top))]
+    if count == 1:
+        return last.__getitem__
+    mask = (1 << width) - 1
+    head = [bitstring(i, width) for i in range(1 << width)]
+    if count == 2:
+        return lambda val: head[val & mask] + last[val >> width]
+    shifts = range(0, top, width)
+    return lambda val: "".join([head[val >> s & mask] for s in shifts]) + last[val >> top]
 
 
 class Bits:
@@ -134,14 +162,31 @@ def mirror(x: Bits) -> Bits:
     return Bits(mirror_val(x.val, x.n), x.n)
 
 
+@cache
+def _byte_positions() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per byte offset j, the positions of each byte value's set bits placed at bits 8j..8j+7.
+
+    Built on first use, so a run that renders no subsets does not pay for it.
+    """
+    tables = []
+    for offset in range(0, 64, 8):
+        table = [()]
+        for b in range(1, 256):
+            top = b.bit_length()
+            table.append(table[b ^ 1 << (top - 1)] + (offset + top,))
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def positions(val: int) -> tuple[int, ...]:
     """The 1-based positions of the set bits of a packed value, in increasing order."""
-    out = []
-    while val:
-        low = val & -val
-        out.append(low.bit_length())
-        val ^= low
-    return tuple(out)
+    out = ()
+    for table in _byte_positions():
+        out += table[val & 255]
+        val >>= 8
+        if not val:
+            return out
+    raise ValueError("value wider than 64 bits")
 
 
 def is_dyck(x: Bits) -> bool:

@@ -49,10 +49,11 @@ def test_hamilton_gplus_rejects_invalid_tree():
 def test_generation_runs_no_derivation_search():
     # The splice takes each witness from the derivation its tree entry
     # stores, so a fresh process never fills the derivation-search cache;
-    # the tree is built and validated on derivations, so it wraps no tuple.
+    # the tree is built and validated on derivations, so it wraps no tuple;
+    # flip sequences come from a per-call table, so their cache stays empty.
     code = (
         "import io\n"
-        "from oddgray import cli, flippable\n"
+        "from oddgray import cli, factor, flippable\n"
         "wraps = 0\n"
         "apply_context = flippable.apply_context\n"
         "def counted(*args):\n"
@@ -63,11 +64,12 @@ def test_generation_runs_no_derivation_search():
         "for argv in (['gen', '--k', '8'], ['gen', '--k', '7', '--family', '3'],"
         " ['middle', '--k', '6']):\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0\n"
-        "print(flippable._derivations.cache_info().misses, wraps)\n"
+        "print(flippable._derivations.cache_info().misses, wraps,"
+        " factor.flip_sequence.cache_info().currsize)\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["0", "0"]
+    assert res.stdout.split() == ["0", "0", "0"]
 
 
 def test_hamilton_gplus_rejects_mismatched_base():

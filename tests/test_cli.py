@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
-from math import comb
+from math import ceil, comb
 
 import pytest
+
+from oddgray import cli
 
 
 def run_cli(*args, **kw):
@@ -162,3 +164,39 @@ def test_bench_runs():
     res = run_cli("bench", "--k", "3", "--repeat", "1")
     assert res.returncode == 0
     assert "vertices/s" in res.stdout
+
+
+def test_bench_rejects_repeats_below_one():
+    for repeat in ("0", "-2"):
+        res = run_cli("bench", "--k", "3", "--repeat", repeat)
+        assert res.returncode == 2
+        assert "--repeat >= 1" in res.stderr
+        assert res.stdout == ""
+
+
+class CountingSink:
+    """A text stream with only ``write``, counting the calls."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "gen --k 9 --family 1582",
+        "gen --k 8 --format subsets",
+        "gen --k 8 --format delta",
+        "middle --k 8",
+        "factor --k 7",
+    ],
+)
+def test_output_is_written_in_blocks(argv):
+    sink = CountingSink()
+    assert cli.main(argv.split(), out=sink) == 0
+    lines = "".join(sink.chunks).count("\n")
+    assert len(sink.chunks) <= ceil(lines / cli.BLOCK_LINES) + 1
+    assert all(chunk.endswith("\n") for chunk in sink.chunks)

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from oddgray.factor import cycle_factor, flip_edge, flip_sequence, locate, path
+from oddgray.factor import cycle_factor, flip_edge, flip_sequence, flip_sequences, locate, path
 from oddgray.words import Bits, cat, complement, decompose, enumerate_dyck, mirror
 
 B = Bits.parse
@@ -34,6 +34,11 @@ def test_path_table():
 
 def test_path_small():
     assert [str(v) for v in path(B("10")).vertices] == ["10", "11", "01"]
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_flip_sequences_match_flip_sequence(k):
+    assert flip_sequences(k) == [flip_sequence(x) for x in enumerate_dyck(k)]
 
 
 def test_flip_sequence_properties():

@@ -6,7 +6,9 @@ derivation to using the one its tree entry stores. Any change to the
 emitted cycles, trees or renderings changes a digest; a speed-up must leave
 every one of them as it is. The ``middle --family``, k = 10 and
 ``hamilton_odd`` digests were recorded later, before the splice switched
-from an adjacency dict over every vertex to the splice-table walker.
+from an adjacency dict over every vertex to the splice-table walker. The
+``factor`` and k = 9 ``subsets`` / ``delta`` digests were recorded before
+output switched to blocks of table-rendered lines.
 """
 
 import hashlib
@@ -60,6 +62,15 @@ GOLDEN = {
     "middle --k 7 --family 3": "d78626c1c20a266b63dce6fbd6539be5b979db2460640372b86c4884b3fa32ee",
     "middle --k 8 --family 21": "7a0a1755d02c9c360f5f4f53c16e9f59ddbecdc9f06a4e903e0a542924c23b85",
     "gen --k 10 --format delta": "5eec05bc9366b084be5d8a8c5f529d2f86e57a76a8312cd12fd1a0076a8e0920",
+    "gen --k 9 --format subsets": "b9108315d9361560fe0e0b084cf22e46fd352432a787df97f918c78101cd1094",
+    "gen --k 9 --format delta": "4df69af684ce2e27f3319a0a2f5c608e2b36818e254dd47d9a8b18da4c1ccc3b",
+    "factor --k 1": "cf850159070cdcea0b68ab4609cb60001059c99675ed6bb3cf7aa81d18fcb2da",
+    "factor --k 2": "880ebe8634742f26c051abe25c664c38064a7887fbc04b841c14da910c640fdf",
+    "factor --k 3": "157931cbb4ffe9c4c492bd6d8dc5243b32594f42316eb4bdc981ac44aeaac3f4",
+    "factor --k 4": "ca899e677c8c1263985aa35823a67c3cf79fea6bffb3bfd6ec77fc6aa7e2aed0",
+    "factor --k 5": "33e87f10d1300d13fcc364db0dc5263887ba5ff7add32f930197e8faa7cc9fb8",
+    "factor --k 6": "2c6dbe7eb02738682a858f7f9cdde912347e2388b7a8fbdaa25bd0052c842ea9",
+    "factor --k 7": "17be86fa29286d0b59a1662e2b5110c6ddecea1f9627632e845ab3f7bb291025",
 }
 
 # hamilton_odd(8, mask).vertices, one comma-separated subset per line.

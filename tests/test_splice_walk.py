@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddgray.assembly import AssemblyError, _splice_table, stream_gplus_vals
-from oddgray.factor import _path_vals, locate
+from oddgray.factor import _path_vals, flip_sequence, flip_sequences, locate
 from oddgray.flippable import Context, Derivation
 from oddgray.spanning import SpanningTree, TreeEntry, counting_tree, full_tree, mask_width
 from oddgray.words import Bits, enumerate_dyck
@@ -27,7 +27,7 @@ def reference_adjacency(k, tree):
     """Every vertex's neighbour list: the factor cycles, then each witness toggled in."""
     adj = {}
     for x in enumerate_dyck(k):
-        vals = _path_vals(x)
+        vals = _path_vals(x.val, flip_sequence(x))
         for a, b in zip(vals, vals[1:] + vals[:1]):
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
@@ -111,11 +111,12 @@ def test_walk_matches_reference_on_random_masks(data):
 def test_table_holds_exactly_the_witness_vertices():
     tree = full_tree(8)
     dyck = enumerate_dyck(8)
-    table = _splice_table(8, tree, dyck)
+    seqs = flip_sequences(8)
+    table = _splice_table(8, tree, dyck, seqs)
     assert set(table) == surviving_witness_vertices(tree)
     assert len(table) == 4014
     for v, (a, b, o, i) in table.items():
-        assert _path_vals(dyck[o])[i] == v
+        assert _path_vals(dyck[o].val, seqs[o])[i] == v
         assert v not in (a, b) and a != b
 
 

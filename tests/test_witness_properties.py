@@ -6,7 +6,9 @@ each witness is checked three ways: by ``is_witness``, which rests on the
 independent ``factor.locate``; against the recursive peel on ``Bits`` kept
 below as the reference; and against the three wrapping moves the peel is
 built from. The packed support ``validate_tree`` checks is compared with the
-wrapped tuple on ``Bits``.
+wrapped tuple on ``Bits``. The table-driven renderers of packed values,
+``line_renderer`` and ``positions``, are compared with ``bitstring`` and
+with the bit-by-bit loop kept below as the reference.
 """
 
 from hypothesis import given, settings
@@ -26,7 +28,18 @@ from oddgray.flippable import (
     witness,
     wrap_marked,
 )
-from oddgray.words import ONE, ZERO, cat, complement, enumerate_dyck, first_return, mirror
+from oddgray.words import (
+    ONE,
+    ZERO,
+    bitstring,
+    cat,
+    complement,
+    enumerate_dyck,
+    first_return,
+    line_renderer,
+    mirror,
+    positions,
+)
 
 MAX_LEN = 16
 _DYCK = [enumerate_dyck(j) for j in range(MAX_LEN // 2 + 1)]
@@ -124,3 +137,47 @@ def test_prepend_and_append_laws(case, data):
     inner = witness(pattern, ctx)
     assert witness(pattern, Context(d + u, v)) == tuple(complement(d) + y for y in inner)
     assert witness(pattern, Context(u, v + d)) == tuple(y + d for y in inner)
+
+
+def reference_positions(val):
+    """The 1-based positions of the set bits, peeled lowest first: the reference for ``positions``."""
+    out = []
+    while val:
+        low = val & -val
+        out.append(low.bit_length())
+        val ^= low
+    return tuple(out)
+
+
+@st.composite
+def packed_values(draw, max_n=61):
+    n = draw(st.integers(1, max_n))
+    return draw(st.integers(0, (1 << n) - 1)), n
+
+
+@relaxed
+@given(packed_values())
+def test_line_renderer_matches_bitstring(case):
+    val, n = case
+    assert line_renderer(n)(val) == bitstring(val, n) + "\n"
+
+
+def test_line_renderer_covers_every_width():
+    for n in range(1, 62):
+        render = line_renderer(n)
+        for val in (0, 1, (1 << n) - 1, 1 << (n - 1), 0x5555555555555555 >> (64 - n)):
+            assert render(val) == bitstring(val, n) + "\n"
+
+
+@relaxed
+@given(packed_values(62))
+def test_positions_match_reference(case):
+    val, _ = case
+    assert positions(val) == reference_positions(val)
+
+
+def test_positions_cover_every_byte_at_every_offset():
+    for shift in range(0, 62, 8):
+        for b in range(256):
+            val = (b << shift) & ((1 << 62) - 1)
+            assert positions(val) == reference_positions(val)
