@@ -11,6 +11,8 @@ the table for degree 2 checks the whole graph. The walk steps along each
 factor path by its flip sequence, switches paths only at table vertices,
 and must return to its start after exactly binomial(2k+1, k) vertices.
 Memory thus grows with the witness vertices, not with the whole graph.
+The splice, the walk and the middle-levels detours read one shared table of
+flip sequences per k (``factor.flip_sequences``).
 
 Each witness comes from the derivation its tree entry stores, as packed
 values (``Derivation.witness_vals``), so generation runs no derivation
@@ -84,7 +86,7 @@ def _tree_for(k: int, family_mask: int | None) -> spanning.SpanningTree:
 
 
 def _splice_table(
-    k: int, tree: spanning.SpanningTree, dyck: list[Bits], seqs: list[tuple[int, ...]]
+    k: int, tree: spanning.SpanningTree, dyck: tuple[Bits, ...], seqs: tuple[tuple[int, ...], ...]
 ) -> dict:
     """Witness vertex -> (neighbour, neighbour, origin number, path index).
 
@@ -160,7 +162,7 @@ def _splice_table(
 
 
 def _walk(
-    k: int, table: dict, dyck: list[Bits], seqs: list[tuple[int, ...]]
+    k: int, table: dict, dyck: tuple[Bits, ...], seqs: tuple[tuple[int, ...], ...]
 ) -> Iterator[int]:
     """The spliced cycle from the least vertex (1 << k) - 1, toward its smaller neighbour.
 
@@ -227,23 +229,13 @@ def _walk(
         )
 
 
-def stream_gplus_vals(
-    k: int,
-    tree: spanning.SpanningTree | None = None,
-    seqs: list[tuple[int, ...]] | None = None,
-) -> Iterator[int]:
-    """Packed vertices of the Hamilton cycle, in canonical rotation.
-
-    ``seqs`` is ``factor.flip_sequences(k)``, passed by a caller that holds
-    it already, so that the sequences are not computed and kept twice.
-    """
+def stream_gplus_vals(k: int, tree: spanning.SpanningTree | None = None) -> Iterator[int]:
+    """Packed vertices of the Hamilton cycle, in canonical rotation."""
     if k < 3:
         raise ValueError(PETERSEN_NOTE if k == 2 else "assembly needs k >= 3")
     if tree is None:
         tree = spanning.full_tree(k)
-    dyck = enumerate_dyck(k)
-    if seqs is None:
-        seqs = flip_sequences(k)
+    dyck, seqs = enumerate_dyck(k), flip_sequences(k)
     return _walk(k, _splice_table(k, tree, dyck, seqs), dyck, seqs)
 
 
@@ -301,11 +293,10 @@ def stream_middle_vals(k: int, family_mask: int | None = None) -> Iterator[int]:
         return
 
     tree = _tree_for(k, family_mask)
-    seqs = flip_sequences(k)
-    seq_of = dict(zip([x.val for x in enumerate_dyck(k)], seqs))
+    seq_of = dict(zip([x.val for x in enumerate_dyck(k)], flip_sequences(k)))
     full = (1 << (2 * k)) - 1
     first = prev = None
-    for v in stream_gplus_vals(k, tree, seqs):
+    for v in stream_gplus_vals(k, tree):
         if prev is None:
             first = v
         elif prev ^ v == full:

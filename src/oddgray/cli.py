@@ -9,7 +9,7 @@ block; identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments. The
 environment variable ODDGRAY_MAX_K lowers the accepted k ceiling (default
-30), which keeps accidental huge runs out of CI.
+``words.MAX_K``, 30), which keeps accidental huge runs out of CI.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from math import comb
 from typing import IO, Iterable, Iterator
 
 from . import assembly, spanning, verify
-from .factor import cycle_factor
-from .words import Bits, line_renderer, positions
+from .factor import _path_vals, cycle_factor, flip_sequences
+from .words import MAX_K, Bits, enumerate_dyck, line_renderer, positions
 
 # Lines joined into one string per ``out.write``.
 BLOCK_LINES = 4096
@@ -34,9 +34,9 @@ BLOCK_LINES = 4096
 def _ceiling() -> int:
     raw = os.environ.get("ODDGRAY_MAX_K")
     if raw is None:
-        return 30
+        return MAX_K
     try:
-        return max(1, min(30, int(raw)))
+        return max(1, min(MAX_K, int(raw)))
     except ValueError:
         raise ValueError(f"ODDGRAY_MAX_K must be an integer, got {raw!r}") from None
 
@@ -63,16 +63,6 @@ def _delta_lines(odd: Iterator[int], n: int) -> Iterator[str]:
     yield labels[(full ^ (prev | first)).bit_length()]
 
 
-def _check_family(parser: argparse.ArgumentParser, k: int, family: int | None) -> None:
-    if family is None:
-        return
-    if k < 6:
-        parser.error("--family needs k >= 6")
-    width = spanning.mask_width(k)
-    if not 0 <= family < (1 << width):
-        parser.error(f"--family outside 0..{(1 << width) - 1} for k = {k}")
-
-
 def _cmd_gen(args, parser, out: IO[str]) -> int:
     k = args.k
     if k == 2:
@@ -80,7 +70,6 @@ def _cmd_gen(args, parser, out: IO[str]) -> int:
         return 2
     if not 3 <= k <= _ceiling():
         parser.error(f"gen needs 3 <= k <= {_ceiling()}")
-    _check_family(parser, k, args.family)
     tree = assembly._tree_for(k, args.family)
     n = 2 * k + 1
     odd = map(assembly.odd_val, assembly.stream_gplus_vals(k, tree), repeat(k))
@@ -98,7 +87,6 @@ def _cmd_middle(args, parser, out: IO[str]) -> int:
     k = args.k
     if not 1 <= k <= _ceiling():
         parser.error(f"middle needs 1 <= k <= {_ceiling()}")
-    _check_family(parser, k, args.family)
     render = line_renderer(2 * k + 1)
     _write_blocks(out, map(render, assembly.stream_middle_vals(k, args.family)))
     return 0
@@ -110,7 +98,8 @@ def _cmd_factor(args, parser, out: IO[str]) -> int:
         parser.error(f"factor needs 1 <= k <= {_ceiling()}")
     render = line_renderer(2 * k, ",")
     # each vertex renders with a trailing comma; the line's last becomes its newline
-    lines = ("".join([render(v.val) for v in p.vertices])[:-1] + "\n" for p in cycle_factor(k))
+    paths = zip(enumerate_dyck(k), flip_sequences(k))
+    lines = ("".join([render(v) for v in _path_vals(x.val, s)])[:-1] + "\n" for x, s in paths)
     _write_blocks(out, lines)
     return 0
 
@@ -119,7 +108,6 @@ def _cmd_tree(args, parser, out: IO[str]) -> int:
     k = args.k
     if not 3 <= k <= _ceiling():
         parser.error(f"tree needs 3 <= k <= {_ceiling()}")
-    _check_family(parser, k, args.family)
     tree = assembly._tree_for(k, args.family)
     payload = {"k": k, "family": args.family, **tree.to_json()}
     out.write(json.dumps(payload, indent=2))

@@ -10,6 +10,12 @@ k and k+1 (odd steps flip a 0, even steps flip a 1). Closing each path with
 the complement edge {x, ~x} gives one cycle per Dyck word; the cycles are
 vertex-disjoint and cover all binomial(2k+1, k) vertices of the two layers.
 
+One packed recursion computes every flip sequence. ``flip_sequences(k)``
+runs it once over the Dyck words and keeps the table for the latest k, which
+the splice, the walk, the middle-levels detours, ``cycle_factor`` and the
+``factor`` command share; ``flip_sequence``, ``path`` and ``flip_edge`` run
+it for one word and keep nothing.
+
 ``locate`` inverts the construction: any vertex of the two layers decomposes
 in exactly one of three ways (a Dyck word, i.e. a path origin; 1w1v, an
 interior vertex of the mirrored-prefix stretch; 0~u1w, a vertex of the suffix
@@ -24,12 +30,12 @@ from functools import lru_cache
 from typing import Iterator
 
 from .words import (
+    MAX_K,
     Bits,
     ONE,
     ZERO,
     cat,
     complement,
-    decompose,
     enumerate_dyck,
     first_return_val,
     is_dyck,
@@ -44,37 +50,38 @@ class FactorPath:
     vertices: tuple[Bits, ...]
 
 
-@lru_cache(maxsize=None)
+def _flip_seq(val: int, n: int, memo: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """The flip sequence of the packed Dyck word val of length n.
+
+    ``memo`` maps each word met, keyed by its value with a stop bit above
+    it, to its sequence; it starts as ``{1: ()}``, the empty word.
+    """
+    key = val | 1 << n
+    s = memo.get(key)
+    if s is None:
+        base = first_return_val(val, n)  # x = 1u0v with |u| = base - 2
+        head = _flip_seq(mirror_val(val >> 1 & (1 << (base - 2)) - 1, base - 2), base - 2, memo)
+        tail = _flip_seq(val >> base, n - base, memo)
+        s = memo[key] = (base, *[base - a for a in head], 1, *[base + a for a in tail])
+    return s
+
+
 def flip_sequence(x: Bits) -> tuple[int, ...]:
     """The bit-flip order generating the factor path of the Dyck word x."""
-    if x.n == 0:
-        return ()
-    u, v = decompose(x)
-    base = u.n + 2
-    head = flip_sequence(mirror(u))
-    tail = flip_sequence(v)
-    return (base, *(base - a for a in head), 1, *(base + a for a in tail))
+    if not is_dyck(x):
+        raise ValueError(f"{x!r} is not a Dyck word")
+    return _flip_seq(x.val, x.n, {1: ()})
 
 
-def flip_sequences(k: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=1)
+def flip_sequences(k: int) -> tuple[tuple[int, ...], ...]:
     """``flip_sequence`` of every Dyck word of semilength k, in enumeration order.
 
-    The recursion runs on packed values, and the sequences of the inner
-    words it meets are memoized for this call only, so nothing outlives it.
+    One memo serves the whole table and is dropped with the call; the table
+    is kept for the latest k only, which every caller of that k shares.
     """
-    memo: dict[int, tuple[int, ...]] = {1: ()}  # packed word with a stop bit above it
-
-    def seq(val: int, n: int) -> tuple[int, ...]:
-        key = val | 1 << n
-        s = memo.get(key)
-        if s is None:
-            base = first_return_val(val, n)  # x = 1u0v with |u| = base - 2
-            head = seq(mirror_val(val >> 1 & (1 << (base - 2)) - 1, base - 2), base - 2)
-            tail = seq(val >> base, n - base)
-            s = memo[key] = (base, *[base - a for a in head], 1, *[base + a for a in tail])
-        return s
-
-    return [seq(x.val, x.n) for x in enumerate_dyck(k)]
+    memo: dict[int, tuple[int, ...]] = {1: ()}
+    return tuple(_flip_seq(x.val, x.n, memo) for x in enumerate_dyck(k))
 
 
 def _path_vals(val: int, seq: tuple[int, ...]) -> list[int]:
@@ -95,15 +102,15 @@ def flip_edge(x: Bits, i: int) -> frozenset[Bits]:
     """The unique edge of path(x) along which bit i flips."""
     if not 1 <= i <= x.n:
         raise ValueError(f"position {i} outside 1..{x.n}")
-    step = flip_sequence(x).index(i) + 1
-    vertices = path(x).vertices
-    return frozenset((vertices[step - 1], vertices[step]))
+    seq = flip_sequence(x)
+    step = seq.index(i)
+    return frozenset(Bits(v, x.n) for v in _path_vals(x.val, seq)[step : step + 2])
 
 
 def cycle_factor(k: int) -> Iterator[FactorPath]:
     """One path per Dyck word of semilength k, in enumeration order."""
-    if not 1 <= k <= 30:
-        raise ValueError(f"semilength {k} outside 1..30")
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"semilength {k} outside 1..{MAX_K}")
     for x, seq in zip(enumerate_dyck(k), flip_sequences(k)):
         yield FactorPath(x, tuple(Bits(v, x.n) for v in _path_vals(x.val, seq)))
 

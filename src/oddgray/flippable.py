@@ -468,14 +468,23 @@ def enumerate_tuples(k: int) -> list[FlippableTuple]:
 def conflict_violations(
     tuples: Iterable[FlippableTuple],
 ) -> list[tuple[FlippableTuple, FlippableTuple, Bits]]:
-    """Pairs whose supports share exactly one word marked identically in both."""
+    """Pairs whose supports share exactly one word marked identically in both.
+
+    Pairs come in input order, as a scan over all pairs would give them, but
+    only tuples met through a shared word, indexed by word, are compared.
+    """
     ts = list(tuples)
+    supports = [t.support for t in ts]
+    holders: dict[Bits, list[int]] = {}
+    for i, support in enumerate(supports):
+        for x in support:
+            holders.setdefault(x, []).append(i)
     out = []
     for i, t1 in enumerate(ts):
-        for t2 in ts[i + 1 :]:
-            shared = t1.support & t2.support
+        for j in sorted({j for x in supports[i] for j in holders[x] if j > i}):
+            shared = supports[i] & supports[j]
             if len(shared) == 1:
                 (x,) = shared
-                if t1.mark_of(x) == t2.mark_of(x):
-                    out.append((t1, t2, x))
+                if t1.mark_of(x) == ts[j].mark_of(x):
+                    out.append((t1, ts[j], x))
     return out

@@ -185,16 +185,16 @@ def verify_factor(k: int) -> VerificationReport:
 def verify_flip_properties(k: int) -> VerificationReport:
     """Flip sequences are alternating permutations; concatenation shifts them.
 
-    The concatenation identity flip_sequence(xy) == flip_sequence(x) followed
-    by |x| + flip_sequence(y) is checked over all Dyck pairs with semilengths
-    summing to k, for k <= 8.
+    The permutation and alternation checks read the shared table
+    ``flip_sequences(k)``. The concatenation identity flip_sequence(xy) ==
+    flip_sequence(x) followed by |x| + flip_sequence(y) is checked word by
+    word over all Dyck pairs with semilengths summing to k, for k <= 8.
     """
-    from .factor import flip_sequence
+    from .factor import flip_sequence, flip_sequences
     from .words import enumerate_dyck
 
     failures: list[tuple[str, str]] = []
-    for x in enumerate_dyck(k):
-        seq = flip_sequence(x)
+    for x, seq in zip(enumerate_dyck(k), flip_sequences(k)):
         if sorted(seq) != list(range(1, 2 * k + 1)):
             failures.append(("permutation", str(x)))
             continue
@@ -203,12 +203,12 @@ def verify_flip_properties(k: int) -> VerificationReport:
                 failures.append(("alternation", f"{x} step {i}"))
                 break
     if k <= 8:
+        part = {x: flip_sequence(x) for a in range(k + 1) for x in enumerate_dyck(a)}
         for a in range(0, k + 1):
             for x in enumerate_dyck(a):
                 for y in enumerate_dyck(k - a):
-                    lhs = flip_sequence(x + y)
-                    rhs = flip_sequence(x) + tuple(x.n + t for t in flip_sequence(y))
-                    if lhs != rhs:
+                    rhs = part[x] + tuple(x.n + t for t in part[y])
+                    if flip_sequence(x + y) != rhs:
                         failures.append(("concatenation", f"{x} {y}"))
     return _report(failures)
 

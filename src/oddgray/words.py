@@ -18,6 +18,8 @@ from functools import cache, reduce
 from typing import Callable
 
 MAX_LEN = 62
+# Largest semilength served: an odd-graph vertex has 2k+1 <= MAX_LEN bits.
+MAX_K = (MAX_LEN - 1) // 2
 
 
 def bitstring(val: int, n: int) -> str:
@@ -225,10 +227,12 @@ def decompose(x: Bits) -> tuple[Bits, Bits]:
     return x.slice(2, p - 1), x.slice(p + 1, x.n)
 
 
-def enumerate_dyck(k: int) -> list[Bits]:
+@cache
+def enumerate_dyck(k: int) -> tuple[Bits, ...]:
     """All Dyck words of semilength k, in descending lexicographic order with '1' ranked above '0'.
 
-    The first word for k = 3 is 111000 and the last is 101010.
+    The first word for k = 3 is 111000 and the last is 101010. Each
+    semilength is enumerated once per process; every caller shares the tuple.
     """
     if k < 0:
         raise ValueError("semilength must be non-negative")
@@ -246,4 +250,4 @@ def enumerate_dyck(k: int) -> list[Bits]:
             rec(val, pos + 1, ones, height - 1)
 
     rec(0, 0, 0, 0)
-    return out
+    return tuple(out)

@@ -94,9 +94,9 @@ def test_criterion_04_base_witnesses():
 
 
 def test_criterion_05_pool_is_conflict_free():
-    for k in range(3, 7):
+    for k in range(3, 9):
         assert conflict_violations(enumerate_tuples(k)) == [], k
-    report(5, "tuple pool conflict-free for k=3..6")
+    report(5, "tuple pool conflict-free for k=3..8")
 
 
 def test_criterion_06_trees_validate():

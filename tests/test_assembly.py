@@ -50,7 +50,8 @@ def test_generation_runs_no_derivation_search():
     # The splice takes each witness from the derivation its tree entry
     # stores, so a fresh process never fills the derivation-search cache;
     # the tree is built and validated on derivations, so it wraps no tuple;
-    # flip sequences come from a per-call table, so their cache stays empty.
+    # flip sequences come from the one shared table, and flip_sequence, which
+    # caches nothing, is never called.
     code = (
         "import io\n"
         "from oddgray import cli, factor, flippable\n"
@@ -65,11 +66,37 @@ def test_generation_runs_no_derivation_search():
         " ['middle', '--k', '6']):\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0\n"
         "print(flippable._derivations.cache_info().misses, wraps,"
-        " factor.flip_sequence.cache_info().currsize)\n"
+        " hasattr(factor.flip_sequence, 'cache_info'),"
+        " factor.flip_sequences.cache_info().currsize)\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["0", "0", "0"]
+    assert res.stdout.split() == ["0", "0", "False", "1"]
+
+
+def test_cycle_factor_is_computed_once_per_k():
+    # Four cycles of one k share one flip-sequence table, and a whole gen run
+    # enumerates each semilength once, then serves every later call from it.
+    code = (
+        "from oddgray import assembly, factor\n"
+        "for m in (14, 27, 7, 8):\n"
+        "    assembly.hamilton_odd(8, m)\n"
+        "print(factor.flip_sequences.cache_info().misses)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["1"]
+    code = (
+        "import io\n"
+        "from oddgray import cli, words\n"
+        "assert cli.main(['gen', '--k', '9', '--family', '1582'], out=io.StringIO()) == 0\n"
+        "info = words.enumerate_dyck.cache_info()\n"
+        "print(info.misses, info.currsize, info.hits > 0)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    misses, currsize, shared = res.stdout.split()
+    assert misses == currsize and shared == "True"
 
 
 def test_hamilton_gplus_rejects_mismatched_base():

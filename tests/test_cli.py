@@ -60,6 +60,24 @@ def test_gen_rejects_bad_args():
     assert run_cli("gen", "--k", "6", "--family", "2").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("middle", "--k", "4", "--family", "0"),
+        ("middle", "--k", "2", "--family", "0"),
+        ("tree", "--k", "6", "--family", "2"),
+        ("gen", "--k", "6", "--family", "-1"),
+        ("gen", "--k", "31"),
+        ("factor", "--k", "31"),
+    ],
+)
+def test_rejected_args_exit_2_with_no_output(argv):
+    # --family is checked by the tree builder alone; k by the shared ceiling.
+    res = run_cli(*argv)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "error:" in res.stderr
+
+
 def test_gen_determinism():
     a = run_cli("gen", "--k", "4", "--format", "subsets")
     b = run_cli("gen", "--k", "4", "--format", "subsets")

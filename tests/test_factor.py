@@ -22,6 +22,12 @@ def test_flip_sequence_base():
     assert flip_sequence(B("10")) == (2, 1)
 
 
+def test_flip_sequence_rejects_non_dyck():
+    for word in ("01", "1100" + "01", "110", "1"):
+        with pytest.raises(ValueError):
+            flip_sequence(B(word))
+
+
 def test_flip_sequence_table():
     for word, (seq, _) in TABLE.items():
         assert flip_sequence(B(word)) == seq
@@ -36,9 +42,6 @@ def test_path_small():
     assert [str(v) for v in path(B("10")).vertices] == ["10", "11", "01"]
 
 
-@pytest.mark.parametrize("k", range(10))
-def test_flip_sequences_match_flip_sequence(k):
-    assert flip_sequences(k) == [flip_sequence(x) for x in enumerate_dyck(k)]
 
 
 def test_flip_sequence_properties():
@@ -70,6 +73,17 @@ def path_by_unfolding(x):
     out += [cat(one, w, one, v) for w in inner]
     out += [cat(zero, complement(u), one, w) for w in path_by_unfolding(v)]
     return out
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_flip_sequences_match_flip_sequence(k):
+    # The shared table against the unfolding oracle: each step flips the
+    # one position where consecutive oracle vertices differ.
+    oracle = tuple(
+        tuple((a.val ^ b.val).bit_length() for a, b in zip(p, p[1:]))
+        for p in map(path_by_unfolding, enumerate_dyck(k))
+    )
+    assert flip_sequences(k) == oracle
 
 
 def test_path_matches_unfolding_oracle():

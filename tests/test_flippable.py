@@ -207,7 +207,7 @@ def test_pool_tuples_have_verified_witnesses():
 
 
 def test_conflict_free_pool():
-    for k in (3, 4, 5, 6):
+    for k in (3, 4, 5, 6, 7, 8):
         assert conflict_violations(enumerate_tuples(k)) == []
 
 
