@@ -26,6 +26,7 @@ Targets:
   odd     k-subsets of [2k+1], edges joining disjoint subsets. The bijection
           appends 0 to a weight-k string and 1 to the complement of a
           weight-(k+1) string, then reads characteristic vectors.
+          ``gen`` and ``hamilton_odd`` both read ``stream_odd_vals``.
   middle  bitstrings of length 2k+1 and weight k or k+1, edges joining
           strings one bit apart (nested subsets). The cycle is obtained from
           the gplus cycle with 0 appended by replacing every closing edge
@@ -41,6 +42,7 @@ maps to the subset {1..k}).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 from typing import Iterator
 
@@ -229,12 +231,10 @@ def _walk(
         )
 
 
-def stream_gplus_vals(k: int, tree: spanning.SpanningTree | None = None) -> Iterator[int]:
+def stream_gplus_vals(k: int, tree: spanning.SpanningTree) -> Iterator[int]:
     """Packed vertices of the Hamilton cycle, in canonical rotation."""
     if k < 3:
         raise ValueError(PETERSEN_NOTE if k == 2 else "assembly needs k >= 3")
-    if tree is None:
-        tree = spanning.full_tree(k)
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
     return _walk(k, _splice_table(k, tree, dyck, seqs), dyck, seqs)
 
@@ -259,15 +259,16 @@ def odd_val(v: int, k: int) -> int:
     return (v ^ ((1 << (2 * k)) - 1)) | (1 << (2 * k))
 
 
+def stream_odd_vals(k: int, family_mask: int | None = None) -> Iterator[int]:
+    """Packed (2k+1)-bit vectors of the odd-graph cycle; a bad k or mask raises at the call."""
+    if k < 3:
+        raise ValueError(PETERSEN_NOTE if k == 2 else "odd-graph generation needs k >= 3")
+    return map(odd_val, stream_gplus_vals(k, _tree_for(k, family_mask)), repeat(k))
+
+
 def hamilton_odd(k: int, family_mask: int | None = None) -> CycleCertificate:
     """A Hamilton cycle of the odd graph as a cyclic sequence of k-subsets."""
-    if k == 2:
-        raise ValueError(PETERSEN_NOTE)
-    if k < 3:
-        raise ValueError("odd-graph generation needs k >= 3")
-    tree = _tree_for(k, family_mask)
-    vertices = tuple(positions(odd_val(v, k)) for v in stream_gplus_vals(k, tree))
-    return CycleCertificate(k, TARGET_ODD, vertices)
+    return CycleCertificate(k, TARGET_ODD, tuple(map(positions, stream_odd_vals(k, family_mask))))
 
 
 # Fixed middle-levels cycles for the two sizes below the general

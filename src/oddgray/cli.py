@@ -5,7 +5,9 @@ cycle), ``factor`` (the underlying cycle factor), ``tree`` (spanning tree as
 JSON), ``verify`` (check a certificate file), ``selfcheck`` (run the
 verification suites), ``bench`` (generation throughput). ``gen``, ``middle``
 and ``factor`` stream their lines in blocks of BLOCK_LINES, one ``write`` per
-block; identical invocations produce byte-identical output.
+block; identical invocations produce byte-identical output. ``gen`` renders
+``assembly.stream_odd_vals``, which refuses k = 2 (the Petersen graph), k < 3
+and bad masks before a line is written.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments. The
 environment variable ODDGRAY_MAX_K lowers the accepted k ceiling (default
@@ -19,7 +21,7 @@ import json
 import os
 import sys
 import time
-from itertools import islice, repeat
+from itertools import islice
 from math import comb
 from typing import IO, Iterable, Iterator
 
@@ -65,14 +67,10 @@ def _delta_lines(odd: Iterator[int], n: int) -> Iterator[str]:
 
 def _cmd_gen(args, parser, out: IO[str]) -> int:
     k = args.k
-    if k == 2:
-        print(assembly.PETERSEN_NOTE, file=sys.stderr)
-        return 2
-    if not 3 <= k <= _ceiling():
+    if k > _ceiling():
         parser.error(f"gen needs 3 <= k <= {_ceiling()}")
-    tree = assembly._tree_for(k, args.family)
+    odd = assembly.stream_odd_vals(k, args.family)
     n = 2 * k + 1
-    odd = map(assembly.odd_val, assembly.stream_gplus_vals(k, tree), repeat(k))
     if args.format == "bits":
         lines = map(line_renderer(n), odd)
     elif args.format == "subsets":
@@ -195,9 +193,7 @@ def _cmd_bench(args, parser, out: IO[str]) -> int:
         t0 = time.perf_counter()
         count = sum(1 for _ in cycle_factor(k))
         t1 = time.perf_counter()
-        n = 0
-        for _ in assembly.stream_gplus_vals(k):
-            n += 1
+        n = sum(1 for _ in assembly.stream_gplus_vals(k, spanning.full_tree(k)))
         t2 = time.perf_counter()
         out.write(
             f"k={k} factor: {count} cycles in {t1 - t0:.3f}s | "

@@ -1,14 +1,17 @@
 """The cycle factor covering both middle layers of the 2k-cube.
 
-For a Dyck word x of semilength k, ``flip_sequence(x)`` is a permutation
-(a_1, ..., a_2k) of [2k] built by first-return recursion: writing x = 1u0v,
-the sequence starts with the position |u|+2 closing the leading 1, continues
-with the reflected sequence of mirror(u), then position 1, then the sequence
-of v shifted past the prefix. Flipping the bits of x in that order walks a
-path of 2k+1 vertices from x to its complement, alternating between weights
-k and k+1 (odd steps flip a 0, even steps flip a 1). Closing each path with
-the complement edge {x, ~x} gives one cycle per Dyck word; the cycles are
-vertex-disjoint and cover all binomial(2k+1, k) vertices of the two layers.
+For a Dyck word x of semilength k, ``flip_sequence(x)``, written F(x), is a
+permutation (a_1, ..., a_2k) of [2k] built by first-return recursion: writing
+x = 1u0v, the sequence starts with the position |u|+2 closing the leading 1,
+continues with the reflected sequence of mirror(u), then position 1, then the
+sequence of v shifted past the prefix. That reflection is F(u) reversed, plus
+one, so no word is mirrored: F(mirror(x)) = |x| + 1 - reverse(F(x)) by
+induction, from mirror(1u0v) = mirror(v) 1 mirror(u) 0 and F(yz) = F(y) then
+|y| + F(z). Flipping the bits of x in that order walks a path of 2k+1
+vertices from x to its complement, alternating between weights k and k+1 (odd
+steps flip a 0, even steps flip a 1). Closing each path with the complement
+edge {x, ~x} gives one cycle per Dyck word; the cycles are vertex-disjoint
+and cover all binomial(2k+1, k) vertices of the two layers.
 
 One packed recursion computes every flip sequence. ``flip_sequences(k)``
 runs it once over the Dyck words and keeps the table for the latest k, which
@@ -40,7 +43,6 @@ from .words import (
     first_return_val,
     is_dyck,
     mirror,
-    mirror_val,
 )
 
 
@@ -60,9 +62,9 @@ def _flip_seq(val: int, n: int, memo: dict[int, tuple[int, ...]]) -> tuple[int, 
     s = memo.get(key)
     if s is None:
         base = first_return_val(val, n)  # x = 1u0v with |u| = base - 2
-        head = _flip_seq(mirror_val(val >> 1 & (1 << (base - 2)) - 1, base - 2), base - 2, memo)
+        head = _flip_seq(val >> 1 & (1 << (base - 2)) - 1, base - 2, memo)
         tail = _flip_seq(val >> base, n - base, memo)
-        s = memo[key] = (base, *[base - a for a in head], 1, *[base + a for a in tail])
+        s = memo[key] = (base, *[a + 1 for a in reversed(head)], 1, *[base + a for a in tail])
     return s
 
 

@@ -185,15 +185,17 @@ def verify_factor(k: int) -> VerificationReport:
 def verify_flip_properties(k: int) -> VerificationReport:
     """Flip sequences are alternating permutations; concatenation shifts them.
 
-    The permutation and alternation checks read the shared table
-    ``flip_sequences(k)``. The concatenation identity flip_sequence(xy) ==
-    flip_sequence(x) followed by |x| + flip_sequence(y) is checked word by
-    word over all Dyck pairs with semilengths summing to k, for k <= 8.
+    The checks read the tables ``flip_sequences(a)``, each computed once per
+    call and k's last. The concatenation identity F(xy) == F(x) followed by
+    |x| + F(y) is checked over all Dyck pairs with semilengths summing to k,
+    for k <= 8.
     """
-    from .factor import flip_sequence, flip_sequences
+    from .factor import flip_sequences
     from .words import enumerate_dyck
 
     failures: list[tuple[str, str]] = []
+    sizes = range(k + 1) if k <= 8 else ()
+    part = {x: s for a in sizes for x, s in zip(enumerate_dyck(a), flip_sequences(a))}
     for x, seq in zip(enumerate_dyck(k), flip_sequences(k)):
         if sorted(seq) != list(range(1, 2 * k + 1)):
             failures.append(("permutation", str(x)))
@@ -203,12 +205,10 @@ def verify_flip_properties(k: int) -> VerificationReport:
                 failures.append(("alternation", f"{x} step {i}"))
                 break
     if k <= 8:
-        part = {x: flip_sequence(x) for a in range(k + 1) for x in enumerate_dyck(a)}
         for a in range(0, k + 1):
             for x in enumerate_dyck(a):
                 for y in enumerate_dyck(k - a):
-                    rhs = part[x] + tuple(x.n + t for t in part[y])
-                    if flip_sequence(x + y) != rhs:
+                    if part[x + y] != part[x] + tuple(x.n + t for t in part[y]):
                         failures.append(("concatenation", f"{x} {y}"))
     return _report(failures)
 

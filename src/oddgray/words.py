@@ -27,8 +27,8 @@ def bitstring(val: int, n: int) -> str:
     return f"{val:0{n}b}"[::-1] if n else ""
 
 
-# Widest chunk a line renderer looks up in one table (2^12 entries).
-CHUNK_BITS = 12
+# Widest chunk a line renderer looks up in one table (2^13 entries).
+CHUNK_BITS = 13
 
 
 def line_renderer(n: int, end: str = "\n") -> Callable[[int], str]:
@@ -38,7 +38,7 @@ def line_renderer(n: int, end: str = "\n") -> Callable[[int], str]:
     most CHUNK_BITS) and a shorter or equal last chunk. One table of
     ``bitstring`` renderings serves every chunk but the last, and a second
     one, whose entries end in ``end``, serves the last; so a line costs one
-    lookup per chunk, two up to n = 24.
+    lookup per chunk, two up to n = 26.
     """
     count = max(1, -(-n // CHUNK_BITS))
     width = -(-n // count)

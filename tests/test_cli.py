@@ -69,6 +69,8 @@ def test_gen_rejects_bad_args():
         ("gen", "--k", "6", "--family", "-1"),
         ("gen", "--k", "31"),
         ("factor", "--k", "31"),
+        ("gen", "--k", "1"),
+        ("gen", "--k", "2"),
     ],
 )
 def test_rejected_args_exit_2_with_no_output(argv):

@@ -75,15 +75,25 @@ def path_by_unfolding(x):
     return out
 
 
+def flips_by_unfolding(x):
+    """The oracle path's flip positions: where consecutive vertices differ."""
+    p = path_by_unfolding(x)
+    return tuple((a.val ^ b.val).bit_length() for a, b in zip(p, p[1:]))
+
+
 @pytest.mark.parametrize("k", range(10))
 def test_flip_sequences_match_flip_sequence(k):
-    # The shared table against the unfolding oracle: each step flips the
-    # one position where consecutive oracle vertices differ.
-    oracle = tuple(
-        tuple((a.val ^ b.val).bit_length() for a, b in zip(p, p[1:]))
-        for p in map(path_by_unfolding, enumerate_dyck(k))
-    )
-    assert flip_sequences(k) == oracle
+    # The shared table against the unfolding oracle.
+    assert flip_sequences(k) == tuple(map(flips_by_unfolding, enumerate_dyck(k)))
+
+
+def test_mirror_reverses_flip_sequence():
+    # F(mirror(u)) = |u| + 1 - reverse(F(u)), the identity that lets the
+    # packed recursion skip mirroring, checked on the oracle alone.
+    for k in range(8):
+        for u in enumerate_dyck(k):
+            flips = flips_by_unfolding(u)
+            assert flips_by_unfolding(mirror(u)) == tuple(len(u) + 1 - a for a in reversed(flips))
 
 
 def test_path_matches_unfolding_oracle():
