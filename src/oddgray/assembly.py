@@ -282,18 +282,18 @@ _MIDDLE_K2 = (
 
 
 def stream_middle_vals(k: int, family_mask: int | None = None) -> Iterator[int]:
-    """Packed vertices of the middle-levels Hamilton cycle (length 2k+1 each)."""
+    """Packed (2k+1)-bit vertices of the middle-levels cycle; a bad k or mask raises at the call."""
     if k < 1:
         raise ValueError("middle-levels generation needs k >= 1")
     if k <= 2:
         if family_mask is not None:
             raise ValueError("cycle families need k >= 6")
-        fixed = _MIDDLE_K1 if k == 1 else _MIDDLE_K2
-        for s in fixed:
-            yield Bits.parse(s).val
-        return
+        return iter([Bits.parse(s).val for s in (_MIDDLE_K1 if k == 1 else _MIDDLE_K2)])
+    return _detoured_vals(k, _tree_for(k, family_mask))
 
-    tree = _tree_for(k, family_mask)
+
+def _detoured_vals(k: int, tree: spanning.SpanningTree) -> Iterator[int]:
+    """The gplus cycle with 0 appended, each closing edge replaced by its detour."""
     seq_of = dict(zip([x.val for x in enumerate_dyck(k)], flip_sequences(k)))
     full = (1 << (2 * k)) - 1
     first = prev = None

@@ -1,20 +1,23 @@
 """Independent verification oracles.
 
-``verify_certificate`` re-derives the target graph's adjacency rule from raw
-bit and subset arithmetic and checks a claimed cycle against it; nothing from
-the construction modules is consulted (the property suites further down do
-exercise those modules, and import them locally). ``brute_force_hamilton``
-searches small instances exhaustively, which pins down both positive cases
-and the one genuine exception at k = 2.
+``verify_cycle`` re-derives the target graph's vertex form and adjacency rule
+from raw bit arithmetic and checks a claimed cycle of packed vertices in one
+pass, holding only the set of vertices seen; nothing from the construction
+modules is consulted (the property suites further down do exercise those
+modules, and import them locally). ``verify_certificate`` and ``oddgray
+verify`` both pack their vertices for it. ``brute_force_hamilton`` searches
+small instances exhaustively, which pins down both positive cases and the one
+genuine exception at k = 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
+from typing import Iterable
 
-from .words import Bits
+from .words import Bits, bitstring, positions
 
 BRUTE_FORCE_CAP = 40
 
@@ -29,98 +32,97 @@ def _report(failures: list[tuple[str, str]]) -> VerificationReport:
     return VerificationReport(not failures, tuple(failures))
 
 
-def verify_certificate(cert) -> VerificationReport:
-    """Check vertex count, distinctness and cyclic adjacency for the target."""
+def verify_cycle(k: int, target: str, vals: Iterable[int], show=None) -> VerificationReport:
+    """Check a claimed cycle of packed vertices in one pass over ``vals``.
+
+    Only the set of well-formed values seen is held; a malformed vertex is
+    not counted as a repeat. ``show(i, v)`` renders vertex i, packed as v;
+    by default as its positions (odd) or its bitstring (gplus and middle).
+    Failures, in order: vertex-count, vertex-form (the first malformed
+    vertex), distinct, and adjacency (the first failing step, the closing
+    step last; reported only when every vertex is well formed).
+    """
+    size = comb(2 * k + 1, k)
+    # Length, weights, vertex count, and the weights of a ^ b on an edge: for
+    # well-formed ends, 2k bits when they are disjoint k-subsets (odd) or
+    # complements (gplus), one bit when they differ in one position.
+    spec = {
+        "odd": (2 * k + 1, {k}, size, {2 * k}),
+        "gplus": (2 * k, {k, k + 1}, size, {1, 2 * k}),
+        "middle": (2 * k + 1, {k, k + 1}, 2 * size, {1}),
+    }.get(target)
+    if spec is None:
+        return _report([("target", f"unknown target {target!r}")])
+    n, weights, expected, steps = spec
+    if show is None:
+        show = lambda i, v: str(positions(v)) if target == "odd" else bitstring(v, n)
+    seen: set[int] = set()
+    bad = misstep = None
+    count = malformed = 0
+    for v in vals:
+        if v >> n or v.bit_count() not in weights:
+            malformed += 1
+            bad = bad or (count, v)
+        else:
+            seen.add(v)
+        if not count:
+            first = v
+        elif misstep is None and (prev ^ v).bit_count() not in steps:
+            misstep = count - 1, prev, v
+        prev = v
+        count += 1
+    if count and misstep is None and (prev ^ first).bit_count() not in steps:
+        misstep = count - 1, prev, first
+
     failures: list[tuple[str, str]] = []
-    k = cert.k
-    vertices = cert.vertices
-
-    if cert.target == "odd":
-        expected = comb(2 * k + 1, k)
-        ground = set(range(1, 2 * k + 2))
-
-        def ok_vertex(v) -> bool:
-            return (
-                isinstance(v, tuple)
-                and len(v) == k
-                and len(set(v)) == k
-                and set(v) <= ground
-            )
-
-        def adjacent(a, b) -> bool:
-            return not set(a) & set(b)
-
-    elif cert.target == "gplus":
-        expected = comb(2 * k + 1, k)
-        full = (1 << (2 * k)) - 1
-
-        def ok_vertex(v) -> bool:
-            return isinstance(v, Bits) and v.n == 2 * k and v.weight in (k, k + 1)
-
-        def adjacent(a, b) -> bool:
-            d = a.val ^ b.val
-            return d == full or d.bit_count() == 1
-
-    elif cert.target == "middle":
-        expected = 2 * comb(2 * k + 1, k)
-
-        def ok_vertex(v) -> bool:
-            return isinstance(v, Bits) and v.n == 2 * k + 1 and v.weight in (k, k + 1)
-
-        def adjacent(a, b) -> bool:
-            return (a.val ^ b.val).bit_count() == 1
-
-    else:
-        return _report([("target", f"unknown target {cert.target!r}")])
-
-    if len(vertices) != expected:
-        failures.append(("vertex-count", f"{len(vertices)} instead of {expected}"))
-    bad = [v for v in vertices if not ok_vertex(v)]
-    if bad:
-        failures.append(("vertex-form", str(bad[0])))
-    if len(set(vertices)) != len(vertices):
+    if count != expected:
+        failures.append(("vertex-count", f"{count} instead of {expected}"))
+    if bad is not None:
+        failures.append(("vertex-form", show(*bad)))
+    if len(seen) + malformed < count:
         failures.append(("distinct", "repeated vertex"))
-    if not bad:
-        n = len(vertices)
-        for i in range(n):
-            a, b = vertices[i], vertices[(i + 1) % n]
-            if not adjacent(a, b):
-                failures.append(("adjacency", f"step {i}: {a} -> {b}"))
-                break
+    if bad is None and misstep is not None:
+        i, a, b = misstep
+        failures.append(("adjacency", f"step {i}: {show(i, a)} -> {show((i + 1) % count, b)}"))
     return _report(failures)
+
+
+def verify_certificate(cert) -> VerificationReport:
+    """``verify_cycle`` over a certificate's vertices packed, with messages showing them as given.
+
+    An odd vertex, a tuple of k elements of 1..2k+1, packs to the sum of
+    their bits, of weight k exactly when they are distinct; a gplus or middle
+    vertex is a ``Bits`` of the target's length. Anything else packs to a
+    negative value, which no target accepts.
+    """
+    k, target, vertices = cert.k, cert.target, cert.vertices
+    if target == "odd":
+        bits, miss = {i: 1 << (i - 1) for i in range(1, 2 * k + 2)}, repeat(-1 << (2 * k + 1))
+        vals = [
+            sum(map(bits.get, v, miss)) if isinstance(v, tuple) and len(v) == k else -1
+            for v in vertices
+        ]
+    else:
+        n = 2 * k if target == "gplus" else 2 * k + 1
+        vals = [v.val if isinstance(v, Bits) and v.n == n else -1 for v in vertices]
+    return verify_cycle(k, target, vals, lambda i, v: str(vertices[i]))
 
 
 def _raw_graph(k: int, target: str):
     if target == "odd":
-        verts = [tuple(c) for c in combinations(range(1, 2 * k + 2), k)]
-        adj = {
-            v: [w for w in verts if not set(v) & set(w)]
-            for v in verts
-        }
-        return verts, adj
-    if target == "gplus":
-        n = 2 * k
-        full = (1 << n) - 1
+        verts = list(combinations(range(1, 2 * k + 2), k))
+        return verts, {v: [w for w in verts if not set(v) & set(w)] for v in verts}
+    if target in ("gplus", "middle"):
+        n = 2 * k if target == "gplus" else 2 * k + 1
         vals = [v for v in range(1 << n) if v.bit_count() in (k, k + 1)]
-        verts = [Bits(v, n) for v in sorted(vals)]
         vset = set(vals)
         adj = {}
         for v in vals:
             nb = [v ^ (1 << i) for i in range(n) if v ^ (1 << i) in vset]
-            if v.bit_count() == k:
-                nb.append(v ^ full)
+            if target == "gplus" and v.bit_count() == k:
+                nb.append(v ^ ((1 << n) - 1))  # the closing edge to the complement
             adj[Bits(v, n)] = [Bits(w, n) for w in nb]
-        return verts, adj
-    if target == "middle":
-        n = 2 * k + 1
-        vals = [v for v in range(1 << n) if v.bit_count() in (k, k + 1)]
-        verts = [Bits(v, n) for v in sorted(vals)]
-        vset = set(vals)
-        adj = {
-            Bits(v, n): [Bits(v ^ (1 << i), n) for i in range(n) if v ^ (1 << i) in vset]
-            for v in vals
-        }
-        return verts, adj
+        return [Bits(v, n) for v in vals], adj
     raise ValueError(f"unknown target {target!r}")
 
 

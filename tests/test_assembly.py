@@ -216,6 +216,13 @@ def test_middle_levels_family_masks():
         list(stream_middle_vals(2, 0))
 
 
+@pytest.mark.parametrize("k, mask", [(0, None), (2, 0), (5, 0), (6, 2)])
+def test_stream_middle_vals_rejects_bad_args_at_the_call(k, mask):
+    # raised by the call itself, before any vertex is asked for
+    with pytest.raises(ValueError):
+        stream_middle_vals(k, mask)
+
+
 def test_certificate_edge_set_is_rotation_invariant():
     cert = hamilton_odd(3)
     rotated = CycleCertificate(3, "odd", cert.vertices[5:] + cert.vertices[:5])

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -171,6 +172,115 @@ def test_verify_middle_roundtrip(tmp_path):
 def test_verify_missing_file():
     res = run_cli("verify", "--k", "3", "--input", "/nonexistent", "--target", "odd")
     assert res.returncode == 2
+
+
+def _cycle_lines(target):
+    """Bits-format lines of a small cycle: odd and gplus at k = 3, middle at k = 2."""
+    from oddgray import assembly, spanning
+    from oddgray.words import bitstring
+
+    if target == "gplus":
+        return [bitstring(v, 6) for v in assembly.stream_gplus_vals(3, spanning.full_tree(3))]
+    argv = ["middle", "--k", "2"] if target == "middle" else ["gen", "--k", "3"]
+    out = io.StringIO()
+    cli.main(argv, out=out)
+    return out.getvalue().splitlines()
+
+
+def _flip(line, i):
+    return line[:i] + "10"[int(line[i])] + line[i + 1 :]
+
+
+def _swap(lines, a, b):
+    lines = list(lines)
+    lines[a], lines[b] = lines[b], lines[a]
+    return lines
+
+
+# Doctored certificate files and the verdicts recorded for them before the
+# verifier became a single pass; the texts must not change.
+VERIFY_TEXTS = {
+    "odd-swap": (
+        lambda L: _swap(L, 4, 10),
+        "FAIL adjacency: step 3: (2, 4, 6) -> (1, 3, 4)\nFAIL\n",
+    ),
+    "odd-repeat": (
+        lambda L: L[:10] + [L[4]] + L[11:],
+        "FAIL distinct: repeated vertex\nFAIL adjacency: step 10: (1, 3, 7) -> (5, 6, 7)\nFAIL\n",
+    ),
+    "odd-drop": (
+        lambda L: L[:10] + L[11:],
+        "FAIL vertex-count: 34 instead of 35\nFAIL adjacency: step 9: (2, 5, 6) -> (5, 6, 7)\nFAIL\n",
+    ),
+    "odd-weight": (
+        lambda L: L[:10] + [_flip(L[10], 0)] + L[11:],
+        "FAIL vertex-form: (3, 4)\nFAIL\n",
+    ),
+    "odd-char": (
+        lambda L: L[:10] + [L[10][:3] + "2" + L[10][4:]] + L[11:],
+        "FAIL line-format: line 11: '1012000'\nFAIL\n",
+    ),
+    "odd-blank-length": (
+        lambda L: ["", "  "] + L[:10] + ["", L[10][:-1]] + L[11:],
+        "FAIL line-format: line 11: '101100'\nFAIL\n",
+    ),
+    "odd-empty": (lambda L: [], "FAIL vertex-count: 0 instead of 35\nFAIL\n"),
+    "odd-ok": (lambda L: L, "PASS\n"),
+    "gplus-swap": (
+        lambda L: _swap(L, 4, 10),
+        "FAIL adjacency: step 3: 010101 -> 101100\nFAIL\n",
+    ),
+    "gplus-weight": (
+        lambda L: L[:7] + [_flip(L[7], 2)] + L[8:],
+        "FAIL vertex-form: 010010\nFAIL\n",
+    ),
+    "gplus-ok": (lambda L: L, "PASS\n"),
+    "middle-swap": (
+        lambda L: _swap(L, 4, 10),
+        "FAIL adjacency: step 3: 01110 -> 10010\nFAIL\n",
+    ),
+    "middle-repeat": (
+        lambda L: L[:-1] + [L[0]],
+        "FAIL distinct: repeated vertex\nFAIL adjacency: step 18: 01001 -> 11000\nFAIL\n",
+    ),
+    "middle-ok": (lambda L: L, "PASS\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_TEXTS))
+def test_verify_texts(tmp_path, case):
+    target = case.split("-")[0]
+    doctor, expected = VERIFY_TEXTS[case]
+    path = tmp_path / "cycle.txt"
+    path.write_text("".join(line + "\n" for line in doctor(_cycle_lines(target))))
+    k = "2" if target == "middle" else "3"
+    out = io.StringIO()
+    code = cli.main(["verify", "--k", k, "--target", target, "--input", str(path)], out=out)
+    assert out.getvalue() == expected
+    assert code == (0 if expected == "PASS\n" else 1)
+
+
+def test_verify_non_ascii_line_is_a_format_failure(tmp_path):
+    lines = _cycle_lines("odd")
+    path = tmp_path / "cycle.txt"
+    path.write_bytes("".join(line + "\n" for line in lines[:5]).encode() + b"10\xc3\xa90000\n")
+    res = run_cli("verify", "--k", "3", "--target", "odd", "--input", str(path))
+    assert (res.returncode, res.stderr) == (1, "")
+    assert res.stdout == "FAIL line-format: line 6: '10\\udcc3\\udca90000'\nFAIL\n"
+
+
+def test_verify_checks_k_against_ceiling(tmp_path):
+    import os
+
+    path = tmp_path / "one.txt"
+    path.write_text("1" * 63 + "\n")
+    res = run_cli("verify", "--k", "31", "--target", "odd", "--input", str(path))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "verify needs 1 <= k <= 30" in res.stderr
+    env = dict(os.environ, ODDGRAY_MAX_K="4")
+    res = run_cli("verify", "--k", "5", "--target", "odd", "--input", str(path), env=env)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "verify needs 1 <= k <= 4" in res.stderr
 
 
 def test_selfcheck_small():

@@ -5,6 +5,7 @@ from oddgray.factor import cycle_factor
 from oddgray.verify import (
     brute_force_hamilton,
     verify_certificate,
+    verify_cycle,
     verify_factor,
     verify_flip_properties,
     verify_tree,
@@ -27,7 +28,7 @@ def test_verify_certificate_rejects_concatenated_factor():
     cert = CycleCertificate(3, "odd", verts)
     report = verify_certificate(cert)
     assert not report.passed
-    assert any(name == "adjacency" for name, _ in report.failures)
+    assert report.failures == (("adjacency", "step 6: (4, 5, 6) -> (1, 2, 4)"),)
 
 
 def to_subset(v):
@@ -41,19 +42,48 @@ def test_verify_certificate_rejects_repeat():
     doctored = CycleCertificate(3, "odd", cert.vertices[:-1] + (cert.vertices[0],))
     report = verify_certificate(doctored)
     assert not report.passed
-    assert any(name == "distinct" for name, _ in report.failures)
+    assert report.failures == (
+        ("distinct", "repeated vertex"),
+        ("adjacency", "step 33: (2, 3, 7) -> (1, 2, 3)"),
+    )
 
 
 def test_verify_certificate_rejects_wrong_count():
     cert = hamilton_odd(3)
     short = CycleCertificate(3, "odd", cert.vertices[:-1])
-    assert not verify_certificate(short).passed
+    report = verify_certificate(short)
+    assert not report.passed
+    assert report.failures == (
+        ("vertex-count", "34 instead of 35"),
+        ("adjacency", "step 33: (2, 3, 7) -> (1, 2, 3)"),
+    )
 
 
 def test_verify_certificate_rejects_bad_vertex_form():
     cert = CycleCertificate(3, "odd", ((1, 2, 3), (4, 5, 6, 7)))
     report = verify_certificate(cert)
-    assert any(name == "vertex-form" for name, _ in report.failures)
+    assert report.failures == (("vertex-count", "2 instead of 35"), ("vertex-form", "(4, 5, 6, 7)"))
+
+
+def test_verify_certificate_malformed_vertices_are_shown_as_given_and_not_repeats():
+    cert = CycleCertificate(3, "odd", ((1, 1, 2), (1, 1, 2), (0, 1, 2), [1, 2, 3]))
+    report = verify_certificate(cert)
+    assert report.failures == (("vertex-count", "4 instead of 35"), ("vertex-form", "(1, 1, 2)"))
+
+
+def test_verify_cycle_reads_a_one_shot_iterator():
+    from oddgray.assembly import stream_middle_vals, stream_odd_vals
+
+    def show(i, v):
+        return f"{i}:{v}"
+
+    assert verify_cycle(5, "odd", stream_odd_vals(5), show).passed
+    assert verify_cycle(4, "middle", stream_middle_vals(4), show).passed
+    short = verify_cycle(5, "odd", iter([7, 7]), show)
+    assert short.failures == (
+        ("vertex-count", "2 instead of 462"),
+        ("vertex-form", "0:7"),
+    )
 
 
 def test_verify_certificate_gplus_adjacency():
@@ -64,7 +94,9 @@ def test_verify_certificate_gplus_adjacency():
 
 def test_verify_certificate_unknown_target():
     cert = CycleCertificate(3, "nonsense", ())
-    assert not verify_certificate(cert).passed
+    report = verify_certificate(cert)
+    assert not report.passed
+    assert report.failures == (("target", "unknown target 'nonsense'"),)
 
 
 def test_brute_force_petersen_has_no_cycle():
