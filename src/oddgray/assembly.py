@@ -14,10 +14,26 @@ Memory thus grows with the witness vertices, not with the whole graph.
 The splice, the walk and the middle-levels detours read one shared table of
 flip sequences per k (``factor.flip_sequences``).
 
-Each witness comes from the derivation its tree entry stores, as packed
-values (``Derivation.witness_vals``), so generation runs no derivation
-search; ``verify.verify_tree`` checks that each stored derivation is its
-tuple's only one.
+The splice reads the tree's packed entries, whose witnesses and supports
+the spanning recursion carries (``spanning.SpanningTree.packed``), so
+generation runs no derivation search and peels no context;
+``verify.verify_tree`` checks that each entry's derivation is its tuple's
+only one. It validates the tree on the carried supports
+(``spanning.validate_tree``), toggles every witness edge, and then places
+each witness vertex with no search over the factor. A witness meets each
+member's path in its named edge, and in every family that edge sits at
+fixed positions of the witness cycle, in the support's member order:
+
+  fan     (3, 2), (4, 5), (0, 1)
+  bridge  (5, 4), (2, 3), (0, 1)
+  quad    (7, 6), (5, 4), (2, 3), (0, 1)
+  patch   (0, 1), (5, 4), (3, 2)
+
+The named edge of member (x, m) flips m at index i = seq.index(m) of the
+path of x, so it joins x ^ (the first i flips of seq) to that vertex with m
+flipped. A witness vertex placed there must equal one of the two exactly;
+one that no named edge holds raises ``AssemblyError`` with the tuple, the
+member's Dyck origin and the index.
 
 Targets:
 
@@ -87,6 +103,17 @@ def _tree_for(k: int, family_mask: int | None) -> spanning.SpanningTree:
     return spanning.counting_tree(k, family_mask)
 
 
+# Per family, the witness-cycle positions of each member's named edge, in
+# the member order of the tuple's support. The seeds have them, and the
+# spanning recursion's carry laws keep every vertex at its position.
+_NAMED_EDGES = {
+    "fan": ((3, 2), (4, 5), (0, 1)),
+    "bridge": ((5, 4), (2, 3), (0, 1)),
+    "quad": ((7, 6), (5, 4), (2, 3), (0, 1)),
+    "patch": ((0, 1), (5, 4), (3, 2)),
+}
+
+
 def _splice_table(
     k: int, tree: spanning.SpanningTree, dyck: tuple[Bits, ...], seqs: tuple[tuple[int, ...], ...]
 ) -> dict:
@@ -100,44 +127,55 @@ def _splice_table(
     report = spanning.validate_tree(tree)
     if not report.passed:
         raise ValueError("invalid spanning tree: " + "; ".join(report.failures))
-    if tree.base != frozenset(dyck):
+    if not tree.spans_dyck(k):
         raise ValueError("tree does not span the Dyck words of this semilength")
+    packed = tree.packed
 
-    # First the toggled edges, as a list of toggled neighbours per vertex;
-    # an edge toggled twice cancels, and a vertex left with none drops out.
+    # First each witness vertex lists its two witness-cycle neighbours, the
+    # ends of the edges it toggles; a vertex of two witnesses lists four.
     table: dict = {}
+    get = table.get
+    for _, cycle, _ in packed:
+        for prev, cur, nxt in zip((cycle[-1], *cycle), cycle, (*cycle[1:], cycle[0])):
+            toggled = get(cur)
+            if toggled is None:
+                table[cur] = [prev, nxt]
+            else:
+                toggled += prev, nxt
 
-    def toggle(a: int, b: int) -> None:
-        la = table.get(a)
-        if la is None:
-            table[a] = [b]
-        elif b in la:
-            la.remove(b)
-            if not la:
-                del table[a]
-        else:
-            la.append(b)
-
-    for entry in tree.entries:
-        cycle = entry.derivation.witness_vals()
-        prev = cycle[-1]
-        for cur in cycle:
-            toggle(prev, cur)
-            toggle(cur, prev)
-            prev = cur
-
-    # One scan of the factor paths locates each witness vertex and replaces
-    # its toggle list by its entry; a list left over lies on no factor path.
+    # Then each member's named edge places the witness vertices at its
+    # positions (see the module docstring). A placed vertex's factor
+    # neighbours take its toggles, an edge toggled twice cancelling, and a
+    # vertex whose toggles all cancel drops out. A vertex that no named edge
+    # holds stays a list, and is reported below.
     last = 2 * k
     full = (1 << last) - 1
+    origin_of = {x.val: o for o, x in enumerate(dyck)}
+    bit = _BIT.__getitem__
     bad = []
-    for o, (x, seq) in enumerate(zip(dyck, seqs)):
-        v = x.val
-        before = v ^ full
-        for i in range(last + 1):
-            after = v ^ (_BIT[seq[i]] if i < last else full)
-            toggled = table.get(v)
-            if toggled is not None:
+    misplaced = {}
+    for idx, (family, cycle, support) in enumerate(packed):
+        if len(cycle) != 2 * len(support):
+            continue
+        for (a, b), (x, mark) in zip(_NAMED_EDGES[family], support):
+            o = origin_of[x]
+            seq = seqs[o]
+            i = seq.index(mark)
+            # the first i flips, or all flips but the last 2k - i
+            low = x ^ sum(map(bit, seq[:i])) if i <= k else x ^ full ^ sum(map(bit, seq[i:]))
+            for y in (cycle[a], cycle[b]):
+                toggled = get(y)
+                if type(toggled) is not list:
+                    continue
+                if y == low:
+                    j = i
+                elif y == low ^ _BIT[mark]:
+                    j = i + 1
+                else:
+                    misplaced.setdefault(y, (idx, o, i))
+                    continue
+                before = y ^ (_BIT[seq[j - 1]] if j else full)
+                after = y ^ (_BIT[seq[j]] if j < last else full)
                 nb = [before, after]
                 for w in toggled:
                     if w in nb:
@@ -145,9 +183,12 @@ def _splice_table(
                     else:
                         nb.append(w)
                 if len(nb) != 2:
-                    bad.append((v, o, i, len(nb)))
-                table[v] = (*nb[:2], o, i)
-            before, v = v, after
+                    bad.append((y, o, j, len(nb)))
+                    table[y] = None
+                elif before in nb and after in nb:
+                    del table[y]
+                else:
+                    table[y] = (nb[0], nb[1], o, j)
     if bad:
         v, o, i, d = bad[0]
         raise AssemblyError(
@@ -156,9 +197,17 @@ def _splice_table(
         )
     stray = [v for v, e in table.items() if type(e) is list]
     if stray:
+        v = next((v for v in stray if v in misplaced), stray[0])
+        where = ""
+        if v in misplaced:
+            idx, o, i = misplaced[v]
+            where = (
+                f": tuple {tree.entries[idx].tup} names the edge from index {i} to {i + 1} "
+                f"on the factor path of {dyck[o]}"
+            )
         raise AssemblyError(
-            f"{len(stray)} witness vertices lie on no factor path, e.g. "
-            f"{Bits(stray[0], last)!r}"
+            f"{len(stray)} witness vertices lie on no factor path at a named edge, e.g. "
+            f"{Bits(v, last)!r}{where}"
         )
     return table
 

@@ -7,9 +7,11 @@ verification suites), ``bench`` (generation throughput). ``gen``, ``middle``
 and ``factor`` stream their lines in blocks of BLOCK_LINES, one ``write`` per
 block; identical invocations produce byte-identical output. ``gen`` renders
 ``assembly.stream_odd_vals``, which refuses k = 2 (the Petersen graph), k < 3
-and bad masks before a line is written. ``verify`` packs each line as it reads
-it into ``verify.verify_cycle`` and stops at the first malformed line, holding
-only the vertices seen (k = 11: about 3 s and 151 MB on a 2-vCPU Xeon).
+and bad masks before a line is written. ``verify`` reads a file, or stdin
+with ``--input -`` (so ``oddgray gen --k 9 | oddgray verify --k 9 --target
+odd --input -`` needs no file), packs each line as it reads it into
+``verify.verify_cycle`` and stops at the first malformed line, holding only
+the vertices seen (k = 11: about 3 s and 151 MB on a 2-vCPU Xeon).
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments. The
 environment variable ODDGRAY_MAX_K lowers the accepted k ceiling (default
@@ -130,9 +132,11 @@ def _cmd_verify(args, parser, out: IO[str]) -> int:
                 return
             yield int(line[::-1], 2)
 
+    stdin = args.input == "-"
     try:
         # a byte outside ASCII decodes to a lone surrogate, which fails the line format
-        with open(args.input, encoding="ascii", errors="surrogateescape") as fh:
+        source = sys.stdin.fileno() if stdin else args.input
+        with open(source, encoding="ascii", errors="surrogateescape", closefd=not stdin) as fh:
             report = verify.verify_cycle(k, args.target, vals(fh))
     except OSError as exc:
         parser.error(f"cannot read {args.input}: {exc}")
@@ -229,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check a certificate file in bits format")
     ver.add_argument("--k", type=int, required=True)
-    ver.add_argument("--input", required=True)
+    ver.add_argument("--input", required=True, help="the cycle file, or - for stdin")
     ver.add_argument("--target", choices=("odd", "gplus", "middle"), required=True)
 
     chk = sub.add_parser("selfcheck", help="run the verification suites")

@@ -22,9 +22,11 @@ wrapping moves preserve witnesses:
 resolving where the prefix's leading 1 closes; the total context length
 shrinks each round, so the peeling terminates. The peel runs on packed
 ``(val, n)`` integers; ``Derivation.witness_vals`` returns its vertices as
-packed values, which is what assembly splices in, using the derivation each
-spanning-tree entry stores; ``Derivation.support_vals`` wraps the seed's
-marked words the same way, for ``spanning.validate_tree``.
+packed values, and ``Derivation.support_vals`` wraps the seed's marked words
+the same way. Generation does not peel: the spanning recursion carries each
+entry's witness and support through the same moves, and the tests hold the
+peel as the reference for them. A spanning tree made by hand from
+derivations is spliced and validated through the peel.
 
 The rest of the module is the checking side, which searches instead of
 deriving: ``derivations`` finds every (pattern, context) pair reproducing a

@@ -130,14 +130,17 @@ def brute_force_hamilton(k: int, target: str):
     """Some Hamilton cycle of the target graph, or None if there is none.
 
     Backtracking with smallest-remaining-degree branching; refuses instances
-    above BRUTE_FORCE_CAP vertices.
+    above BRUTE_FORCE_CAP vertices before building the graph.
     """
-    verts, adj = _raw_graph(k, target)
-    n = len(verts)
+    counts = {"odd": 1, "gplus": 1, "middle": 2}
+    if target not in counts:
+        raise ValueError(f"unknown target {target!r}")
+    n = counts[target] * comb(2 * k + 1, k)
     if n > BRUTE_FORCE_CAP:
         raise ValueError(f"{n} vertices exceed the brute-force cap of {BRUTE_FORCE_CAP}")
     if n < 3:
         return None
+    verts, adj = _raw_graph(k, target)
     start = verts[0]
     used = {start}
     cycle = [start]

@@ -145,9 +145,15 @@ def complement(x: Bits) -> Bits:
     return Bits(x.val ^ ((1 << x.n) - 1), x.n)
 
 
+# _REVERSED_BYTE[b] is the byte b with its eight bits in reverse order.
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def reverse_val(val: int, n: int) -> int:
-    """``reverse`` on a packed value of length n."""
-    return int(f"{val:0{n}b}"[::-1], 2)
+    """``reverse`` on a packed value of length n: byte order and bits per byte both reversed."""
+    width = -(-n // 8)
+    head = val.to_bytes(width, "little").translate(_REVERSED_BYTE)
+    return int.from_bytes(head, "big") >> (8 * width - n)
 
 
 def reverse(x: Bits) -> Bits:

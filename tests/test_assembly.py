@@ -74,6 +74,36 @@ def test_generation_runs_no_derivation_search():
     assert res.stdout.split() == ["0", "0", "False", "1"]
 
 
+def test_generation_runs_no_peel_and_makes_no_derivation():
+    # The tree is built as packed entries, whose witnesses and supports the
+    # recursion carries, so generation neither peels a context nor makes a
+    # Derivation object.
+    code = (
+        "import io\n"
+        "from oddgray import cli, flippable\n"
+        "calls = {'peel': 0, 'derivation': 0}\n"
+        "peel, init = flippable._witness_vals, flippable.Derivation.__init__\n"
+        "def counted_peel(*args):\n"
+        "    calls['peel'] += 1\n"
+        "    return peel(*args)\n"
+        "def counted_init(self, *args, **kw):\n"
+        "    calls['derivation'] += 1\n"
+        "    init(self, *args, **kw)\n"
+        "flippable._witness_vals = counted_peel\n"
+        "flippable.Derivation.__init__ = counted_init\n"
+        "for argv in (['gen', '--k', '8'], ['gen', '--k', '7', '--family', '3'],"
+        " ['middle', '--k', '6']):\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0\n"
+        "print(calls['peel'], calls['derivation'])\n"
+        "print(flippable.Derivation(flippable.QUAD).witness_vals() and calls['peel'],"
+        " calls['derivation'])\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    # the last line shows that both counters count
+    assert res.stdout.split() == ["0", "0", "1", "1"]
+
+
 def test_cycle_factor_is_computed_once_per_k():
     # Four cycles of one k share one flip-sequence table, and a whole gen run
     # enumerates each semilength once, then serves every later call from it.

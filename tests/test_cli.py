@@ -269,6 +269,33 @@ def test_verify_non_ascii_line_is_a_format_failure(tmp_path):
     assert res.stdout == "FAIL line-format: line 6: '10\\udcc3\\udca90000'\nFAIL\n"
 
 
+def test_verify_reads_a_piped_gen_from_stdin():
+    gen = subprocess.Popen(
+        [sys.executable, "-m", "oddgray", "gen", "--k", "6"], stdout=subprocess.PIPE
+    )
+    res = subprocess.run(
+        [sys.executable, "-m", "oddgray", "verify", "--k", "6", "--target", "odd", "--input", "-"],
+        stdin=gen.stdout,
+        capture_output=True,
+        text=True,
+    )
+    gen.stdout.close()
+    assert gen.wait() == 0
+    assert (res.returncode, res.stdout, res.stderr) == (0, "PASS\n", "")
+
+
+def test_verify_non_ascii_stdin_is_a_format_failure():
+    lines = _cycle_lines("odd")
+    data = "".join(line + "\n" for line in lines[:5]).encode() + b"10\xc3\xa90000\n"
+    res = subprocess.run(
+        [sys.executable, "-m", "oddgray", "verify", "--k", "3", "--target", "odd", "--input", "-"],
+        input=data,
+        capture_output=True,
+    )
+    assert (res.returncode, res.stderr) == (1, b"")
+    assert res.stdout == b"FAIL line-format: line 6: '10\\udcc3\\udca90000'\nFAIL\n"
+
+
 def test_verify_checks_k_against_ceiling(tmp_path):
     import os
 

@@ -8,7 +8,10 @@ every one of them as it is. The ``middle --family``, k = 10 and
 ``hamilton_odd`` digests were recorded later, before the splice switched
 from an adjacency dict over every vertex to the splice-table walker. The
 ``factor`` and k = 9 ``subsets`` / ``delta`` digests were recorded before
-output switched to blocks of table-rendered lines.
+output switched to blocks of table-rendered lines. The ``gen --k 10
+--family 5``, ``middle --k 9 --family 21`` and ``tree --k 9 --family 14043``
+digests were recorded before the tree build switched to packed entries and
+the splice to direct placement of witness vertices.
 """
 
 import hashlib
@@ -71,6 +74,9 @@ GOLDEN = {
     "factor --k 5": "33e87f10d1300d13fcc364db0dc5263887ba5ff7add32f930197e8faa7cc9fb8",
     "factor --k 6": "2c6dbe7eb02738682a858f7f9cdde912347e2388b7a8fbdaa25bd0052c842ea9",
     "factor --k 7": "17be86fa29286d0b59a1662e2b5110c6ddecea1f9627632e845ab3f7bb291025",
+    "gen --k 10 --family 5": "373196bf62065253225c167cb215b0e3080f889f7208cac789e3125d83b5c2b0",
+    "middle --k 9 --family 21": "1dacfb97baa391ee7645dcb09a765b59a220a7501cdee9c4f247ca5d786e39a2",
+    "tree --k 9 --family 14043": "0f8a0b182599b56598e6ba5b2af0ebbc3729c5e0fcf7062b2d791cdc1b55bb92",
 }
 
 # hamilton_odd(8, mask).vertices, one comma-separated subset per line.

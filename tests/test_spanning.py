@@ -2,6 +2,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddgray.flippable import (
     BRIDGE,
@@ -126,6 +128,38 @@ def test_tree_entries_carry_their_derivations():
             members, n = e.derivation.support_vals()
             assert set(members) == {(m.word.val, m.mark) for m in e.tup.members}
             assert n == e.tup.word_length
+
+
+def peeled(tree):
+    """Each entry as the context peel derives it: the reference for the packed recursion."""
+    return tuple(
+        (e.derivation.pattern.family, e.derivation.witness_vals(), e.derivation.support_vals()[0])
+        for e in tree.entries
+    )
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_packed_entries_match_the_peel(k):
+    # The carry laws give every witness and support the peel gives, in tree order.
+    tree = full_tree(k)
+    assert tree.packed == peeled(tree)
+    if k < 9:
+        for part in (flat_tree(k), steep_tree(k)):
+            assert part.packed == peeled(part)
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.data())
+def test_packed_entries_match_the_peel_on_random_masks(data):
+    k = data.draw(st.integers(6, 9))
+    mask = data.draw(st.integers(0, (1 << mask_width(k)) - 1))
+    tree = counting_tree(k, mask)
+    assert tree.packed == peeled(tree)
+
+
+def test_hand_built_tree_peels_its_derivations():
+    tree = counting_tree(7, 3)
+    assert SpanningTree(tree.base, tree.entries).packed == tree.packed
 
 
 def test_tree_tuples_are_pool_members():

@@ -78,9 +78,10 @@ def component_of_start(k, tree):
 
 
 class _SwappedWitness:
-    """A derivation with ``kept``'s tuple and packed support but ``other``'s witness."""
+    """A derivation with ``kept``'s pattern, tuple and packed support but ``other``'s witness."""
 
     def __init__(self, kept, other):
+        self.pattern = kept.pattern
         self.tuple = kept.tuple
         self.support_vals = kept.support_vals
         self.witness_vals = other.witness_vals
@@ -176,6 +177,38 @@ def test_witness_vertex_off_the_factor_fails():
     broken = with_derivation(tree, 0, _StrayDerivation())
     with pytest.raises(AssemblyError, match="lie on no factor path"):
         stream_gplus_vals(4, broken)
+
+
+class _RotatedWitness:
+    """A derivation whose witness is ``kept``'s rotated by one vertex: same edges, new positions."""
+
+    def __init__(self, kept):
+        self.witness_vals = lambda: (*kept.witness_vals()[1:], kept.witness_vals()[0])
+
+
+def test_misplaced_witness_vertex_names_its_tuple():
+    # The rotated witness toggles the same edges, so every degree stays 2,
+    # but its vertices no longer sit at their family's named-edge positions.
+    k = 5
+    tree = full_tree(k)
+    idx = 7
+    broken = with_derivation(tree, idx, _RotatedWitness(tree.entries[idx].derivation))
+    with pytest.raises(AssemblyError, match="lie on no factor path") as err:
+        stream_gplus_vals(k, broken)
+    m = re.search(
+        r"e\.g\. Bits\('([01]+)'\): tuple (\{.*\}) names the edge from index (\d+) to (\d+) "
+        r"on the factor path of ([01]+)$",
+        str(err.value),
+    )
+    assert m, str(err.value)
+    vertex, tup, low, high, origin = m.groups()
+    x, i = Bits.parse(origin), int(low)
+    entry = tree.entries[idx].tup
+    assert tup == str(entry)
+    assert i == flip_sequence(x).index(entry.mark_of(x))
+    assert int(high) == i + 1
+    assert Bits.parse(vertex).val in tree.entries[idx].derivation.witness_vals()
+    assert locate(Bits.parse(vertex)) not in {(x, i), (x, i + 1)}
 
 
 def test_bad_tree_raises_at_call_time():

@@ -1,5 +1,6 @@
 import pytest
 
+from oddgray import verify
 from oddgray.assembly import CycleCertificate, hamilton_odd
 from oddgray.factor import cycle_factor
 from oddgray.verify import (
@@ -101,6 +102,27 @@ def test_verify_certificate_unknown_target():
 
 def test_brute_force_petersen_has_no_cycle():
     assert brute_force_hamilton(2, "odd") is None
+
+
+@pytest.mark.parametrize(
+    "k, target, count",
+    [(6, "odd", 1716), (4, "gplus", 126), (3, "middle", 70), (20, "odd", 269128937220)],
+)
+def test_brute_force_refuses_before_building_the_graph(monkeypatch, k, target, count):
+    # The vertex count follows from k and the target, so an instance above the
+    # cap is refused without building its graph.
+    def no_graph(*args):
+        raise AssertionError("_raw_graph called")
+
+    monkeypatch.setattr(verify, "_raw_graph", no_graph)
+    with pytest.raises(ValueError) as err:
+        brute_force_hamilton(k, target)
+    assert str(err.value) == f"{count} vertices exceed the brute-force cap of 40"
+
+
+def test_brute_force_rejects_unknown_target():
+    with pytest.raises(ValueError, match="unknown target 'nonsense'"):
+        brute_force_hamilton(3, "nonsense")
 
 
 def test_brute_force_finds_small_cycles():

@@ -13,6 +13,7 @@ from oddgray.words import (
     is_dyck,
     mirror,
     reverse,
+    reverse_val,
 )
 
 B = Bits.parse
@@ -74,6 +75,15 @@ def test_mirror_involution_and_dyckness():
 def test_reverse():
     assert reverse(B("110")) == B("011")
     assert reverse(EMPTY) == EMPTY
+
+
+def test_reverse_val_matches_the_reversed_string():
+    # The byte-table reversal against the string it replaces, for every value
+    # up to 11 bits and for values across byte boundaries up to 62 bits.
+    cases = [(v, n) for n in range(12) for v in range(1 << n)]
+    cases += [(((1 << n) - 1) // 3 ^ 1 << (n - 1), n) for n in range(12, 63)]
+    for v, n in cases:
+        assert reverse_val(v, n) == int(f"{v:0{n}b}"[::-1] or "0", 2), (v, n)
 
 
 def test_is_dyck():

@@ -9,7 +9,9 @@ They pin the digests of ``gen --k 11`` and ``gen --k 12`` and run both
 files through ``oddgray verify``, which checks a file in one pass and holds
 only the set of vertices seen. On a 2-vCPU Xeon they take about 45 s and
 peak at about 0.55 GB, in the k = 12 ``verify``. The digests were recorded
-before the flip-sequence recursion dropped its mirror step.
+before the flip-sequence recursion dropped its mirror step. The
+``middle --k 10`` digest was recorded before the tree build switched to
+packed entries and the splice to direct placement of witness vertices.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ GOLDEN = {
     11: "f3a87234ba90ca4f3e7adb3d2f13675072ba8fa90c0eb2ea4673b2474950da18",
     12: "ed59f67810fa273293e4aa9c843cceff614e80ede01dda4b23a9a26d6c2469a6",
 }
+MIDDLE_K10 = "42c5715fbaee4e39020a5a57384833564bf461f140dc4ad320f296abfd0af795"
 
 
 def oddgray(*args, **kw):
@@ -75,3 +78,10 @@ def test_gen_k12_digest(gen_k12):
 
 def test_gen_k12_verifies(gen_k12):
     assert verify_stdout(12, gen_k12) == "PASS\n"
+
+
+def test_middle_k10_digest(tmp_path):
+    path = tmp_path / "middle10.txt"
+    with open(path, "wb") as fh:
+        oddgray("middle", "--k", "10", stdout=fh)
+    assert sha256_of(path) == MIDDLE_K10
