@@ -18,11 +18,13 @@ The splice reads the tree's packed entries, whose witnesses and supports
 the spanning recursion carries (``spanning.SpanningTree.packed``), so
 generation runs no derivation search and peels no context;
 ``verify.verify_tree`` checks that each entry's derivation is its tuple's
-only one. It validates the tree on the carried supports
-(``spanning.validate_tree``), toggles every witness edge, and then places
-each witness vertex with no search over the factor. A witness meets each
-member's path in its named edge, and in every family that edge sits at
-fixed positions of the witness cycle, in the support's member order:
+only one, and that peeling it gives the packed entry. The splice validates
+the tree on the carried supports (``spanning.validate_tree``), toggles
+every witness edge, and then places each witness vertex with no search
+over the factor. A witness meets each member's path in its named edge, and
+in every family that edge sits at fixed positions of the witness cycle
+(``flippable.Pattern.named_edges``, next to the seed witnesses that fix
+them), in the support's member order:
 
   fan     (3, 2), (4, 5), (0, 1)
   bridge  (5, 4), (2, 3), (0, 1)
@@ -103,17 +105,6 @@ def _tree_for(k: int, family_mask: int | None) -> spanning.SpanningTree:
     return spanning.counting_tree(k, family_mask)
 
 
-# Per family, the witness-cycle positions of each member's named edge, in
-# the member order of the tuple's support. The seeds have them, and the
-# spanning recursion's carry laws keep every vertex at its position.
-_NAMED_EDGES = {
-    "fan": ((3, 2), (4, 5), (0, 1)),
-    "bridge": ((5, 4), (2, 3), (0, 1)),
-    "quad": ((7, 6), (5, 4), (2, 3), (0, 1)),
-    "patch": ((0, 1), (5, 4), (3, 2)),
-}
-
-
 def _splice_table(
     k: int, tree: spanning.SpanningTree, dyck: tuple[Bits, ...], seqs: tuple[tuple[int, ...], ...]
 ) -> dict:
@@ -154,10 +145,10 @@ def _splice_table(
     bit = _BIT.__getitem__
     bad = []
     misplaced = {}
-    for idx, (family, cycle, support) in enumerate(packed):
+    for idx, (pattern, cycle, support) in enumerate(packed):
         if len(cycle) != 2 * len(support):
             continue
-        for (a, b), (x, mark) in zip(_NAMED_EDGES[family], support):
+        for (a, b), (x, mark) in zip(pattern.named_edges, support):
             o = origin_of[x]
             seq = seqs[o]
             i = seq.index(mark)

@@ -1,4 +1,4 @@
-"""Flippable tuples, their witness cycles, and the context closure.
+"""Flippable tuples, their witness cycles, and the moves that wrap them.
 
 A marked Dyck word (x, m) names the edge of the factor path of x along which
 bit m flips. A flippable tuple is an unordered set of three or four marked
@@ -11,22 +11,26 @@ Four seed tuples are hardcoded with literal witnesses: the parameterized
 family ``fan(w)`` (w an inner Dyck word) and the fixed ``BRIDGE``, ``PATCH``
 and ``QUAD``. Every other tuple considered here arises by wrapping a seed in
 a context (prefix u, suffix v with uv a Dyck word): an even-length prefix
-wraps the seed itself, an odd-length prefix wraps its mirror image. Three
-wrapping moves preserve witnesses:
+wraps the seed itself, an odd-length prefix wraps its mirror image.
 
-  * prepend a Dyck word u:     witness vertices gain the prefix ~u;
-  * append a Dyck word v:      witness vertices gain the suffix v;
-  * wrap the mirror as 1..0:   vertex y becomes 1 mirror(y) 1.
+A tuple is carried as a packed entry (seed pattern, witness values,
+((word value, mark), ...)), the support in the seed's member order; a word
+of length n packs position i at bit i-1. ``seed`` makes a seed's entry from
+its literal witness, and three moves carry witness and support together:
 
-``witness`` reduces an arbitrary context to those moves by repeatedly
-resolving where the prefix's leading 1 closes; the total context length
-shrinks each round, so the peeling terminates. The peel runs on packed
-``(val, n)`` integers; ``Derivation.witness_vals`` returns its vertices as
-packed values, and ``Derivation.support_vals`` wraps the seed's marked words
-the same way. Generation does not peel: the spanning recursion carries each
-entry's witness and support through the same moves, and the tests hold the
-peel as the reference for them. A spanning tree made by hand from
-derivations is spliced and validated through the peel.
+  shift p (length |p|)     witness y -> ~p y, support (x, m) -> (p x, m + |p|);
+  wrap (words of length n) witness y -> 1 mirror(y) 1,
+                           support (x, m) -> (1 mirror(x) 0, n + 2 - m);
+  append v                 witness y -> y v, support (x, m) -> (x v, m).
+
+Each move keeps every witness vertex at its position in the cycle, so the
+positions of a seed's named edges (``Pattern.named_edges``) hold for every
+tuple wrapped from it. The spanning recursion builds trees from these four
+functions only. A context peel reduces an arbitrary context to them,
+repeatedly resolving where the prefix's leading 1 closes (the total context
+length shrinks each round, so the peel terminates); ``witness_vals`` and
+``support_vals`` read its result. ``Derivation.of_support`` inverts
+``support_vals``: it reads the context back from a packed support.
 
 The rest of the module is the checking side, which searches instead of
 deriving: ``derivations`` finds every (pattern, context) pair reproducing a
@@ -36,7 +40,7 @@ tuple, ``canonical_witness`` takes the witness of the least one,
 The pool is conflict-free: two pool members whose supports share exactly one
 word always mark that word at different positions, which is what lets all
 their witnesses be applied simultaneously. Every pool tuple has exactly one
-derivation, so a tree entry's stored derivation gives the canonical witness.
+derivation, so a tree entry's derivation gives the canonical witness.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .words import (
     is_dyck,
     mirror,
     mirror_val,
-    reverse_val,
 )
 
 _FAMILIES = ("fan", "bridge", "patch", "quad")
@@ -182,6 +185,11 @@ class Pattern:
     def base_witness(self) -> tuple[Bits, ...]:
         return _pattern_witness(self)
 
+    @property
+    def named_edges(self) -> tuple[tuple[int, int], ...]:
+        """Per member, in the seed's member order, the witness positions of its named edge."""
+        return _NAMED_EDGES[self.family]
+
     def sort_key(self) -> tuple[int, str]:
         return _FAMILIES.index(self.family), str(self.inner)
 
@@ -246,6 +254,15 @@ _WITNESS_LITERALS = {
     ),
 }
 
+# Where each family's witness (the literals above, and the fan's tails
+# below) meets each member's named edge, in the member order of its tuple.
+_NAMED_EDGES = {
+    "fan": ((3, 2), (4, 5), (0, 1)),
+    "bridge": ((5, 4), (2, 3), (0, 1)),
+    "quad": ((7, 6), (5, 4), (2, 3), (0, 1)),
+    "patch": ((0, 1), (5, 4), (3, 2)),
+}
+
 
 @lru_cache(maxsize=None)
 def _pattern_witness(p: Pattern) -> tuple[Bits, ...]:
@@ -256,51 +273,92 @@ def _pattern_witness(p: Pattern) -> tuple[Bits, ...]:
     return tuple(Bits.parse(s) for s in _WITNESS_LITERALS[p.family])
 
 
-def _witness_vals(pattern: Pattern, ctx: Context) -> tuple[tuple[int, ...], int]:
-    """``witness(pattern, ctx)`` as packed values, with their common length.
+# A packed entry: (seed pattern, witness vertex values, ((word value, mark), ...)).
+PackedEntry = tuple[Pattern, tuple[int, ...], tuple[tuple[int, int], ...]]
 
-    Peels the context one move per round. With u the prefix and v the suffix,
-    the leading 1 of u closes either inside u (u = 1a0b with a Dyck: prepend
-    ~(1a0), go on with (b, v)) or inside v (v = v'0d: the word u.tuple.v
-    equals 1 mirror(tuple') 0 d for the context (mirror(v'), mirror(u minus
-    its leading 1)) wrapped around the same seed, so go on there, then
-    mirror-wrap the vertices as 1 mirror(y) 1 and append d). Once the prefix
-    is empty, the seed's vertices gain the remaining suffix, and the moves
-    are applied innermost first.
+
+def seed(pattern: Pattern) -> PackedEntry:
+    """The seed's packed entry: its literal witness and its members, in the empty context."""
+    vals = tuple(y.val for y in pattern.base_witness())
+    return pattern, vals, tuple((m.word.val, m.mark) for m in pattern.tuple().members)
+
+
+def shift(entries: list[PackedEntry], p: Bits) -> list[PackedEntry]:
+    """p T for an even Dyck word p: witness y -> ~p y, support (x, m) -> (p x, m + |p|)."""
+    pv, pn = p.val, p.n
+    low = pv ^ (1 << pn) - 1
+    return [
+        (pat, tuple([low | y << pn for y in ws]), tuple([(pv | x << pn, m + pn) for x, m in ss]))
+        for pat, ws, ss in entries
+    ]
+
+
+def wrap(entries: list[PackedEntry], n: int) -> list[PackedEntry]:
+    """1 mirror(T) 0 over words of length n.
+
+    Witness y -> 1 mirror(y) 1, support (x, m) -> (1 mirror(x) 0, n + 2 - m).
+    """
+    ends = 1 | 1 << (n + 1)
+    return [
+        (
+            pat,
+            tuple([mirror_val(y, n) << 1 | ends for y in ws]),
+            tuple([(mirror_val(x, n) << 1 | 1, n + 2 - m) for x, m in ss]),
+        )
+        for pat, ws, ss in entries
+    ]
+
+
+def append(entries: list[PackedEntry], v: Bits, n: int) -> list[PackedEntry]:
+    """T v over words of length n: witness y -> y v, support (x, m) -> (x v, m)."""
+    high = v.val << n
+    return [
+        (pat, tuple([y | high for y in ws]), tuple([(x | high, m) for x, m in ss]))
+        for pat, ws, ss in entries
+    ]
+
+
+def _peel(pattern: Pattern, ctx: Context) -> tuple[PackedEntry, int]:
+    """The packed entry of ``apply_context(pattern.tuple(), ctx)``, with its word length.
+
+    Peels the context into the moves, one per round. With u the prefix and v
+    the suffix, the leading 1 of u closes either inside u (u = 1a0b with a
+    Dyck: shift by 1a0, go on with (b, v)) or inside v (v = v'0d: the word
+    u.tuple.v equals 1 mirror(tuple') 0 d for the context (mirror(v'),
+    mirror(u minus its leading 1)) wrapped around the same seed, so go on
+    there, then wrap and append d). Once the prefix is empty, the seed's
+    entry gets the remaining suffix, and the moves follow innermost first.
     """
     u, un = ctx.prefix.val, ctx.prefix.n
     v, vn = ctx.suffix.val, ctx.suffix.n
-    moves = []  # (wrapped, bits, length): a prefix ~(1a0), or a mirror-wrap with tail d
+    moves = []  # (wrapped, word): a shift by 1a0, or a wrap with tail d
     while un:
         p = first_return_val(u | v << un, un + vn)
         if p <= un:
-            moves.append((False, ~u & ((1 << p) - 1), p))
+            moves.append((False, Bits(u & (1 << p) - 1, p)))
             u >>= p
             un -= p
         else:
             q = p - un
-            moves.append((True, v >> q, vn - q))
+            moves.append((True, Bits(v >> q, vn - q)))
             head, body = v & ((1 << (q - 1)) - 1), u >> 1
             u, un, v, vn = mirror_val(head, q - 1), q - 1, mirror_val(body, un - 1), un - 1
-    base = pattern.base_witness()
-    n = base[0].n
-    ys = [y.val | v << n for y in base]
+    n = pattern.tuple().word_length
+    entries = append([seed(pattern)], Bits(v, vn), n)
     n += vn
-    for wrapped, w, wn in reversed(moves):
+    for wrapped, w in reversed(moves):
         if wrapped:
-            # 1 mirror(y) 1 d: complementing the reversed y folds into one XOR
-            ones = 1 | ((1 << n) - 1) << 1 | (1 | w << 1) << (n + 1)
-            ys = [reverse_val(y, n) << 1 ^ ones for y in ys]
-            n += 2 + wn
+            entries = append(wrap(entries, n), w, n + 2)
+            n += 2 + w.n
         else:
-            ys = [w | y << wn for y in ys]
-            n += wn
-    return tuple(ys), n
+            entries = shift(entries, w)
+            n += w.n
+    return entries[0], n
 
 
 def witness(pattern: Pattern, ctx: Context) -> tuple[Bits, ...]:
     """A witness cycle for ``apply_context(pattern.tuple(), ctx)``."""
-    vals, n = _witness_vals(pattern, ctx)
+    (_, vals, _), n = _peel(pattern, ctx)
     return tuple(Bits(y, n) for y in vals)
 
 
@@ -311,31 +369,38 @@ class Derivation:
     pattern: Pattern
     context: Context = field(default_factory=Context)
 
+    @staticmethod
+    def of_support(pattern: Pattern, support: tuple[tuple[int, int], ...], n: int) -> "Derivation":
+        """The derivation of ``pattern`` whose ``support_vals()`` is (support, n).
+
+        A seed's first two members have different marks s0 and s1. An even
+        prefix u turns a mark s into |u| + s, an odd one into |u| + L + 1 - s
+        for the seed's word length L; so the first two marks differ by
+        s1 - s0 exactly when u is even, and then the first mark gives |u|.
+        The first member's word holds u below position |u| + 1 and the suffix
+        above position |u| + L.
+        """
+        members = pattern.tuple().members
+        size, s0, s1 = members[0].word.n, members[0].mark, members[1].mark
+        (x, m0), (_, m1) = support[0], support[1]
+        un = m0 - s0 if m1 - m0 == s1 - s0 else m0 + s0 - size - 1
+        u, v = Bits(x & (1 << un) - 1, un), Bits(x >> (un + size), n - un - size)
+        return Derivation(pattern, Context(u, v))
+
     def tuple(self) -> FlippableTuple:
         return apply_context(self.pattern.tuple(), self.context)
 
     def support_vals(self) -> tuple[tuple[tuple[int, int], ...], int]:
-        """``tuple()`` as packed ``(word_val, mark)`` members, with their word length.
-
-        Wraps the seed (even prefix) or its mirror (odd prefix) on integers,
-        as ``apply_context`` does on ``Bits``; members come in seed order.
-        """
-        u, v = self.context.prefix, self.context.suffix
-        seed = self.pattern.tuple()
-        n = seed.word_length
-        high = v.val << (u.n + n)
-        if u.n % 2:
-            members = ((mirror_val(m.word.val, n), n + 1 - m.mark) for m in seed.members)
-        else:
-            members = ((m.word.val, m.mark) for m in seed.members)
-        return tuple((u.val | x << u.n | high, u.n + mark) for x, mark in members), u.n + n + v.n
+        """``tuple()`` as packed ``(word_val, mark)`` members in seed order, and the word length."""
+        (_, _, support), n = _peel(self.pattern, self.context)
+        return support, n
 
     def witness(self) -> tuple[Bits, ...]:
         return witness(self.pattern, self.context)
 
     def witness_vals(self) -> tuple[int, ...]:
         """The witness cycle as packed vertex values, without building ``Bits``."""
-        return _witness_vals(self.pattern, self.context)[0]
+        return _peel(self.pattern, self.context)[0][1]
 
     def sort_key(self) -> tuple:
         return (str(self.context.prefix), str(self.context.suffix), *self.pattern.sort_key())

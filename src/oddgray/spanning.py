@@ -28,31 +28,22 @@ bitmask over the semilength k-5 enumeration, the alternate order-4 split
 instead. Distinct masks give distinct trees, hence 2^Catalan(k-5) trees in
 total, each yielding a different Hamilton cycle downstream.
 
-One recursion (``_Recursion``) makes every tree, from four moves on lists of
-entries: a seed, a shift p T behind an even Dyck word p, a wrap 1 mirror(T) 0,
-and an append T v. It makes two kinds of entry.
+One recursion (``_Recursion``) makes every tree, as a list of packed
+entries (``flippable.PackedEntry``: seed pattern, witness values, support),
+from the four functions ``flippable`` defines: ``seed``, ``shift`` (p T
+behind an even Dyck word p), ``wrap`` (1 mirror(T) 0) and ``append`` (T v).
+Each move carries witness and support by its law, so no context is ever
+peeled. A steep tree's stage j wraps the flat and steep trees of order j-1
+once, and then appends each inner word v to the wrapped list. A memo local
+to one build keeps the shared subtrees, so nothing outlives the build but
+the tree.
 
-Generation reads packed entries, (family, witness values, support), where the
-support is ((word value, mark), ...) in the seed's member order; a word of
-length n packs position i at bit i-1. Each seed starts from its literal
-witness, and each move carries witness and support by a law, so no context
-is ever peeled:
-
-  shift p (length |p|)    witness y -> ~p y, support (x, m) -> (p x, m + |p|);
-  wrap (words of length n) witness y -> 1 mirror(y) 1,
-                           support (x, m) -> (1 mirror(x) 0, n + 2 - m);
-  append v                 witness y -> y v, support (x, m) -> (x v, m).
-
-A steep tree's stage j wraps the flat and steep trees of order j-1 once, and
-then appends each inner word v to the wrapped list. The carried values equal
-what ``Derivation.witness_vals`` and ``Derivation.support_vals`` peel from
-each entry's derivation (a tested property), and a memo local to one build
-keeps the shared subtrees, so nothing outlives the build but the tree.
-
-``SpanningTree.entries``, the derivations (``TreeEntry``) that the ``tree``
-command, the verifiers and perfbench read, come from the same recursion with
-moves that rewrite each context, made on first read. A tree made by hand
-from derivations gets its packed entries by peeling them.
+A built tree keeps its packed entries and its word length. Its derivations
+(``SpanningTree.entries``, which the ``tree`` command, the verifiers and
+perfbench read) are read back from the packed supports by
+``Derivation.of_support``, so reading them runs no recursion; the tests
+check that peeling each one gives its packed entry back. A tree made by
+hand from derivations gets its packed entries by peeling them.
 """
 
 from __future__ import annotations
@@ -63,15 +54,18 @@ from typing import Iterator
 
 from .flippable import (
     BRIDGE,
-    Context,
     Derivation,
     FlippableTuple,
     PATCH,
-    Pattern,
+    PackedEntry,
     QUAD,
+    append,
     fan,
+    seed,
+    shift,
+    wrap,
 )
-from .words import Bits, EMPTY, ONE, ZERO, enumerate_dyck, mirror, mirror_val
+from .words import Bits, enumerate_dyck
 
 
 @dataclass(frozen=True)
@@ -94,31 +88,26 @@ class TreeEntry:
         return self.derivation.tuple()
 
 
-# A packed tree entry: (family, witness vertex values, ((word value, mark), ...)).
-PackedEntry = tuple[str, tuple[int, ...], tuple[tuple[int, int], ...]]
-
-
 class SpanningTree:
     """Tree tuples over a base set of Dyck words, as derivations and as packed entries.
 
     ``SpanningTree(base, entries)`` is a tree made by hand; its ``packed``
-    entries peel each derivation on first read. ``full_tree``, ``flat_tree``,
-    ``steep_tree`` and ``counting_tree`` build ``packed`` by the recursion and
-    make ``base`` and ``entries`` on first read.
+    entries peel each derivation on first read. ``of_packed`` makes a tree
+    from packed entries whose words have length n, as ``full_tree``,
+    ``flat_tree``, ``steep_tree`` and ``counting_tree`` do; its ``base`` and
+    ``entries`` are read back on first read.
     """
 
-    _recipe: tuple[str, int, frozenset[Bits] | None] | None = None
+    _n: int | None = None
 
     def __init__(self, base: frozenset[Bits], entries: tuple[TreeEntry, ...]) -> None:
         self.base = self._words = base
         self.entries = entries
 
     @classmethod
-    def _built(cls, kind: str, k: int, chosen: frozenset[Bits] | None = None) -> "SpanningTree":
+    def of_packed(cls, words, packed: tuple[PackedEntry, ...], n: int) -> "SpanningTree":
         t = cls.__new__(cls)
-        t._recipe = kind, k, chosen
-        t._words = enumerate_dyck(k) if kind == "full" else getattr(partition(k), kind)
-        t.packed = tuple(_PackedRecursion().tree(kind, k, chosen))
+        t._words, t.packed, t._n = words, packed, n
         return t
 
     @cached_property
@@ -127,20 +116,20 @@ class SpanningTree:
 
     @cached_property
     def entries(self) -> tuple[TreeEntry, ...]:
-        return tuple(_DerivedRecursion().tree(*self._recipe))
+        n = self._n
+        return tuple(TreeEntry(Derivation.of_support(p, s, n)) for p, _, s in self.packed)
 
     @cached_property
     def packed(self) -> tuple[PackedEntry, ...]:
         return tuple(
-            (d.pattern.family, d.witness_vals(), d.support_vals()[0])
+            (d.pattern, d.witness_vals(), d.support_vals()[0])
             for d in (e.derivation for e in self.entries)
         )
 
     def support_vals(self) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
         """Each entry's packed support with its word length, as ``Derivation.support_vals``."""
-        if self._recipe:
-            n = 2 * self._recipe[1]
-            return ((support, n) for _, _, support in self.packed)
+        if self._n:
+            return ((support, self._n) for _, _, support in self.packed)
         return (e.derivation.support_vals() for e in self.entries)
 
     def spans_dyck(self, k: int) -> bool:
@@ -186,15 +175,7 @@ def partition(k: int) -> Partition:
 
 
 class _Recursion:
-    """The flat, steep and full trees of the construction, as lists of entries.
-
-    The recursion makes four moves on a list of entries of word length n,
-    which a subclass gives for its kind of entry:
-
-      seed(pattern)          the seed tuple in the empty context;
-      shift(entries, p)      p T, for an even Dyck word p;
-      wrap(entries, n)       1 mirror(T) 0;
-      append(entries, v, n)  T v, for a Dyck word v.
+    """The flat, steep and full trees of the construction, as lists of packed entries.
 
     One instance makes one tree. Its memo keeps the chosen-free subtrees
     while it lives; a mask's ``chosen`` inner words change stage 5 of the
@@ -215,21 +196,21 @@ class _Recursion:
             if j == 2:
                 memo["flat", j] = []
             elif j == 3:
-                memo["flat", j] = [self.seed(QUAD)]
+                memo["flat", j] = [seed(QUAD)]
             else:
-                memo["flat", j] = self.shift(self.full(j - 1), _TEN)
+                memo["flat", j] = shift(self.full(j - 1), _TEN)
         return memo["flat", j]
 
     def alt_flat_4(self) -> list:
         # Spans the order-4 words other than 11001100; a path of five tuples.
         if "alt" not in self.memo:
-            seed, quad = self.seed, self.seed(QUAD)
+            quad = seed(QUAD)
             self.memo["alt"] = [
-                *self.wrap([quad], 6),
+                *wrap([quad], 6),
                 seed(fan(_TEN)),
-                *self.append([seed(fan())], _TEN, 6),
-                *self.append([seed(BRIDGE)], _TEN, 6),
-                *self.shift([quad], _TEN),
+                *append([seed(fan())], _TEN, 6),
+                *append([seed(BRIDGE)], _TEN, 6),
+                *shift([quad], _TEN),
             ]
         return self.memo["alt"]
 
@@ -238,32 +219,31 @@ class _Recursion:
         # connector fan((10)^(i-3)) and the flat and steep trees of order
         # i-1, wrapped once and shared by every inner word.
         if ("stage", i) not in self.memo:
-            wrapped = self.wrap([*self.flat(i - 1), *self.steep(i - 1)], 2 * i - 2)
-            self.memo["stage", i] = [self.seed(fan(_alternating(i - 3))), *wrapped]
+            wrapped = wrap([*self.flat(i - 1), *self.steep(i - 1)], 2 * i - 2)
+            self.memo["stage", i] = [seed(fan(_alternating(i - 3))), *wrapped]
         return self.memo["stage", i]
 
     def steep(self, j: int, chosen: frozenset[Bits] | None = None) -> list:
         if not chosen and ("steep", j) in self.memo:
             return self.memo["steep", j]
-        seed = self.seed
         if j in (2, 3):
             out = []
         elif j == 4:
             out = [
                 seed(fan(_TEN)),
                 seed(PATCH),
-                *self.wrap([seed(BRIDGE)], 6),
-                *self.append([seed(fan())], _TEN, 6),
+                *wrap([seed(BRIDGE)], 6),
+                *append([seed(fan())], _TEN, 6),
             ]
         else:
-            out = self.shift(self.full(j - 2), _1100)
+            out = shift(self.full(j - 2), _1100)
             for i in range(3, j + 1):
                 group = self.stage(i)
                 alt = None
                 if i == 5 and chosen:
-                    alt = [seed(fan(_1100)), *self.wrap(self.alt_flat_4(), 8)]
+                    alt = [seed(fan(_1100)), *wrap(self.alt_flat_4(), 8)]
                 for v in enumerate_dyck(j - i):
-                    out.extend(self.append(alt if alt and v in chosen else group, v, 2 * i))
+                    out.extend(append(alt if alt and v in chosen else group, v, 2 * i))
         if not chosen:
             self.memo["steep", j] = out
         return out
@@ -272,106 +252,41 @@ class _Recursion:
         if not chosen and ("full", j) in self.memo:
             return self.memo["full", j]
         if j == 3:
-            out = [self.seed(fan()), self.seed(BRIDGE)]
+            out = [seed(fan()), seed(BRIDGE)]
         else:
             out = [
                 *self.steep(j, chosen),
-                *self.append([self.seed(BRIDGE)], _alternating(j - 3), 6),
-                *self.shift(self.flat(j - 1), _TEN),
-                *self.shift(self.steep(j - 1), _TEN),
+                *append([seed(BRIDGE)], _alternating(j - 3), 6),
+                *shift(self.flat(j - 1), _TEN),
+                *shift(self.steep(j - 1), _TEN),
             ]
         if not chosen:
             self.memo["full", j] = out
         return out
 
 
-def _entry(pattern: Pattern, prefix: Bits, suffix: Bits) -> TreeEntry:
-    return TreeEntry(Derivation(pattern, Context(prefix, suffix)))
-
-
-def _contexts(entries: list[TreeEntry]) -> Iterator[tuple[Pattern, Bits, Bits]]:
-    for e in entries:
-        d = e.derivation
-        yield d.pattern, d.context.prefix, d.context.suffix
-
-
-class _DerivedRecursion(_Recursion):
-    """Entries as derivations: each move rewrites the context."""
-
-    @staticmethod
-    def seed(pattern: Pattern) -> TreeEntry:
-        return _entry(pattern, EMPTY, EMPTY)
-
-    @staticmethod
-    def shift(entries: list[TreeEntry], p: Bits) -> list[TreeEntry]:
-        return [_entry(t, p + u, v) for t, u, v in _contexts(entries)]
-
-    @staticmethod
-    def wrap(entries: list[TreeEntry], n: int) -> list[TreeEntry]:
-        return [_entry(t, ONE + mirror(v), mirror(u) + ZERO) for t, u, v in _contexts(entries)]
-
-    @staticmethod
-    def append(entries: list[TreeEntry], w: Bits, n: int) -> list[TreeEntry]:
-        return [_entry(t, u, v + w) for t, u, v in _contexts(entries)]
-
-
-class _PackedRecursion(_Recursion):
-    """Entries packed as (family, witness values, support): the moves are carry laws."""
-
-    @staticmethod
-    def seed(pattern: Pattern) -> PackedEntry:
-        witness = tuple(y.val for y in pattern.base_witness())
-        return pattern.family, witness, tuple((m.word.val, m.mark) for m in pattern.tuple().members)
-
-    @staticmethod
-    def shift(entries: list[PackedEntry], p: Bits) -> list[PackedEntry]:
-        # witness y -> ~p y, support (x, m) -> (p x, m + |p|)
-        pv, pn = p.val, p.n
-        low = pv ^ (1 << pn) - 1
-        return [
-            (f, tuple([low | y << pn for y in ws]), tuple([(pv | x << pn, m + pn) for x, m in ss]))
-            for f, ws, ss in entries
-        ]
-
-    @staticmethod
-    def wrap(entries: list[PackedEntry], n: int) -> list[PackedEntry]:
-        # witness y -> 1 mirror(y) 1, support (x, m) -> (1 mirror(x) 0, n + 2 - m)
-        ends = 1 | 1 << (n + 1)
-        return [
-            (
-                f,
-                tuple([mirror_val(y, n) << 1 | ends for y in ws]),
-                tuple([(mirror_val(x, n) << 1 | 1, n + 2 - m) for x, m in ss]),
-            )
-            for f, ws, ss in entries
-        ]
-
-    @staticmethod
-    def append(entries: list[PackedEntry], v: Bits, n: int) -> list[PackedEntry]:
-        # witness y -> y v, support (x, m) -> (x v, m)
-        high = v.val << n
-        return [
-            (f, tuple([y | high for y in ws]), tuple([(x | high, m) for x, m in ss]))
-            for f, ws, ss in entries
-        ]
+def _built(kind: str, k: int, chosen: frozenset[Bits] | None = None) -> SpanningTree:
+    # The words come first: enumerating them refuses a k too large for memory.
+    words = enumerate_dyck(k) if kind == "full" else getattr(partition(k), kind)
+    return SpanningTree.of_packed(words, tuple(_Recursion().tree(kind, k, chosen)), 2 * k)
 
 
 def flat_tree(k: int) -> SpanningTree:
     if k < 2:
         raise ValueError("flat tree defined for semilength >= 2")
-    return SpanningTree._built("flat", k)
+    return _built("flat", k)
 
 
 def steep_tree(k: int) -> SpanningTree:
     if k < 2:
         raise ValueError("steep tree defined for semilength >= 2")
-    return SpanningTree._built("steep", k)
+    return _built("steep", k)
 
 
 def full_tree(k: int) -> SpanningTree:
     if k < 3:
         raise ValueError("full tree defined for semilength >= 3")
-    return SpanningTree._built("full", k)
+    return _built("full", k)
 
 
 def tree_family(k: int) -> tuple[SpanningTree | None, SpanningTree, SpanningTree]:
@@ -399,7 +314,7 @@ def counting_tree(k: int, y_mask: int) -> SpanningTree:
     if not 0 <= y_mask < (1 << len(words)):
         raise ValueError(f"mask {y_mask} outside 0..{(1 << len(words)) - 1}")
     chosen = frozenset(w for i, w in enumerate(words) if y_mask >> i & 1)
-    return SpanningTree._built("full", k, chosen)
+    return _built("full", k, chosen)
 
 
 def validate_tree(t: SpanningTree) -> TreeReport:

@@ -238,7 +238,8 @@ def verify_tree(k: int, mask: int | None = None) -> VerificationReport:
     """The (counting) tree validates, re-derives, and has edge-disjoint witnesses.
 
     Each entry's derivation must be the only derivation of its tuple, so the
-    witness the splice takes from it is the canonical one.
+    witness the splice takes from it is the canonical one, and each packed
+    entry, which the splice reads, must be what peeling that derivation gives.
     """
     from .flippable import derivations, is_witness
     from .spanning import counting_tree, full_tree, validate_tree
@@ -249,11 +250,13 @@ def verify_tree(k: int, mask: int | None = None) -> VerificationReport:
     for f in report.failures:
         failures.append(("tree", f))
     seen_edges: set[frozenset] = set()
-    for entry in tree.entries:
-        t = entry.tup
-        if derivations(t) != [entry.derivation]:
+    for entry, packed in zip(tree.entries, tree.packed):
+        t, d = entry.tup, entry.derivation
+        if derivations(t) != [d]:
             failures.append(("closure-membership", str(t)))
-        cycle = entry.derivation.witness()
+        if packed != (d.pattern, d.witness_vals(), d.support_vals()[0]):
+            failures.append(("packed-entry", str(t)))
+        cycle = d.witness()
         if k <= 7 and not is_witness(t, cycle):
             failures.append(("witness", str(t)))
         m = len(cycle)

@@ -82,14 +82,14 @@ def test_generation_runs_no_peel_and_makes_no_derivation():
         "import io\n"
         "from oddgray import cli, flippable\n"
         "calls = {'peel': 0, 'derivation': 0}\n"
-        "peel, init = flippable._witness_vals, flippable.Derivation.__init__\n"
+        "peel, init = flippable._peel, flippable.Derivation.__init__\n"
         "def counted_peel(*args):\n"
         "    calls['peel'] += 1\n"
         "    return peel(*args)\n"
         "def counted_init(self, *args, **kw):\n"
         "    calls['derivation'] += 1\n"
         "    init(self, *args, **kw)\n"
-        "flippable._witness_vals = counted_peel\n"
+        "flippable._peel = counted_peel\n"
         "flippable.Derivation.__init__ = counted_init\n"
         "for argv in (['gen', '--k', '8'], ['gen', '--k', '7', '--family', '3'],"
         " ['middle', '--k', '6']):\n"

@@ -81,6 +81,14 @@ def test_rejected_args_exit_2_with_no_output(argv):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["gen", "middle", "factor", "tree", "bench"])
+def test_run_too_large_for_memory_exits_2_at_once(command):
+    # Every command enumerates the Dyck words first, which refuses k = 30.
+    res = run_cli(command, "--k", "30", timeout=5)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "error:" in res.stderr and "semilength 30" in res.stderr
+
+
 def test_gen_determinism():
     a = run_cli("gen", "--k", "4", "--format", "subsets")
     b = run_cli("gen", "--k", "4", "--format", "subsets")

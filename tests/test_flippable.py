@@ -19,7 +19,7 @@ from oddgray.flippable import (
     witness,
     wrap_marked,
 )
-from oddgray.words import Bits, EMPTY
+from oddgray.words import Bits, EMPTY, enumerate_dyck
 
 B = Bits.parse
 
@@ -57,6 +57,14 @@ def test_base_witness_literals():
     assert [str(v) for v in QUAD.base_witness()] == [
         "111000", "111001", "110001", "110011", "010011", "011011", "011010", "111010",
     ]
+
+
+def test_seeds_mark_their_first_two_members_differently():
+    # Derivation.of_support tells an odd prefix from an even one by this.
+    fans = [fan(w) for j in range(5) for w in enumerate_dyck(j)]
+    for p in (BRIDGE, PATCH, QUAD, *fans):
+        first, second = p.tuple().members[:2]
+        assert first.mark != second.mark, p
 
 
 def test_base_witnesses_verify():

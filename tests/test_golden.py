@@ -11,7 +11,10 @@ from an adjacency dict over every vertex to the splice-table walker. The
 output switched to blocks of table-rendered lines. The ``gen --k 10
 --family 5``, ``middle --k 9 --family 21`` and ``tree --k 9 --family 14043``
 digests were recorded before the tree build switched to packed entries and
-the splice to direct placement of witness vertices.
+the splice to direct placement of witness vertices. The ``tree --k 10``,
+``tree --k 7 --family 3``, ``tree --k 10 --family 12345`` and ``selfcheck
+--max-k 7`` digests were recorded before a built tree's derivations were
+read back from its packed supports instead of replayed.
 """
 
 import hashlib
@@ -77,6 +80,10 @@ GOLDEN = {
     "gen --k 10 --family 5": "373196bf62065253225c167cb215b0e3080f889f7208cac789e3125d83b5c2b0",
     "middle --k 9 --family 21": "1dacfb97baa391ee7645dcb09a765b59a220a7501cdee9c4f247ca5d786e39a2",
     "tree --k 9 --family 14043": "0f8a0b182599b56598e6ba5b2af0ebbc3729c5e0fcf7062b2d791cdc1b55bb92",
+    "tree --k 10": "29cc7babe368de7ce6976c5e432ef98bef81b21a9ac4f77cdab35b9aeaf215fc",
+    "tree --k 7 --family 3": "5aedc8081ee0dca28d8667e620f7afb7df2b6d1f74dd723296067996ec0c72a1",
+    "tree --k 10 --family 12345": "830d259336bdd0cf1971b011871937a58a36961c9150979366a2b028bf18871b",
+    "selfcheck --max-k 7": "8254633926d1f93b61fe012c22ef18d152b7b7e67a157da747c8c25373268b30",
 }
 
 # hamilton_odd(8, mask).vertices, one comma-separated subset per line.

@@ -133,7 +133,7 @@ def test_tree_entries_carry_their_derivations():
 def peeled(tree):
     """Each entry as the context peel derives it: the reference for the packed recursion."""
     return tuple(
-        (e.derivation.pattern.family, e.derivation.witness_vals(), e.derivation.support_vals()[0])
+        (e.derivation.pattern, e.derivation.witness_vals(), e.derivation.support_vals()[0])
         for e in tree.entries
     )
 

@@ -157,6 +157,22 @@ def test_property_suites_pass_small():
     assert verify_tree(6, 1).passed
 
 
+def test_verify_tree_checks_the_packed_entries(monkeypatch):
+    # The splice reads tree.packed; one witness there rotated by a vertex must
+    # be reported, though the entry's derivation and tuple stay the same.
+    from oddgray import spanning
+
+    tree = spanning.full_tree(5)
+    packed = list(tree.packed)
+    pattern, cycle, support = packed[3]
+    packed[3] = (pattern, cycle[1:] + cycle[:1], support)
+    broken = spanning.SpanningTree.of_packed(tree.base, tuple(packed), 10)
+    monkeypatch.setattr(spanning, "full_tree", lambda k: broken)
+    assert verify_tree(5).failures == (("packed-entry", str(tree.entries[3].tup)),)
+    monkeypatch.setattr(spanning, "full_tree", lambda k: tree)
+    assert verify_tree(5).passed
+
+
 def test_verify_certificate_is_independent_of_construction_modules():
     import ast
     import inspect

@@ -6,12 +6,13 @@ each witness is checked three ways: by ``is_witness``, which rests on the
 independent ``factor.locate``; against the recursive peel on ``Bits`` kept
 below as the reference; and against the three wrapping moves the peel is
 built from. The packed support ``validate_tree`` checks is compared with the
-wrapped tuple on ``Bits``. The table-driven renderers of packed values,
+wrapped tuple on ``Bits``, and ``Derivation.of_support`` must read each
+derivation back from it. The table-driven renderers of packed values,
 ``line_renderer`` and ``positions``, are compared with ``bitstring`` and
 with the bit-by-bit loop kept below as the reference.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddgray.flippable import (
@@ -109,6 +110,24 @@ def test_packed_support_matches_tuple(case):
     assert len(members) == len(t.members)
     assert set(members) == {(m.word.val, m.mark) for m in t.members}
     assert n == t.word_length
+
+
+_EVEN, _ODD = Context(cat(ONE, ZERO), cat(ONE, ZERO)), Context(ONE, ZERO)
+
+
+@relaxed
+@given(wrapped_seeds())
+@example((fan(cat(ONE, ZERO)), _EVEN))
+@example((fan(cat(ONE, ZERO)), _ODD))
+@example((BRIDGE, _EVEN))
+@example((BRIDGE, _ODD))
+@example((PATCH, _EVEN))
+@example((PATCH, _ODD))
+@example((QUAD, _EVEN))
+@example((QUAD, _ODD))
+def test_support_reads_back_its_derivation(case):
+    d = Derivation(*case)
+    assert Derivation.of_support(d.pattern, *d.support_vals()) == d
 
 
 @relaxed

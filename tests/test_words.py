@@ -148,6 +148,12 @@ def test_enumerate_rejects_oversize():
         enumerate_dyck(32)
 
 
+def test_enumerate_refuses_a_semilength_too_large_for_memory():
+    # Catalan(30) words fit the packing but no memory: refused before enumerating.
+    with pytest.raises(ValueError, match="semilength 30 has 3,814,986,502,092,304 Dyck words"):
+        enumerate_dyck(30)
+
+
 def test_concat_and_slice():
     x = B("1100") + B("10")
     assert x == B("110010")
