@@ -4,12 +4,17 @@ The Hamilton cycle is the cycle factor with one witness cycle per
 spanning-tree tuple XOR-ed in. Because the tree is conflict-free and spans
 every Dyck word, the splices join all factor cycles into one. Only the
 witness vertices get neighbours that differ from the factor's, so only they
-are stored: the splice table maps each to its two final neighbours and to
-its (Dyck origin, index) on the factor. Every other vertex keeps its two
-factor-cycle neighbours, which its path's flip sequence gives, so checking
-the table for degree 2 checks the whole graph. The walk steps along each
-factor path by its flip sequence, switches paths only at table vertices,
-and must return to its start after exactly binomial(2k+1, k) vertices.
+are stored: the splice table maps each to its two final neighbours a and
+b and to its (Dyck origin o, index j) on the factor, packed in one int
+
+  ((o << 2k | a) << 2k | b) << 6 | j
+
+(j <= 2k <= 60 fits in six bits, and o is unbounded above). Every other
+vertex keeps its two factor-cycle neighbours, which its path's flip
+sequence gives, so checking the table for degree 2 checks the whole graph.
+The walk steps along each factor path by its flip sequence, switches paths
+only at table vertices, and must return to its start after exactly
+binomial(2k+1, k) vertices.
 Memory thus grows with the witness vertices, not with the whole graph.
 The splice, the walk and the middle-levels detours read one shared table of
 flip sequences per k (``factor.flip_sequences``).
@@ -18,11 +23,14 @@ The splice reads the tree's packed entries, whose witnesses and supports
 the spanning recursion carries (``spanning.SpanningTree.packed``), so
 generation runs no derivation search and peels no context;
 ``verify.verify_tree`` checks that each entry's derivation is its tuple's
-only one, and that peeling it gives the packed entry. The splice validates
-the tree on the carried supports (``spanning.validate_tree``), toggles
+only one, and that peeling it gives the packed entry. The splice toggles
 every witness edge, and then places each witness vertex with no search
-over the factor. A witness meets each member's path in its named edge, and
-in every family that edge sits at fixed positions of the witness cycle
+over the factor. The placement pass, which visits every support member,
+also checks the tree: a union-find over origin numbers, a mark bitmask per
+word and a membership count cover the conditions of
+``spanning.validate_tree``, which runs only to write the text of a
+failure. A witness meets each member's path in its named edge, and in
+every family that edge sits at fixed positions of the witness cycle
 (``flippable.Pattern.named_edges``, next to the seed witnesses that fix
 them), in the support's member order:
 
@@ -35,7 +43,8 @@ The named edge of member (x, m) flips m at index i = seq.index(m) of the
 path of x, so it joins x ^ (the first i flips of seq) to that vertex with m
 flipped. A witness vertex placed there must equal one of the two exactly;
 one that no named edge holds raises ``AssemblyError`` with the tuple, the
-member's Dyck origin and the index.
+member's Dyck origin and the index; a vertex of the wrong degree, and a
+walk that misses a factor path, name the tuples whose witnesses meet it.
 
 Targets:
 
@@ -59,10 +68,11 @@ maps to the subset {1..k}).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from . import spanning
 from .factor import _path_vals, flip_sequences
@@ -106,57 +116,79 @@ def _tree_for(k: int, family_mask: int | None) -> spanning.SpanningTree:
 
 
 def _splice_table(
-    k: int, tree: spanning.SpanningTree, dyck: tuple[Bits, ...], seqs: tuple[tuple[int, ...], ...]
-) -> dict:
-    """Witness vertex -> (neighbour, neighbour, origin number, path index).
+    k: int, tree: spanning.SpanningTree, dyck: tuple[Bits, ...], seqs: tuple[bytes, ...]
+) -> dict[int, int]:
+    """Witness vertex -> its packed entry: ((origin << 2k | a) << 2k | b) << 6 | index.
 
     The origin number indexes ``dyck`` and ``seqs``, their flip sequences
-    (``factor.flip_sequences``); the two neighbours are the vertex's
-    final ones, its factor neighbours with the witness edges toggled in.
+    (``factor.flip_sequences``); a and b are the vertex's two final
+    neighbours, its factor neighbours with the witness edges toggled in.
     Every vertex not in the table keeps its two factor-cycle neighbours.
+    The tree is checked in the placement pass, and ``spanning.validate_tree``
+    runs only to report a tree that fails.
     """
-    report = spanning.validate_tree(tree)
-    if not report.passed:
-        raise ValueError("invalid spanning tree: " + "; ".join(report.failures))
     if not tree.spans_dyck(k):
-        raise ValueError("tree does not span the Dyck words of this semilength")
+        _reject(tree)
     packed = tree.packed
+    last = 2 * k
+    full = (1 << last) - 1
 
-    # First each witness vertex lists its two witness-cycle neighbours, the
-    # ends of the edges it toggles; a vertex of two witnesses lists four.
-    table: dict = {}
+    # First each witness vertex collects its two witness-cycle neighbours, the
+    # ends of the edges it toggles, as a negative int: minus its toggled
+    # neighbours in slots of 2k + 1 bits, each with a stop bit at 2k, so a
+    # vertex of two witnesses holds four slots.
+    slot, stop = last + 1, 1 << last
+    pair = 2 * slot
+    table: dict[int, int] = {}
     get = table.get
     for _, cycle, _ in packed:
         for prev, cur, nxt in zip((cycle[-1], *cycle), cycle, (*cycle[1:], cycle[0])):
-            toggled = get(cur)
-            if toggled is None:
-                table[cur] = [prev, nxt]
-            else:
-                toggled += prev, nxt
+            table[cur] = (get(cur, 0) << pair) - ((prev | stop) << slot | nxt | stop)
 
     # Then each member's named edge places the witness vertices at its
     # positions (see the module docstring). A placed vertex's factor
     # neighbours take its toggles, an edge toggled twice cancelling, and a
     # vertex whose toggles all cancel drops out. A vertex that no named edge
-    # holds stays a list, and is reported below.
-    last = 2 * k
-    full = (1 << last) - 1
+    # holds stays negative, and is reported below. The same pass checks the
+    # tree: every member is a Dyck word, no word takes a mark twice, and
+    # joining each support's words in a union-find over origin numbers never
+    # joins two words already joined. With sum(|support| - 1) == |words| - 1
+    # that is all of ``validate_tree``'s conditions.
     origin_of = {x.val: o for o, x in enumerate(dyck)}
+    parent = array("l", range(len(dyck)))
+    marks = array("Q", bytes(8 * len(dyck)))
+    count = 0
     bit = _BIT.__getitem__
     bad = []
     misplaced = {}
     for idx, (pattern, cycle, support) in enumerate(packed):
-        if len(cycle) != 2 * len(support):
-            continue
-        for (a, b), (x, mark) in zip(pattern.named_edges, support):
-            o = origin_of[x]
+        count += len(support) - 1
+        place = len(cycle) == 2 * len(support)
+        root = None
+        for (x, mark), (a, b) in zip(support, pattern.named_edges):
+            o = origin_of.get(x)
+            if o is None or marks[o] & _BIT[mark]:
+                _reject(tree)
+            marks[o] |= _BIT[mark]
+            r = o  # o's root, halving the path on the way
+            while (p := parent[r]) != r:
+                parent[r] = parent[p]
+                r = parent[p]
+            if root is None:
+                root = r
+            elif r == root:
+                _reject(tree)
+            else:
+                parent[r] = root
+            if not place:
+                continue
             seq = seqs[o]
             i = seq.index(mark)
             # the first i flips, or all flips but the last 2k - i
             low = x ^ sum(map(bit, seq[:i])) if i <= k else x ^ full ^ sum(map(bit, seq[i:]))
             for y in (cycle[a], cycle[b]):
-                toggled = get(y)
-                if type(toggled) is not list:
+                toggled = get(y, 0)
+                if toggled >= 0:  # placed already, dropped, or of no witness
                     continue
                 if y == low:
                     j = i
@@ -168,25 +200,31 @@ def _splice_table(
                 before = y ^ (_BIT[seq[j - 1]] if j else full)
                 after = y ^ (_BIT[seq[j]] if j < last else full)
                 nb = [before, after]
-                for w in toggled:
+                toggled = -toggled
+                while toggled:
+                    w = toggled & full
+                    toggled >>= slot
                     if w in nb:
                         nb.remove(w)
                     else:
                         nb.append(w)
                 if len(nb) != 2:
                     bad.append((y, o, j, len(nb)))
-                    table[y] = None
+                    table[y] = 0  # placed, and reported below
                 elif before in nb and after in nb:
                     del table[y]
                 else:
-                    table[y] = (nb[0], nb[1], o, j)
+                    table[y] = ((o << last | nb[0]) << last | nb[1]) << 6 | j
+    if count != len(dyck) - 1:
+        _reject(tree)
     if bad:
         v, o, i, d = bad[0]
         raise AssemblyError(
             f"{len(bad)} vertices do not have degree 2 after splicing, e.g. "
             f"{Bits(v, last)}, index {i} on the factor path of {dyck[o]}, has {d} neighbours"
+            + _meeting(tree, {v}, "it")
         )
-    stray = [v for v, e in table.items() if type(e) is list]
+    stray = [v for v, e in table.items() if e < 0]
     if stray:
         v = next((v for v in stray if v in misplaced), stray[0])
         where = ""
@@ -203,8 +241,30 @@ def _splice_table(
     return table
 
 
+def _reject(tree: spanning.SpanningTree) -> NoReturn:
+    """Raise the ``ValueError`` for a tree the splice cannot use, invalidity first."""
+    report = spanning.validate_tree(tree)
+    if not report.passed:
+        raise ValueError("invalid spanning tree: " + "; ".join(report.failures))
+    raise ValueError("tree does not span the Dyck words of this semilength")
+
+
+def _meeting(tree: spanning.SpanningTree, vertices: set[int], what: str) -> str:
+    """A message clause naming the tuples whose witness cycles hold any of ``vertices``."""
+    tuples = [
+        str(tree.entries[i].tup)
+        for i, (_, cycle, _) in enumerate(tree.packed)
+        if not vertices.isdisjoint(cycle)
+    ]
+    return f"; the witnesses of {len(tuples)} tuples meet {what}: {', '.join(tuples)}"
+
+
 def _walk(
-    k: int, table: dict, dyck: tuple[Bits, ...], seqs: tuple[tuple[int, ...], ...]
+    k: int,
+    table: dict[int, int],
+    dyck: tuple[Bits, ...],
+    seqs: tuple[bytes, ...],
+    tree: spanning.SpanningTree,
 ) -> Iterator[int]:
     """The spliced cycle from the least vertex (1 << k) - 1, toward its smaller neighbour.
 
@@ -213,16 +273,21 @@ def _walk(
     to index 0). At a table vertex it takes the neighbour it did not come
     from, and sets its path and direction from that vertex's entry. The
     walk is cut after binomial(2k+1, k) vertices, so a broken table cannot
-    make it loop forever.
+    make it loop forever. The tree is read only to name the tuples at a
+    path the walk missed.
     """
     last = 2 * k
     full = (1 << last) - 1
     total = comb(last + 1, k)
+    upper, above = last + 6, 2 * last + 6  # where an entry's neighbour a and origin start
     get = table.get
     start = (1 << k) - 1  # dyck[0] = 1^k 0^k, at index 0 of its own path
     seq = seqs[0]
-    entry = get(start) or (start ^ _BIT[seq[0]], start ^ full, 0, 0)
-    prev = max(entry[:2])
+    entry = get(start)
+    if entry is None:
+        prev = max(start ^ _BIT[seq[0]], start ^ full)
+    else:
+        prev = max(entry >> 6 & full, entry >> upper & full)
     reached = bytearray(len(dyck))  # the paths whose table vertices the walk met
     reached[0] = 1
     v, i, forward = start, 0, True
@@ -244,9 +309,12 @@ def _walk(
                 v ^= full
                 i = last
         else:
-            a, b, o, i = entry
+            i = entry & 63
+            o = entry >> above
             reached[o] = 1
-            nxt = b if a == prev else a
+            nxt = entry >> 6 & full
+            if nxt == prev:
+                nxt = entry >> upper & full
             seq = seqs[o]
             if nxt == v ^ (_BIT[seq[i]] if i < last else full):
                 forward = True
@@ -262,12 +330,17 @@ def _walk(
     else:
         raise AssemblyError(f"the walk did not return to its start after {total} vertices")
     if count != total:
-        missed = [str(x) for x, r in zip(dyck, reached) if not r]
+        missed = [o for o, r in enumerate(reached) if not r]
+        where = ""
+        if missed:
+            x, seq = dyck[missed[0]], seqs[missed[0]]
+            where = _meeting(tree, set(_path_vals(x.val, seq)), f"the factor path of {x}")
         raise AssemblyError(
             f"splice produced more than one cycle: the walk reached {count} of "
             f"{total} vertices, and no factor path of these {len(missed)} of "
-            f"{len(dyck)} Dyck words: {', '.join(missed[:8])}"
+            f"{len(dyck)} Dyck words: {', '.join(str(dyck[o]) for o in missed[:8])}"
             + (", ..." if len(missed) > 8 else "")
+            + where
         )
 
 
@@ -276,7 +349,7 @@ def stream_gplus_vals(k: int, tree: spanning.SpanningTree) -> Iterator[int]:
     if k < 3:
         raise ValueError(PETERSEN_NOTE if k == 2 else "assembly needs k >= 3")
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
-    return _walk(k, _splice_table(k, tree, dyck, seqs), dyck, seqs)
+    return _walk(k, _splice_table(k, tree, dyck, seqs), dyck, seqs, tree)
 
 
 def hamilton_gplus(k: int, tree: spanning.SpanningTree) -> CycleCertificate:

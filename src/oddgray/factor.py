@@ -17,7 +17,9 @@ One packed recursion computes every flip sequence. ``flip_sequences(k)``
 runs it once over the Dyck words and keeps the table for the latest k, which
 the splice, the walk, the middle-levels detours, ``cycle_factor`` and the
 ``factor`` command share; ``flip_sequence``, ``path`` and ``flip_edge`` run
-it for one word and keep nothing.
+it for one word and keep nothing. The table holds each sequence as
+``bytes``, one byte per position (at most 2k <= 60), so indexing, slicing
+and ``index`` read positions as ints; ``flip_sequence`` returns a tuple.
 
 ``locate`` inverts the construction: any vertex of the two layers decomposes
 in exactly one of three ways (a Dyck word, i.e. a path origin; 1w1v, an
@@ -52,11 +54,17 @@ class FactorPath:
     vertices: tuple[Bits, ...]
 
 
-def _flip_seq(val: int, n: int, memo: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    """The flip sequence of the packed Dyck word val of length n.
+# _ADD[s] translates each byte b to b + s (mod 256): one table per shift a
+# sequence can take, each a rotation of the identity table.
+_IDENTITY = bytes(range(256))
+_ADD = tuple(_IDENTITY[s:] + _IDENTITY[:s] for s in range(2 * MAX_K + 1))
+
+
+def _flip_seq(val: int, n: int, memo: dict[int, bytes]) -> bytes:
+    """The flip sequence of the packed Dyck word val of length n, one byte per position.
 
     ``memo`` maps each word met, keyed by its value with a stop bit above
-    it, to its sequence; it starts as ``{1: ()}``, the empty word.
+    it, to its sequence; it starts as ``{1: b""}``, the empty word.
     """
     key = val | 1 << n
     s = memo.get(key)
@@ -64,7 +72,9 @@ def _flip_seq(val: int, n: int, memo: dict[int, tuple[int, ...]]) -> tuple[int, 
         base = first_return_val(val, n)  # x = 1u0v with |u| = base - 2
         head = _flip_seq(val >> 1 & (1 << (base - 2)) - 1, base - 2, memo)
         tail = _flip_seq(val >> base, n - base, memo)
-        s = memo[key] = (base, *[a + 1 for a in reversed(head)], 1, *[base + a for a in tail])
+        s = memo[key] = b"".join(
+            (bytes((base,)), head[::-1].translate(_ADD[1]), b"\x01", tail.translate(_ADD[base]))
+        )
     return s
 
 
@@ -72,21 +82,21 @@ def flip_sequence(x: Bits) -> tuple[int, ...]:
     """The bit-flip order generating the factor path of the Dyck word x."""
     if not is_dyck(x):
         raise ValueError(f"{x!r} is not a Dyck word")
-    return _flip_seq(x.val, x.n, {1: ()})
+    return tuple(_flip_seq(x.val, x.n, {1: b""}))
 
 
 @lru_cache(maxsize=1)
-def flip_sequences(k: int) -> tuple[tuple[int, ...], ...]:
-    """``flip_sequence`` of every Dyck word of semilength k, in enumeration order.
+def flip_sequences(k: int) -> tuple[bytes, ...]:
+    """``flip_sequence`` of every Dyck word of semilength k as ``bytes``, in enumeration order.
 
     One memo serves the whole table and is dropped with the call; the table
     is kept for the latest k only, which every caller of that k shares.
     """
-    memo: dict[int, tuple[int, ...]] = {1: ()}
+    memo: dict[int, bytes] = {1: b""}
     return tuple(_flip_seq(x.val, x.n, memo) for x in enumerate_dyck(k))
 
 
-def _path_vals(val: int, seq: tuple[int, ...]) -> list[int]:
+def _path_vals(val: int, seq: bytes | tuple[int, ...]) -> list[int]:
     """The packed vertices of the factor path that starts at val and flips by seq."""
     vals = [val]
     for a in seq:

@@ -190,10 +190,10 @@ def verify_factor(k: int) -> VerificationReport:
 def verify_flip_properties(k: int) -> VerificationReport:
     """Flip sequences are alternating permutations; concatenation shifts them.
 
-    The checks read the tables ``flip_sequences(a)``, each computed once per
-    call and k's last. The concatenation identity F(xy) == F(x) followed by
-    |x| + F(y) is checked over all Dyck pairs with semilengths summing to k,
-    for k <= 8.
+    The checks read the tables ``flip_sequences(a)`` of ``bytes``, each
+    computed once per call and k's last. The concatenation identity
+    F(xy) == F(x) followed by |x| + F(y) is checked over all Dyck pairs with
+    semilengths summing to k, for k <= 8.
     """
     from .factor import flip_sequences
     from .words import enumerate_dyck
@@ -213,7 +213,7 @@ def verify_flip_properties(k: int) -> VerificationReport:
         for a in range(0, k + 1):
             for x in enumerate_dyck(a):
                 for y in enumerate_dyck(k - a):
-                    if part[x + y] != part[x] + tuple(x.n + t for t in part[y]):
+                    if part[x + y] != part[x] + bytes(x.n + t for t in part[y]):
                         failures.append(("concatenation", f"{x} {y}"))
     return _report(failures)
 

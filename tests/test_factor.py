@@ -83,8 +83,8 @@ def flips_by_unfolding(x):
 
 @pytest.mark.parametrize("k", range(10))
 def test_flip_sequences_match_flip_sequence(k):
-    # The shared table against the unfolding oracle.
-    assert flip_sequences(k) == tuple(map(flips_by_unfolding, enumerate_dyck(k)))
+    # The shared table, one bytes object per word, against the unfolding oracle.
+    assert flip_sequences(k) == tuple(map(bytes, map(flips_by_unfolding, enumerate_dyck(k))))
 
 
 def test_mirror_reverses_flip_sequence():

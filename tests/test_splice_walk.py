@@ -5,7 +5,9 @@ into a dict of neighbour lists over every vertex, each witness edge toggled
 in, and the result traversed from its least vertex toward the smaller
 neighbour. The walker must give the same sequence, keep only the witness
 vertices in its table, and raise ``AssemblyError`` from each of its
-postconditions with a message that names Dyck origins.
+postconditions with a message that names Dyck origins; degree and count
+failures also name the tuples whose witnesses meet the failing vertex or
+path.
 """
 
 import re
@@ -116,7 +118,10 @@ def test_table_holds_exactly_the_witness_vertices():
     table = _splice_table(8, tree, dyck, seqs)
     assert set(table) == surviving_witness_vertices(tree)
     assert len(table) == 4014
-    for v, (a, b, o, i) in table.items():
+    full = (1 << 16) - 1
+    for v, entry in table.items():
+        # ((origin << 2k | a) << 2k | b) << 6 | index
+        a, b, o, i = entry >> 22 & full, entry >> 6 & full, entry >> 38, entry & 63
         assert _path_vals(dyck[o].val, seqs[o])[i] == v
         assert v not in (a, b) and a != b
 
@@ -139,12 +144,17 @@ def test_duplicated_derivation_fails_the_count_check():
     assert f"{len(missed)} of 14 Dyck words" in msg
     for x in missed[:8]:
         assert str(x) in msg
+    # The two entries splicing the one witness are named at the first missed path.
+    named = f"{tree.entries[0].tup}, {tree.entries[1].tup}"
+    assert msg.endswith(f"the witnesses of 2 tuples meet the factor path of {missed[0]}: {named}")
 
 
 def test_rewrapped_derivation_fails_the_degree_check():
     # The bridge entry of the k = 4 tree wrapped in (10, empty) instead of
     # its own context (1, 0): its witness meets factor edges another tuple's
-    # witness already toggled, so two vertices end with four neighbours.
+    # witness already toggled, so two vertices end with four neighbours. The
+    # message names the tuples whose witnesses hold the failing vertex: the
+    # bridge and that other tuple.
     k = 4
     tree = full_tree(k)
     idx = next(
@@ -157,12 +167,20 @@ def test_rewrapped_derivation_fails_the_degree_check():
     with pytest.raises(AssemblyError, match="do not have degree 2") as err:
         list(stream_gplus_vals(k, broken))
     m = re.search(
-        r"e\.g\. ([01]+), index (\d+) on the factor path of ([01]+), has (\d+)", str(err.value)
+        r"e\.g\. ([01]+), index (\d+) on the factor path of ([01]+), has (\d+) neighbours; "
+        r"the witnesses of (\d+) tuples meet it: (.*)$",
+        str(err.value),
     )
     assert m, str(err.value)
-    vertex, index, origin, degree = m.groups()
+    vertex, index, origin, degree, count, named = m.groups()
     assert locate(Bits.parse(vertex)) == (Bits.parse(origin), int(index))
     assert degree != "2"
+    v = Bits.parse(vertex).val
+    holders = [
+        str(e.tup) for e, (_, cycle, _) in zip(broken.entries, broken.packed) if v in cycle
+    ]
+    assert str(tree.entries[idx].tup) in holders
+    assert named == ", ".join(holders) and int(count) == len(holders) == 2
 
 
 class _StrayDerivation:

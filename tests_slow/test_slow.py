@@ -7,14 +7,17 @@ collect them. Run them with
 
 They pin the digests of ``gen --k 11`` and ``gen --k 12`` and run both
 files through ``oddgray verify``, which checks a file in one pass and holds
-only the set of vertices seen. On a 2-vCPU Xeon they take about 45 s and
-peak at about 0.55 GB, in the k = 12 ``verify``. The digests were recorded
+only the set of vertices seen. The ``gen --k 12`` child's peak RSS, taken
+from ``os.wait4``, must stay at or below 230 MB; it peaks at about 197 MB
+(Python 3.11, x86-64). On a 2-vCPU Xeon the tier takes about 30 s and
+peaks at about 0.55 GB, in the k = 12 ``verify``. The digests were recorded
 before the flip-sequence recursion dropped its mirror step. The
 ``middle --k 10`` digest was recorded before the tree build switched to
 packed entries and the splice to direct placement of witness vertices.
 """
 
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -40,10 +43,14 @@ def sha256_of(path):
 
 
 def generate(tmp_path_factory, k):
+    """The ``gen --k k`` output file and the child's peak RSS in MB."""
     path = tmp_path_factory.mktemp("gen") / f"k{k}.txt"
     with open(path, "wb") as fh:
-        oddgray("gen", "--k", str(k), stdout=fh)
-    return path
+        proc = subprocess.Popen([sys.executable, "-m", "oddgray", "gen", "--k", str(k)], stdout=fh)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return path, usage.ru_maxrss / 1024  # ru_maxrss is in kB on Linux
 
 
 def verify_stdout(k, path):
@@ -56,12 +63,17 @@ def verify_stdout(k, path):
 
 @pytest.fixture(scope="module")
 def gen_k11(tmp_path_factory):
-    return generate(tmp_path_factory, 11)
+    return generate(tmp_path_factory, 11)[0]
 
 
 @pytest.fixture(scope="module")
-def gen_k12(tmp_path_factory):
+def gen_k12_run(tmp_path_factory):
     return generate(tmp_path_factory, 12)
+
+
+@pytest.fixture(scope="module")
+def gen_k12(gen_k12_run):
+    return gen_k12_run[0]
 
 
 def test_gen_k11_digest(gen_k11):
@@ -78,6 +90,10 @@ def test_gen_k12_digest(gen_k12):
 
 def test_gen_k12_verifies(gen_k12):
     assert verify_stdout(12, gen_k12) == "PASS\n"
+
+
+def test_gen_k12_peak_rss(gen_k12_run):
+    assert gen_k12_run[1] <= 230
 
 
 def test_middle_k10_digest(tmp_path):
