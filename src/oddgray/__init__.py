@@ -10,32 +10,11 @@ at desk scale.
 """
 
 from .words import Bits, cat, complement, decompose, enumerate_dyck, is_dyck, mirror
-from .factor import FactorPath, cycle_factor, flip_edge, flip_sequence, locate, path
-from .flippable import (
-    BRIDGE,
-    Context,
-    Derivation,
-    FlippableTuple,
-    MarkedWord,
-    PATCH,
-    Pattern,
-    QUAD,
-    apply_context,
-    canonical_witness,
-    conflict_violations,
-    derivations,
-    enumerate_tuples,
-    fan,
-    is_witness,
-    mirror_marked,
-    mirror_tuple,
-    witness,
-    wrap_marked,
-)
+from .factor import FactorPath, cycle_factor, flip_edge, flip_sequence, path
+from .flippable import BRIDGE, PATCH, Pattern, QUAD, fan
 from .spanning import (
     Partition,
     SpanningTree,
-    TreeEntry,
     TreeReport,
     counting_tree,
     flat_tree,
@@ -64,3 +43,32 @@ from .verify import (
     verify_tuple_closure,
 )
 
+
+# The checking side's public names, served on first use so that importing
+# the package does not load ``checking``.
+_CHECKING = {
+    "Context",
+    "Derivation",
+    "FlippableTuple",
+    "MarkedWord",
+    "TreeEntry",
+    "apply_context",
+    "canonical_witness",
+    "conflict_violations",
+    "derivations",
+    "enumerate_tuples",
+    "is_witness",
+    "locate",
+    "mirror_marked",
+    "mirror_tuple",
+    "witness",
+    "wrap_marked",
+}
+
+
+def __getattr__(name: str):
+    if name in _CHECKING:
+        from . import checking
+
+        return getattr(checking, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,18 +21,19 @@ flip sequences per k (``factor.flip_sequences``).
 
 The splice reads the tree's packed entries, whose witnesses and supports
 the spanning recursion carries (``spanning.SpanningTree.packed``), so
-generation runs no derivation search and peels no context;
-``verify.verify_tree`` checks that each entry's derivation is its tuple's
-only one, and that peeling it gives the packed entry. The splice toggles
-every witness edge, and then places each witness vertex with no search
-over the factor. The placement pass, which visits every support member,
-also checks the tree: a union-find over origin numbers, a mark bitmask per
-word and a membership count cover the conditions of
+generation runs no derivation search, peels no context and never loads
+``checking``, where ``verify.verify_tree`` checks that each entry's
+derivation is its tuple's only one and peels to its packed entry. The
+failure messages below read the tuples there (``SpanningTree.entries``).
+The splice toggles every witness edge, and then places each witness vertex
+with no search over the factor. The placement pass, which visits every
+support member, also checks the tree: a union-find over origin numbers, a
+mark bitmask per word and a membership count cover the conditions of
 ``spanning.validate_tree``, which runs only to write the text of a
 failure. A witness meets each member's path in its named edge, and in
 every family that edge sits at fixed positions of the witness cycle
-(``flippable.Pattern.named_edges``, next to the seed witnesses that fix
-them), in the support's member order:
+(``flippable.Pattern.named_edges``, in the table of seed literals that
+fixes them), in the support's member order:
 
   fan     (3, 2), (4, 5), (0, 1)
   bridge  (5, 4), (2, 3), (0, 1)

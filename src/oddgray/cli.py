@@ -110,8 +110,9 @@ def _cmd_tree(args, parser, out: IO[str]) -> int:
     k = args.k
     if not 3 <= k <= _ceiling():
         parser.error(f"tree needs 3 <= k <= {_ceiling()}")
-    tree = assembly._tree_for(k, args.family)
-    payload = {"k": k, "family": args.family, **tree.to_json()}
+    from .checking import tree_json
+
+    payload = {"k": k, "family": args.family, **tree_json(assembly._tree_for(k, args.family))}
     out.write(json.dumps(payload, indent=2))
     out.write("\n")
     return 0

@@ -18,14 +18,8 @@ runs it once over the Dyck words and keeps the table for the latest k, which
 the splice, the walk, the middle-levels detours, ``cycle_factor`` and the
 ``factor`` command share; ``flip_sequence``, ``path`` and ``flip_edge`` run
 it for one word and keep nothing. The table holds each sequence as
-``bytes``, one byte per position (at most 2k <= 60), so indexing, slicing
+``bytes``, one byte per position (at most MAX_LEN = 62), so indexing, slicing
 and ``index`` read positions as ints; ``flip_sequence`` returns a tuple.
-
-``locate`` inverts the construction: any vertex of the two layers decomposes
-in exactly one of three ways (a Dyck word, i.e. a path origin; 1w1v, an
-interior vertex of the mirrored-prefix stretch; 0~u1w, a vertex of the suffix
-stretch), and peeling that decomposition recursively yields the unique
-(origin, index) with path(origin).vertices[index] == vertex.
 """
 
 from __future__ import annotations
@@ -34,18 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .words import (
-    MAX_K,
-    Bits,
-    ONE,
-    ZERO,
-    cat,
-    complement,
-    enumerate_dyck,
-    first_return_val,
-    is_dyck,
-    mirror,
-)
+from .words import MAX_K, MAX_LEN, Bits, enumerate_dyck, first_return_val, is_dyck
 
 
 @dataclass(frozen=True)
@@ -55,9 +38,10 @@ class FactorPath:
 
 
 # _ADD[s] translates each byte b to b + s (mod 256): one table per shift a
-# sequence can take, each a rotation of the identity table.
+# sequence of a Dyck word of length at most MAX_LEN can take, each a rotation
+# of the identity table.
 _IDENTITY = bytes(range(256))
-_ADD = tuple(_IDENTITY[s:] + _IDENTITY[:s] for s in range(2 * MAX_K + 1))
+_ADD = tuple(_IDENTITY[s:] + _IDENTITY[:s] for s in range(MAX_LEN + 1))
 
 
 def _flip_seq(val: int, n: int, memo: dict[int, bytes]) -> bytes:
@@ -126,60 +110,3 @@ def cycle_factor(k: int) -> Iterator[FactorPath]:
     for x, seq in zip(enumerate_dyck(k), flip_sequences(k)):
         yield FactorPath(x, tuple(Bits(v, x.n) for v in _path_vals(x.val, seq)))
 
-
-def locate(y: Bits) -> tuple[Bits, int]:
-    """The unique (origin, index) with path(origin).vertices[index] == y.
-
-    Works for any y of even length 2k and weight k or k+1. Each recursion
-    step finds exactly one structural decomposition; a vertex admitting none
-    or several would contradict the disjoint-cover property, so that case
-    raises.
-    """
-    if y.n % 2:
-        raise ValueError(f"{y!r} has odd length")
-    k = y.n // 2
-    if k == 0:
-        return y, 0
-    if y.weight not in (k, k + 1):
-        raise ValueError(f"{y!r} has weight {y.weight}, expected {k} or {k + 1}")
-    if is_dyck(y):
-        return y, 0
-
-    if y.bit(1) == 1:
-        # y = 1w1v with mirror(w) of weight l-1 or l, v Dyck.
-        found = None
-        for l in range(1, k + 1):
-            if y.bit(2 * l) != 1:
-                continue
-            if not is_dyck(y.slice(2 * l + 1, y.n)):
-                continue
-            if y.slice(2, 2 * l - 1).weight not in (l - 2, l - 1):
-                continue
-            if found is not None:
-                raise RuntimeError(f"ambiguous decomposition of {y!r}")
-            found = l
-        if found is None:
-            raise RuntimeError(f"no decomposition of {y!r}")
-        w = y.slice(2, 2 * found - 1)
-        v = y.slice(2 * found + 1, y.n)
-        inner, j = locate(mirror(w))
-        return cat(ONE, mirror(inner), ZERO, v), j + 1
-
-    # y = 0~u1w with u Dyck, w of weight k-l or k-l+1.
-    found = None
-    for l in range(1, k + 1):
-        if y.bit(2 * l) != 1:
-            continue
-        if not is_dyck(complement(y.slice(2, 2 * l - 1))):
-            continue
-        if y.slice(2 * l + 1, y.n).weight not in (k - l, k - l + 1):
-            continue
-        if found is not None:
-            raise RuntimeError(f"ambiguous decomposition of {y!r}")
-        found = l
-    if found is None:
-        raise RuntimeError(f"no decomposition of {y!r}")
-    u = complement(y.slice(2, 2 * found - 1))
-    w = y.slice(2 * found + 1, y.n)
-    inner, j = locate(w)
-    return cat(ONE, u, ZERO, inner), 2 * found + j

@@ -38,33 +38,21 @@ once, and then appends each inner word v to the wrapped list. A memo local
 to one build keeps the shared subtrees, so nothing outlives the build but
 the tree.
 
-A built tree keeps its packed entries and its word length. Its derivations
-(``SpanningTree.entries``, which the ``tree`` command, the verifiers and
-perfbench read) are read back from the packed supports by
-``Derivation.of_support``, so reading them runs no recursion; the tests
-check that peeling each one gives its packed entry back. A tree made by
-hand from derivations gets its packed entries by peeling them.
+A tree is its words, its packed entries and its word length, however it
+was made. Its derivations (``SpanningTree.entries``, which the ``tree``
+command, the verifiers, the splice's failure messages and perfbench read)
+are read back from the packed supports by ``checking``, which generation
+never loads; reading them runs no recursion, and the tests check that
+peeling each one gives its packed entry back. ``checking.hand_tree`` makes
+a tree by hand from derivations by peeling them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator
 
-from .flippable import (
-    BRIDGE,
-    Derivation,
-    FlippableTuple,
-    PATCH,
-    PackedEntry,
-    QUAD,
-    append,
-    fan,
-    seed,
-    shift,
-    wrap,
-)
+from .flippable import BRIDGE, PATCH, PackedEntry, QUAD, append, fan, seed, shift, wrap
 from .words import Bits, enumerate_dyck
 
 
@@ -77,75 +65,35 @@ class Partition:
     steep: frozenset[Bits]
 
 
-@dataclass(frozen=True)
-class TreeEntry:
-    """A tree tuple held as its derivation; a class still, as perfbench reads ``e.tup``."""
-
-    derivation: Derivation
-
-    @property
-    def tup(self) -> FlippableTuple:
-        return self.derivation.tuple()
-
-
 class SpanningTree:
-    """Tree tuples over a base set of Dyck words, as derivations and as packed entries.
+    """Tree tuples as packed entries over a base set of words, the entries' words of length n.
 
-    ``SpanningTree(base, entries)`` is a tree made by hand; its ``packed``
-    entries peel each derivation on first read. ``of_packed`` makes a tree
-    from packed entries whose words have length n, as ``full_tree``,
-    ``flat_tree``, ``steep_tree`` and ``counting_tree`` do; its ``base`` and
+    ``full_tree``, ``flat_tree``, ``steep_tree`` and ``counting_tree`` make
+    one from the recursion's entries; ``base`` and the derivations
     ``entries`` are read back on first read.
     """
 
-    _n: int | None = None
-
-    def __init__(self, base: frozenset[Bits], entries: tuple[TreeEntry, ...]) -> None:
-        self.base = self._words = base
-        self.entries = entries
-
-    @classmethod
-    def of_packed(cls, words, packed: tuple[PackedEntry, ...], n: int) -> "SpanningTree":
-        t = cls.__new__(cls)
-        t._words, t.packed, t._n = words, packed, n
-        return t
+    def __init__(self, words, packed: tuple[PackedEntry, ...], n: int) -> None:
+        self.words, self.packed, self.n = words, packed, n
 
     @cached_property
     def base(self) -> frozenset[Bits]:
-        return frozenset(self._words)
+        return frozenset(self.words)
 
     @cached_property
-    def entries(self) -> tuple[TreeEntry, ...]:
-        n = self._n
-        return tuple(TreeEntry(Derivation.of_support(p, s, n)) for p, _, s in self.packed)
+    def entries(self) -> tuple:
+        """Each entry as a ``checking.TreeEntry``, its derivation read from its packed support."""
+        from .checking import Derivation, TreeEntry
 
-    @cached_property
-    def packed(self) -> tuple[PackedEntry, ...]:
-        return tuple(
-            (d.pattern, d.witness_vals(), d.support_vals()[0])
-            for d in (e.derivation for e in self.entries)
-        )
-
-    def support_vals(self) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
-        """Each entry's packed support with its word length, as ``Derivation.support_vals``."""
-        if self._n:
-            return ((support, self._n) for _, _, support in self.packed)
-        return (e.derivation.support_vals() for e in self.entries)
+        return tuple(TreeEntry(Derivation.of_support(p, s, self.n)) for p, _, s in self.packed)
 
     def spans_dyck(self, k: int) -> bool:
         """Whether the base set is every Dyck word of semilength k."""
         words = enumerate_dyck(k)
-        return self._words is words or self.base == frozenset(words)
+        return self.words is words or self.base == frozenset(words)
 
-    def tuple_set(self) -> frozenset[FlippableTuple]:
+    def tuple_set(self) -> frozenset:
         return frozenset(e.tup for e in self.entries)
-
-    def to_json(self) -> dict:
-        pairs = sorted(((e.tup, e.derivation) for e in self.entries), key=lambda p: p[0])
-        return {
-            "base": sorted(str(x) for x in self.base),
-            "tuples": [{**t.to_json(), "derivation": d.to_json()} for t, d in pairs],
-        }
 
 
 @dataclass(frozen=True)
@@ -268,7 +216,7 @@ class _Recursion:
 def _built(kind: str, k: int, chosen: frozenset[Bits] | None = None) -> SpanningTree:
     # The words come first: enumerating them refuses a k too large for memory.
     words = enumerate_dyck(k) if kind == "full" else getattr(partition(k), kind)
-    return SpanningTree.of_packed(words, tuple(_Recursion().tree(kind, k, chosen)), 2 * k)
+    return SpanningTree(words, tuple(_Recursion().tree(kind, k, chosen)), 2 * k)
 
 
 def flat_tree(k: int) -> SpanningTree:
@@ -329,19 +277,17 @@ def validate_tree(t: SpanningTree) -> TreeReport:
     spanning hypertree, since removing any tuple from a tree of incidences
     leaves one component per support word.
 
-    The checks run on each entry's packed support (``SpanningTree.support_vals``:
-    the carried supports of a built tree, ``Derivation.support_vals`` of a
-    tree made by hand); a word is keyed by its packed value with a stop bit
-    above its last position, so words of different lengths never collide.
-    Tuples and words are rendered only for a failure message, so a built
-    tree makes its derivations only when it fails.
+    The checks run on each entry's packed support; a word is keyed by its
+    packed value with a stop bit above its last position, so words of
+    different lengths never collide. Tuples and words are rendered only for
+    a failure message, so a tree makes its derivations only when it fails.
     """
 
     def word(key: int) -> Bits:
         n = key.bit_length() - 1
         return Bits(key ^ 1 << n, n)
 
-    base = [x.val | 1 << x.n for x in t._words]
+    base = [x.val | 1 << x.n for x in t.words]
     parent = dict(zip(base, base))
 
     def find(x: int) -> int:
@@ -355,8 +301,8 @@ def validate_tree(t: SpanningTree) -> TreeReport:
     failures: list[str] = []
     by_word: dict[int, list[tuple[int, int]]] = {}
     count = 0
-    for idx, (members, n) in enumerate(t.support_vals()):
-        stop = 1 << n
+    stop = 1 << t.n
+    for idx, (_, _, members) in enumerate(t.packed):
         count += len(members) - 1
         outside = []
         root = None

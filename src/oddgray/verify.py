@@ -220,7 +220,7 @@ def verify_flip_properties(k: int) -> VerificationReport:
 
 def verify_tuple_closure(k: int) -> VerificationReport:
     """Every pool tuple has a passing canonical witness; no mark conflicts."""
-    from .flippable import canonical_witness, conflict_violations, enumerate_tuples, is_witness
+    from .checking import canonical_witness, conflict_violations, enumerate_tuples, is_witness
 
     failures: list[tuple[str, str]] = []
     tuples = enumerate_tuples(k)
@@ -241,7 +241,7 @@ def verify_tree(k: int, mask: int | None = None) -> VerificationReport:
     witness the splice takes from it is the canonical one, and each packed
     entry, which the splice reads, must be what peeling that derivation gives.
     """
-    from .flippable import derivations, is_witness
+    from .checking import derivations, is_witness
     from .spanning import counting_tree, full_tree, validate_tree
 
     failures: list[tuple[str, str]] = []

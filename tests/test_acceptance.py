@@ -12,18 +12,16 @@ from itertools import combinations
 from math import comb
 
 from oddgray.assembly import hamilton_middle_levels, hamilton_odd
-from oddgray.factor import flip_edge, flip_sequence, path
-from oddgray.flippable import (
-    BRIDGE,
-    PATCH,
-    QUAD,
+from oddgray.checking import (
     conflict_violations,
     derivations,
     enumerate_tuples,
-    fan,
+    hand_tree,
     is_witness,
 )
-from oddgray.spanning import SpanningTree, TreeEntry, mask_width, validate_tree
+from oddgray.factor import flip_edge, flip_sequence, path
+from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
+from oddgray.spanning import mask_width, validate_tree
 from oddgray.verify import (
     brute_force_hamilton,
     verify_certificate,
@@ -158,8 +156,7 @@ def test_criterion_09_oracle_cross_check():
         for sub in combinations(pool, r):
             ds = [derivations(t)[0] for t in sub]
             assert [d.tuple() for d in ds] == list(sub)
-            entries = tuple(TreeEntry(d) for d in ds)
-            if validate_tree(SpanningTree(base, entries)).passed:
+            if validate_tree(hand_tree(base, ds)).passed:
                 valid.append(set(sub))
     assert {fan().tuple(), BRIDGE.tuple()} in valid
     report(9, "Petersen graph has no Hamilton cycle, the order-3 odd graph does, "

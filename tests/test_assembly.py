@@ -13,8 +13,9 @@ from oddgray.assembly import (
     stream_middle_vals,
     to_odd_vertex,
 )
-from oddgray.flippable import derivations, fan
-from oddgray.spanning import SpanningTree, TreeEntry, full_tree
+from oddgray.checking import derivations, hand_tree
+from oddgray.flippable import fan
+from oddgray.spanning import full_tree
 from oddgray.verify import brute_force_hamilton, verify_certificate
 from oddgray.words import Bits, enumerate_dyck
 
@@ -41,7 +42,7 @@ def test_hamilton_gplus_rejects_invalid_tree():
     base = frozenset(enumerate_dyck(3))
     d = derivations(fan().tuple())[0]
     assert d.tuple() == fan().tuple()
-    broken = SpanningTree(base, (TreeEntry(d),))
+    broken = hand_tree(base, [d])
     with pytest.raises(ValueError):
         hamilton_gplus(3, broken)
 
@@ -54,18 +55,18 @@ def test_generation_runs_no_derivation_search():
     # caches nothing, is never called.
     code = (
         "import io\n"
-        "from oddgray import cli, factor, flippable\n"
+        "from oddgray import checking, cli, factor\n"
         "wraps = 0\n"
-        "apply_context = flippable.apply_context\n"
+        "apply_context = checking.apply_context\n"
         "def counted(*args):\n"
         "    global wraps\n"
         "    wraps += 1\n"
         "    return apply_context(*args)\n"
-        "flippable.apply_context = counted\n"
+        "checking.apply_context = counted\n"
         "for argv in (['gen', '--k', '8'], ['gen', '--k', '7', '--family', '3'],"
         " ['middle', '--k', '6']):\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0\n"
-        "print(flippable._derivations.cache_info().misses, wraps,"
+        "print(checking._derivations.cache_info().misses, wraps,"
         " hasattr(factor.flip_sequence, 'cache_info'),"
         " factor.flip_sequences.cache_info().currsize)\n"
     )
@@ -80,22 +81,22 @@ def test_generation_runs_no_peel_and_makes_no_derivation():
     # Derivation object.
     code = (
         "import io\n"
-        "from oddgray import cli, flippable\n"
+        "from oddgray import checking, cli\n"
         "calls = {'peel': 0, 'derivation': 0}\n"
-        "peel, init = flippable._peel, flippable.Derivation.__init__\n"
+        "peel, init = checking._peel, checking.Derivation.__init__\n"
         "def counted_peel(*args):\n"
         "    calls['peel'] += 1\n"
         "    return peel(*args)\n"
         "def counted_init(self, *args, **kw):\n"
         "    calls['derivation'] += 1\n"
         "    init(self, *args, **kw)\n"
-        "flippable._peel = counted_peel\n"
-        "flippable.Derivation.__init__ = counted_init\n"
+        "checking._peel = counted_peel\n"
+        "checking.Derivation.__init__ = counted_init\n"
         "for argv in (['gen', '--k', '8'], ['gen', '--k', '7', '--family', '3'],"
         " ['middle', '--k', '6']):\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0\n"
         "print(calls['peel'], calls['derivation'])\n"
-        "print(flippable.Derivation(flippable.QUAD).witness_vals() and calls['peel'],"
+        "print(checking.Derivation(checking.QUAD).witness_vals() and calls['peel'],"
         " calls['derivation'])\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

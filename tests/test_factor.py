@@ -2,7 +2,8 @@ from math import comb
 
 import pytest
 
-from oddgray.factor import cycle_factor, flip_edge, flip_sequence, flip_sequences, locate, path
+from oddgray.checking import locate
+from oddgray.factor import cycle_factor, flip_edge, flip_sequence, flip_sequences, path
 from oddgray.words import Bits, cat, complement, decompose, enumerate_dyck, mirror
 
 B = Bits.parse
@@ -20,6 +21,15 @@ TABLE = {
 def test_flip_sequence_base():
     assert flip_sequence(B("")) == ()
     assert flip_sequence(B("10")) == (2, 1)
+
+
+def test_flip_sequence_of_the_longest_dyck_word():
+    # 1^31 0^31 is as long as a Bits holds; its leading 1 closes at 62, the
+    # widest shift a sequence takes.
+    x = Bits((1 << 31) - 1, 62)
+    seq = flip_sequence(x)
+    assert sorted(seq) == list(range(1, 63))
+    assert all(x.bit(a) == 1 - i % 2 for i, a in enumerate(seq, start=1))
 
 
 def test_flip_sequence_rejects_non_dyck():

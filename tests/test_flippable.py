@@ -1,24 +1,21 @@
 import pytest
 
-from oddgray.flippable import (
-    BRIDGE,
+from oddgray.checking import (
     Context,
     FlippableTuple,
     MarkedWord,
-    PATCH,
-    QUAD,
     apply_context,
     canonical_witness,
     conflict_violations,
     derivations,
     enumerate_tuples,
-    fan,
     is_witness,
     mirror_marked,
     mirror_tuple,
     witness,
     wrap_marked,
 )
+from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
 from oddgray.words import Bits, EMPTY, enumerate_dyck
 
 B = Bits.parse

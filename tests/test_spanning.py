@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddgray.flippable import (
-    BRIDGE,
+from oddgray.checking import (
     Context,
-    PATCH,
-    QUAD,
     apply_context,
     canonical_witness,
     derivations,
     enumerate_tuples,
-    fan,
+    hand_tree,
+    tree_json,
 )
+from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
 from oddgray.spanning import (
-    SpanningTree,
-    TreeEntry,
     counting_tree,
     flat_tree,
     full_tree,
@@ -37,14 +34,11 @@ def catalan(k):
     return comb(2 * k, k) // (k + 1)
 
 
-def entries_only(tuples):
-    """Wrap bare tuples for validate_tree (derivations from the pool)."""
-    entries = []
-    for t in tuples:
-        d = derivations(t)[0]
-        assert d.tuple() == t
-        entries.append(TreeEntry(d))
-    return tuple(entries)
+def tree_of(base, tuples):
+    """A tree made by hand over ``base`` from bare pool tuples, through their derivations."""
+    ds = [derivations(t)[0] for t in tuples]
+    assert [d.tuple() for d in ds] == list(tuples)
+    return hand_tree(base, ds)
 
 
 # ---------------------------------------------------------------- partition
@@ -159,7 +153,8 @@ def test_packed_entries_match_the_peel_on_random_masks(data):
 
 def test_hand_built_tree_peels_its_derivations():
     tree = counting_tree(7, 3)
-    assert SpanningTree(tree.base, tree.entries).packed == tree.packed
+    hand = hand_tree(tree.base, [e.derivation for e in tree.entries])
+    assert (hand.packed, hand.n) == (tree.packed, tree.n)
 
 
 def test_tree_tuples_are_pool_members():
@@ -179,21 +174,21 @@ def test_full_tree_rejects_tiny():
 
 def test_validate_rejects_undersized():
     base = frozenset(enumerate_dyck(3))
-    r = validate_tree(SpanningTree(base, entries_only([fan().tuple()])))
+    r = validate_tree(tree_of(base, [fan().tuple()]))
     assert not r.passed
     assert any("accounting" in f or "components" in f for f in r.failures)
 
 
 def test_validate_rejects_overlapping_supports():
     base = frozenset(enumerate_dyck(3))
-    r = validate_tree(SpanningTree(base, entries_only([fan().tuple(), QUAD.tuple()])))
+    r = validate_tree(tree_of(base, [fan().tuple(), QUAD.tuple()]))
     assert not r.passed
     assert any("share" in f for f in r.failures)
 
 
 def test_validate_rejects_foreign_support():
     base = frozenset(enumerate_dyck(3)) - {B("101010")}
-    r = validate_tree(SpanningTree(base, entries_only([BRIDGE.tuple()])))
+    r = validate_tree(tree_of(base, [BRIDGE.tuple()]))
     assert not r.passed
     assert any("base set" in f for f in r.failures)
 
@@ -202,13 +197,13 @@ def test_validate_rejects_support_of_another_length():
     # Supports are compared as packed integers. The k = 3 tree must fail
     # both on the k = 4 words and on length-8 words packing to the same
     # values as its own words, where only the length tells them apart.
-    tree = entries_only([fan().tuple(), BRIDGE.tuple()])
-    assert validate_tree(SpanningTree(frozenset(enumerate_dyck(3)), tree)).passed
+    tuples = [fan().tuple(), BRIDGE.tuple()]
+    assert validate_tree(tree_of(frozenset(enumerate_dyck(3)), tuples)).passed
     for base in (
         frozenset(enumerate_dyck(4)),
         frozenset(Bits(x.val, 8) for x in enumerate_dyck(3)),
     ):
-        r = validate_tree(SpanningTree(base, tree))
+        r = validate_tree(tree_of(base, tuples))
         assert not r.passed
         assert any("leaves the base set" in f for f in r.failures)
 
@@ -259,20 +254,20 @@ def recursive_spanning(base, tuples):
 def test_validate_matches_recursive_definition_exhaustively():
     # validate_tree adds the mark condition on top of the structural
     # definition, so compare against (recursive oracle) and (no conflicts).
-    from oddgray.flippable import conflict_violations
+    from oddgray.checking import conflict_violations
 
     pool3 = enumerate_tuples(3)
     base3 = frozenset(enumerate_dyck(3))
     for r in range(0, len(pool3) + 1):
         for sub in combinations(pool3, r):
-            fast = validate_tree(SpanningTree(base3, entries_only(sub))).passed
+            fast = validate_tree(tree_of(base3, sub)).passed
             slow = recursive_spanning(base3, sub) and not conflict_violations(sub)
             assert fast == slow
     pool4 = enumerate_tuples(4)
     base4 = frozenset(enumerate_dyck(4))
     for r in (4, 5):
         for sub in combinations(pool4, r):
-            fast = validate_tree(SpanningTree(base4, entries_only(sub))).passed
+            fast = validate_tree(tree_of(base4, sub)).passed
             slow = recursive_spanning(base4, sub) and not conflict_violations(sub)
             assert fast == slow
 
@@ -290,7 +285,7 @@ def test_unique_conflict_free_tree_at_semilength_3():
         set(sub)
         for r in range(0, len(pool) + 1)
         for sub in combinations(pool, r)
-        if validate_tree(SpanningTree(base, entries_only(sub))).passed
+        if validate_tree(tree_of(base, sub)).passed
     ]
     assert winners == [{fan().tuple(), BRIDGE.tuple()}]
 
@@ -348,7 +343,7 @@ def test_tree_witnesses_edge_disjoint():
 
 
 def test_tree_json_shape():
-    payload = full_tree(3).to_json()
+    payload = tree_json(full_tree(3))
     assert sorted(payload) == ["base", "tuples"]
     assert payload["base"] == sorted(str(x) for x in enumerate_dyck(3))
     assert {m["word"] for t in payload["tuples"] for m in t["members"]} <= set(

@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddgray.assembly import AssemblyError, _splice_table, stream_gplus_vals
-from oddgray.factor import _path_vals, flip_sequence, flip_sequences, locate
-from oddgray.flippable import Context, Derivation
-from oddgray.spanning import SpanningTree, TreeEntry, counting_tree, full_tree, mask_width
+from oddgray.checking import Context, Derivation, hand_tree, locate
+from oddgray.factor import _path_vals, flip_sequence, flip_sequences
+from oddgray.spanning import SpanningTree, counting_tree, full_tree, mask_width
 from oddgray.words import Bits, enumerate_dyck
 
 
@@ -33,8 +33,7 @@ def reference_adjacency(k, tree):
         for a, b in zip(vals, vals[1:] + vals[:1]):
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
-    for entry in tree.entries:
-        cycle = entry.derivation.witness_vals()
+    for _, cycle, _ in tree.packed:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             if b in adj[a]:
                 adj[a].remove(b)
@@ -61,8 +60,7 @@ def reference_cycle(k, tree):
 def surviving_witness_vertices(tree):
     """Endpoints of the witness edges toggled an odd number of times."""
     edges = Counter()
-    for entry in tree.entries:
-        cycle = entry.derivation.witness_vals()
+    for _, cycle, _ in tree.packed:
         edges.update(frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1]))
     return {v for e, m in edges.items() if m % 2 for v in e}
 
@@ -79,21 +77,12 @@ def component_of_start(k, tree):
     return seen
 
 
-class _SwappedWitness:
-    """A derivation with ``kept``'s pattern, tuple and packed support but ``other``'s witness."""
-
-    def __init__(self, kept, other):
-        self.pattern = kept.pattern
-        self.tuple = kept.tuple
-        self.support_vals = kept.support_vals
-        self.witness_vals = other.witness_vals
-
-
-def with_derivation(tree, idx, other):
-    """``tree`` with entry idx keeping its tuple but splicing ``other``'s witness."""
-    entries = list(tree.entries)
-    entries[idx] = TreeEntry(_SwappedWitness(entries[idx].derivation, other))
-    return SpanningTree(tree.base, tuple(entries))
+def with_witness(tree, idx, cycle):
+    """``tree`` with packed entry idx keeping its pattern and support but splicing ``cycle``."""
+    packed = list(tree.packed)
+    pattern, _, support = packed[idx]
+    packed[idx] = pattern, tuple(cycle), support
+    return SpanningTree(tree.words, tuple(packed), tree.n)
 
 
 @pytest.mark.parametrize("k", range(3, 9))
@@ -132,7 +121,7 @@ def test_duplicated_derivation_fails_the_count_check():
     # toggled, so their factor cycles stay apart.
     k = 4
     tree = full_tree(k)
-    broken = with_derivation(tree, 0, tree.entries[1].derivation)
+    broken = with_witness(tree, 0, tree.packed[1][1])
     component = component_of_start(k, broken)
     reached = {locate(Bits(v, 2 * k))[0] for v in component}
     missed = [x for x in enumerate_dyck(k) if x not in reached]
@@ -163,7 +152,7 @@ def test_rewrapped_derivation_fails_the_degree_check():
     old = tree.entries[idx].derivation
     assert (str(old.context.prefix), str(old.context.suffix)) == ("1", "0")
     ctx = Context(Bits.parse("10"), Bits.parse(""))
-    broken = with_derivation(tree, idx, Derivation(old.pattern, ctx))
+    broken = with_witness(tree, idx, Derivation(old.pattern, ctx).witness_vals())
     with pytest.raises(AssemblyError, match="do not have degree 2") as err:
         list(stream_gplus_vals(k, broken))
     m = re.search(
@@ -183,25 +172,12 @@ def test_rewrapped_derivation_fails_the_degree_check():
     assert named == ", ".join(holders) and int(count) == len(holders) == 2
 
 
-class _StrayDerivation:
-    """A derivation whose witness leaves the two middle layers."""
-
-    def witness_vals(self):
-        return (0b0000_0000, 0b0000_0001, 0b0000_0011)
-
-
 def test_witness_vertex_off_the_factor_fails():
+    # a witness that leaves the two middle layers
     tree = full_tree(4)
-    broken = with_derivation(tree, 0, _StrayDerivation())
+    broken = with_witness(tree, 0, (0b0000_0000, 0b0000_0001, 0b0000_0011))
     with pytest.raises(AssemblyError, match="lie on no factor path"):
         stream_gplus_vals(4, broken)
-
-
-class _RotatedWitness:
-    """A derivation whose witness is ``kept``'s rotated by one vertex: same edges, new positions."""
-
-    def __init__(self, kept):
-        self.witness_vals = lambda: (*kept.witness_vals()[1:], kept.witness_vals()[0])
 
 
 def test_misplaced_witness_vertex_names_its_tuple():
@@ -210,7 +186,8 @@ def test_misplaced_witness_vertex_names_its_tuple():
     k = 5
     tree = full_tree(k)
     idx = 7
-    broken = with_derivation(tree, idx, _RotatedWitness(tree.entries[idx].derivation))
+    cycle = tree.packed[idx][1]
+    broken = with_witness(tree, idx, (*cycle[1:], cycle[0]))
     with pytest.raises(AssemblyError, match="lie on no factor path") as err:
         stream_gplus_vals(k, broken)
     m = re.search(
@@ -233,4 +210,4 @@ def test_bad_tree_raises_at_call_time():
     # The table is built eagerly, so the error comes before any iteration.
     tree = full_tree(4)
     with pytest.raises(ValueError, match="invalid spanning tree"):
-        stream_gplus_vals(4, SpanningTree(tree.base, tree.entries[1:]))
+        stream_gplus_vals(4, hand_tree(tree.base, [e.derivation for e in tree.entries[1:]]))

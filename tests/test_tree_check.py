@@ -21,13 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddgray.assembly import AssemblyError, _splice_table, stream_gplus_vals
+from oddgray.checking import hand_tree
 from oddgray.factor import flip_sequences
 from oddgray.spanning import SpanningTree, full_tree, validate_tree
 from oddgray.words import enumerate_dyck
 
 
 def packed_tree(k, packed):
-    return SpanningTree.of_packed(enumerate_dyck(k), tuple(packed), 2 * k)
+    return SpanningTree(enumerate_dyck(k), tuple(packed), 2 * k)
 
 
 def with_member(entry, pos, member):
@@ -76,12 +77,12 @@ def broken_trees(k):
     out["span"] = full_tree(k - 1)
     # invalid and not spanning: the k - 1 tree without its entry 1
     small = full_tree(k - 1).packed
-    out["invalid_and_span"] = SpanningTree.of_packed(
+    out["invalid_and_span"] = SpanningTree(
         enumerate_dyck(k - 1), (small[0], *small[2:]), 2 * k - 2
     )
     # a tree made by hand, without its entry 0
     t = full_tree(k)
-    out["hand"] = SpanningTree(t.base, t.entries[1:])
+    out["hand"] = hand_tree(t.base, [e.derivation for e in t.entries[1:]])
     return out
 
 
@@ -209,7 +210,7 @@ def test_splice_rejects_exactly_the_trees_validate_tree_rejects(mutant):
 def test_generation_calls_validate_tree_only_to_render_a_failure():
     code = (
         "import io\n"
-        "from oddgray import assembly, cli, spanning\n"
+        "from oddgray import assembly, checking, cli, spanning\n"
         "calls = 0\n"
         "validate = spanning.validate_tree\n"
         "def counted(*args):\n"
@@ -222,7 +223,8 @@ def test_generation_calls_validate_tree_only_to_render_a_failure():
         "print(calls)\n"
         "tree = spanning.full_tree(3)\n"
         "try:\n"
-        "    assembly.stream_gplus_vals(3, spanning.SpanningTree(tree.base, tree.entries[1:]))\n"
+        "    broken = checking.hand_tree(tree.base, [e.derivation for e in tree.entries[1:]])\n"
+        "    assembly.stream_gplus_vals(3, broken)\n"
         "except ValueError:\n"
         "    print(calls)\n"
     )

@@ -166,7 +166,7 @@ def test_verify_tree_checks_the_packed_entries(monkeypatch):
     packed = list(tree.packed)
     pattern, cycle, support = packed[3]
     packed[3] = (pattern, cycle[1:] + cycle[:1], support)
-    broken = spanning.SpanningTree.of_packed(tree.base, tuple(packed), 10)
+    broken = spanning.SpanningTree(tree.base, tuple(packed), 10)
     monkeypatch.setattr(spanning, "full_tree", lambda k: broken)
     assert verify_tree(5).failures == (("packed-entry", str(tree.entries[3].tup)),)
     monkeypatch.setattr(spanning, "full_tree", lambda k: tree)

@@ -15,20 +15,17 @@ with the bit-by-bit loop kept below as the reference.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddgray.flippable import (
-    BRIDGE,
-    PATCH,
-    QUAD,
+from oddgray.checking import (
     Context,
     Derivation,
     FlippableTuple,
     apply_context,
-    fan,
     is_witness,
     mirror_tuple,
     witness,
     wrap_marked,
 )
+from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
 from oddgray.words import (
     ONE,
     ZERO,
