@@ -33,42 +33,23 @@ from .assembly import (
     hamilton_odd,
     to_odd_vertex,
 )
-from .verify import (
-    VerificationReport,
-    brute_force_hamilton,
-    verify_certificate,
-    verify_factor,
-    verify_flip_properties,
-    verify_tree,
-    verify_tuple_closure,
-)
 
 
-# The checking side's public names, served on first use so that importing
-# the package does not load ``checking``.
-_CHECKING = {
-    "Context",
-    "Derivation",
-    "FlippableTuple",
-    "MarkedWord",
-    "TreeEntry",
-    "apply_context",
-    "canonical_witness",
-    "conflict_violations",
-    "derivations",
-    "enumerate_tuples",
-    "is_witness",
-    "locate",
-    "mirror_marked",
-    "mirror_tuple",
-    "witness",
-    "wrap_marked",
-}
+# Names served on first use by the module that defines them, so that
+# importing the package loads neither ``checking`` nor ``verify``.
+_CHECKING = """Context Derivation FlippableTuple MarkedWord TreeEntry apply_context canonical_witness
+    conflict_violations derivations enumerate_tuples is_witness locate mirror_marked
+    mirror_tuple witness wrap_marked""".split()
+_VERIFY = """VerificationReport brute_force_hamilton verify_certificate verify_factor
+    verify_flip_properties verify_tree verify_tuple_closure""".split()
 
 
 def __getattr__(name: str):
+    # import statements, which ``python -X importtime`` reports (``importlib`` calls are not)
     if name in _CHECKING:
-        from . import checking
-
-        return getattr(checking, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from . import checking as module
+    elif name in _VERIFY:
+        from . import verify as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

@@ -12,12 +12,9 @@ b and to its (Dyck origin o, index j) on the factor, packed in one int
 (j <= 2k <= 60 fits in six bits, and o is unbounded above). Every other
 vertex keeps its two factor-cycle neighbours, which its path's flip
 sequence gives, so checking the table for degree 2 checks the whole graph.
-The walk steps along each factor path by its flip sequence, switches paths
-only at table vertices, and must return to its start after exactly
-binomial(2k+1, k) vertices.
 Memory thus grows with the witness vertices, not with the whole graph.
-The splice, the walk and the middle-levels detours read one shared table of
-flip sequences per k (``factor.flip_sequences``).
+The splice and the walk read one shared table of flip sequences per k
+(``factor.flip_sequences``).
 
 The splice reads the tree's packed entries, whose witnesses and supports
 the spanning recursion carries (``spanning.SpanningTree.packed``), so
@@ -47,6 +44,22 @@ one that no named edge holds raises ``AssemblyError`` with the tuple, the
 member's Dyck origin and the index; a vertex of the wrong degree, and a
 walk that misses a factor path, name the tuples whose witnesses meet it.
 
+The walk goes one factor-path segment at a time. Between two table
+vertices the cycle stays on one path, so a segment is an interval of that
+path's flip sequence, emitted by one ``itertools.accumulate`` over a step
+table, which alone sets the target's coordinates: flipping position p XORs
+bit(p) in gplus and middle coordinates and ALL ^ bit(p) in odd ones (ALL has
+2k+1 bits), and the closing edge {x, ~x}, from index 2k to index 0, XORs
+``full`` in gplus and odd coordinates; in middle ones it is the detour
+below, the top bit, the flip sequence and the top bit again. A segment ends
+at the next stop along the path in the walking direction, read from the
+path's stop mask: one word per Dyck word, with a bit at the index of each
+table vertex and at index 0 of path 0, the start. A table vertex reached
+along its path is left by a witness edge. So the Python work grows with
+the witness edges, not with the vertices, and no vertex is mapped from
+gplus to its target. The walk must return to its start after exactly the
+target's number of vertices.
+
 Targets:
 
   gplus   bitstrings of length 2k and weight k or k+1; edges are single-bit
@@ -54,7 +67,8 @@ Targets:
   odd     k-subsets of [2k+1], edges joining disjoint subsets. The bijection
           appends 0 to a weight-k string and 1 to the complement of a
           weight-(k+1) string, then reads characteristic vectors.
-          ``gen`` and ``hamilton_odd`` both read ``stream_odd_vals``.
+          ``gen`` and ``hamilton_odd`` both read ``stream_odd_vals``, which
+          walks with the odd step table; ``odd_val`` maps single vertices.
   middle  bitstrings of length 2k+1 and weight k or k+1, edges joining
           strings one bit apart (nested subsets). The cycle is obtained from
           the gplus cycle with 0 appended by replacing every closing edge
@@ -71,13 +85,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, chain
 from math import comb
+from operator import xor
 from typing import Iterator, NoReturn
 
 from . import spanning
 from .factor import _path_vals, flip_sequences
-from .words import Bits, enumerate_dyck, positions
+from .words import Bits, enumerate_dyck, positions, subset_mapper
 
 TARGET_GPLUS = "gplus"
 TARGET_ODD = "odd"
@@ -261,75 +276,82 @@ def _meeting(tree: spanning.SpanningTree, vertices: set[int], what: str) -> str:
 
 
 def _walk(
-    k: int,
-    table: dict[int, int],
-    dyck: tuple[Bits, ...],
-    seqs: tuple[bytes, ...],
-    tree: spanning.SpanningTree,
-) -> Iterator[int]:
-    """The spliced cycle from the least vertex (1 << k) - 1, toward its smaller neighbour.
+    k: int, table: dict[int, int], tree: spanning.SpanningTree, target: str
+) -> Iterator[list[int]]:
+    """The spliced cycle from the least vertex (1 << k) - 1, toward its smaller neighbour, in runs.
 
-    Off the table the walk steps along the current factor path by that
-    path's flip sequence (the closing edge {x, ~x} is the step from index 2k
-    to index 0). At a table vertex it takes the neighbour it did not come
-    from, and sets its path and direction from that vertex's entry. The
-    walk is cut after binomial(2k+1, k) vertices, so a broken table cannot
-    make it loop forever. The tree is read only to name the tuples at a
-    path the walk missed.
+    Each run is one segment of a factor path in ``target``'s coordinates,
+    ended by a stop and left by a witness edge, or a table vertex alone
+    between two witness edges (see the module docstring). The walk is cut
+    after the target's number of vertices, so a broken table cannot make it
+    loop forever. The tree is read only to name the tuples at a path the
+    walk missed.
     """
+    dyck, seqs = enumerate_dyck(k), flip_sequences(k)
     last = 2 * k
-    full = (1 << last) - 1
-    total = comb(last + 1, k)
+    span = last + 1  # the vertices, and the edges, of one factor cycle
+    full, top = (1 << last) - 1, 1 << last
+    # per target: a path's laps (a middle detour is the second) and what weight k + 1 XORs in
+    laps, flip = {TARGET_GPLUS: (1, 0), TARGET_ODD: (1, top | full), TARGET_MIDDLE: (2, 0)}[target]
+    lap, total = laps * span, laps * comb(span, k)
     upper, above = last + 6, 2 * last + 6  # where an entry's neighbour a and origin start
-    get = table.get
-    start = (1 << k) - 1  # dyck[0] = 1^k 0^k, at index 0 of its own path
-    seq = seqs[0]
-    entry = get(start)
-    if entry is None:
-        prev = max(start ^ _BIT[seq[0]], start ^ full)
-    else:
-        prev = max(entry >> 6 & full, entry >> upper & full)
+    # bit[p] and step[p] flip position p, in gplus and in the walk's coordinates; p = 0 closes
+    bit = (full, *_BIT[1:span])
+    step = (top if laps == 2 else full, *(flip ^ b for b in bit[1:]))
+    stops = array("Q", bytes(8 * len(dyck)))
+    stops[0] = 1
+    for entry in table.values():
+        stops[entry >> above] |= 1 << (entry & 63)
     reached = bytearray(len(dyck))  # the paths whose table vertices the walk met
-    reached[0] = 1
-    v, i, forward = start, 0, True
-    for count in range(1, total + 1):
-        yield v
-        if entry is None:
-            prev = v
-            if forward:
-                if i < last:
-                    v ^= _BIT[seq[i]]
-                    i += 1
-                else:
-                    v ^= full
-                    i = 0
-            elif i:
-                i -= 1
-                v ^= _BIT[seq[i]]
-            else:
-                v ^= full
-                i = last
-        else:
-            i = entry & 63
+    start = g = v = (1 << k) - 1  # dyck[0] = 1^k 0^k, at index 0 of its own path
+    # off the table, the start leaves toward its smaller factor neighbour, as if from the larger
+    entry = table.get(start, (start ^ full) << upper | (start ^ bit[seqs[0][0]]) << 6)
+    prev = max(entry >> 6 & full, entry >> upper & full)
+    o, count = -1, 0
+    while True:
+        # v, not yet emitted, is g in the walk's coordinates; entry is g's
+        j = entry & 63
+        if entry >> above != o:
             o = entry >> above
             reached[o] = 1
-            nxt = entry >> 6 & full
-            if nxt == prev:
-                nxt = entry >> upper & full
-            seq = seqs[o]
-            if nxt == v ^ (_BIT[seq[i]] if i < last else full):
-                forward = True
-                i = i + 1 if i < last else 0
-            elif nxt == v ^ (_BIT[seq[i - 1]] if i else full):
-                forward = False
-                i = i - 1 if i else last
-            # otherwise nxt is a table vertex, whose entry gives its position
-            prev, v = v, nxt
-        if v == start:
+            # the path's steps and stops at both ends of its closing step (or
+            # detour), so that a run may wrap from index 2k to 0 or from 0 to 2k
+            ext = (seqs[o] + b"\0") * laps + seqs[o]
+            s = stops[o] | stops[o] << lap
+        nxt = entry >> 6 & full
+        if nxt == prev:
+            nxt = entry >> upper & full
+        if nxt == g ^ bit[ext[j]]:
+            ahead = s >> j + 1
+            steps = ext[j : j + (ahead & -ahead).bit_length()]
+        elif nxt == g ^ bit[ext[j + lap - 1]]:
+            steps = ext[(s & (1 << j + lap) - 1).bit_length() - 1 : j + lap][::-1]
+        else:
+            steps = b""
+        run = list(accumulate(map(step.__getitem__, steps), xor, initial=v))
+        if steps:
+            v = run[-1]
+            g = v ^ flip if v > full else v
+            if g == start:  # the walk is back: its last run ends before the start
+                run.pop()
+                nxt = start
+            else:
+                # reached along its path, a table vertex is left by a witness edge:
+                # one whose final neighbours are its factor neighbours is not in the table
+                entry = table[g]
+                nxt = entry >> 6 & full
+                if nxt == g ^ bit[steps[-1]]:
+                    nxt = entry >> upper & full
+        count += len(run)
+        if count > total:
+            yield run[: len(run) - count + total]
+            raise AssemblyError(f"the walk did not return to its start after {total} vertices")
+        yield run
+        prev, g = g, nxt
+        if g == start:
             break
-        entry = get(v)
-    else:
-        raise AssemblyError(f"the walk did not return to its start after {total} vertices")
+        v = g ^ flip if g.bit_count() > k else g
+        entry = table[g]
     if count != total:
         missed = [o for o, r in enumerate(reached) if not r]
         where = ""
@@ -345,12 +367,17 @@ def _walk(
         )
 
 
-def stream_gplus_vals(k: int, tree: spanning.SpanningTree) -> Iterator[int]:
-    """Packed vertices of the Hamilton cycle, in canonical rotation."""
+def stream_gplus_vals(
+    k: int, tree: spanning.SpanningTree, target: str = TARGET_GPLUS
+) -> Iterator[int]:
+    """The Hamilton cycle of ``target``'s graph as packed vertices, in canonical rotation.
+
+    The splice table is built at the call, so a bad tree raises there.
+    """
     if k < 3:
         raise ValueError(PETERSEN_NOTE if k == 2 else "assembly needs k >= 3")
-    dyck, seqs = enumerate_dyck(k), flip_sequences(k)
-    return _walk(k, _splice_table(k, tree, dyck, seqs), dyck, seqs, tree)
+    table = _splice_table(k, tree, enumerate_dyck(k), flip_sequences(k))
+    return chain.from_iterable(_walk(k, table, tree, target))
 
 
 def hamilton_gplus(k: int, tree: spanning.SpanningTree) -> CycleCertificate:
@@ -377,12 +404,13 @@ def stream_odd_vals(k: int, family_mask: int | None = None) -> Iterator[int]:
     """Packed (2k+1)-bit vectors of the odd-graph cycle; a bad k or mask raises at the call."""
     if k < 3:
         raise ValueError(PETERSEN_NOTE if k == 2 else "odd-graph generation needs k >= 3")
-    return map(odd_val, stream_gplus_vals(k, _tree_for(k, family_mask)), repeat(k))
+    return stream_gplus_vals(k, _tree_for(k, family_mask), TARGET_ODD)
 
 
 def hamilton_odd(k: int, family_mask: int | None = None) -> CycleCertificate:
     """A Hamilton cycle of the odd graph as a cyclic sequence of k-subsets."""
-    return CycleCertificate(k, TARGET_ODD, tuple(map(positions, stream_odd_vals(k, family_mask))))
+    subset = subset_mapper(2 * k + 1)
+    return CycleCertificate(k, TARGET_ODD, tuple(map(subset, stream_odd_vals(k, family_mask))))
 
 
 # Fixed middle-levels cycles for the two sizes below the general
@@ -403,39 +431,7 @@ def stream_middle_vals(k: int, family_mask: int | None = None) -> Iterator[int]:
         if family_mask is not None:
             raise ValueError("cycle families need k >= 6")
         return iter([Bits.parse(s).val for s in (_MIDDLE_K1 if k == 1 else _MIDDLE_K2)])
-    return _detoured_vals(k, _tree_for(k, family_mask))
-
-
-def _detoured_vals(k: int, tree: spanning.SpanningTree) -> Iterator[int]:
-    """The gplus cycle with 0 appended, each closing edge replaced by its detour."""
-    seq_of = dict(zip([x.val for x in enumerate_dyck(k)], flip_sequences(k)))
-    full = (1 << (2 * k)) - 1
-    first = prev = None
-    for v in stream_gplus_vals(k, tree):
-        if prev is None:
-            first = v
-        elif prev ^ v == full:
-            yield from _closing_detour(prev, v, seq_of, k)
-        yield v  # v with 0 appended keeps its packed value
-        prev = v
-    if prev ^ first == full:
-        yield from _closing_detour(prev, first, seq_of, k)
-
-
-def _closing_detour(a: int, b: int, seq_of: dict, k: int) -> list[int]:
-    """The vertices replacing the closing edge from a0 to b0, in walking order.
-
-    One of a and b is a Dyck word x, a key of ``seq_of`` (its flip
-    sequence); the detour is the complemented factor path of x, with 1
-    appended to each vertex, walked from a1 to b1.
-    """
-    full = (1 << (2 * k)) - 1
-    top = 1 << (2 * k)
-    x = a if a in seq_of else b
-    detour = [w ^ full | top for w in _path_vals(x, seq_of[x])]
-    if a == x:
-        detour.reverse()
-    return detour
+    return stream_gplus_vals(k, _tree_for(k, family_mask), TARGET_MIDDLE)
 
 
 def hamilton_middle_levels(k: int, family_mask: int | None = None) -> CycleCertificate:

@@ -21,7 +21,6 @@ environment variable ODDGRAY_MAX_K lowers the accepted k ceiling (default
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -29,9 +28,9 @@ from itertools import islice
 from math import comb
 from typing import IO, Iterable, Iterator
 
-from . import assembly, spanning, verify
+from . import assembly, spanning
 from .factor import _path_vals, cycle_factor, flip_sequences
-from .words import MAX_K, enumerate_dyck, line_renderer, positions
+from .words import MAX_K, enumerate_dyck, line_renderer, subset_mapper
 
 # Lines joined into one string per ``out.write``.
 BLOCK_LINES = 4096
@@ -54,10 +53,6 @@ def _write_blocks(out: IO[str], lines: Iterable[str]) -> None:
         out.write(block)
 
 
-def _subset_line(val: int) -> str:
-    return "{" + ",".join(map(str, positions(val))) + "}\n"
-
-
 def _delta_lines(odd: Iterator[int], n: int) -> Iterator[str]:
     """Per step of the cycle, and for the closing step, the one position left unflipped."""
     full = (1 << n) - 1
@@ -78,7 +73,8 @@ def _cmd_gen(args, parser, out: IO[str]) -> int:
     if args.format == "bits":
         lines = map(line_renderer(n), odd)
     elif args.format == "subsets":
-        lines = map(_subset_line, odd)
+        subset = subset_mapper(n)
+        lines = ("{" + ",".join(map(str, subset(val))) + "}\n" for val in odd)
     else:
         lines = _delta_lines(odd, n)
     _write_blocks(out, lines)
@@ -110,6 +106,8 @@ def _cmd_tree(args, parser, out: IO[str]) -> int:
     k = args.k
     if not 3 <= k <= _ceiling():
         parser.error(f"tree needs 3 <= k <= {_ceiling()}")
+    import json
+
     from .checking import tree_json
 
     payload = {"k": k, "family": args.family, **tree_json(assembly._tree_for(k, args.family))}
@@ -119,6 +117,8 @@ def _cmd_tree(args, parser, out: IO[str]) -> int:
 
 
 def _cmd_verify(args, parser, out: IO[str]) -> int:
+    from . import verify
+
     k = args.k
     if not 1 <= k <= _ceiling():
         parser.error(f"verify needs 1 <= k <= {_ceiling()}")
@@ -150,6 +150,8 @@ def _cmd_verify(args, parser, out: IO[str]) -> int:
 
 def _iter_selfcheck(max_k: int):
     """Yield (label, report) pairs for every suite, capped per suite."""
+    from . import verify
+
     for k in range(1, min(max_k, 11) + 1):
         yield f"factor k={k}", verify.verify_factor(k)
         yield f"flip-sequences k={k}", verify.verify_flip_properties(k)

@@ -15,8 +15,8 @@ and cover all binomial(2k+1, k) vertices of the two layers.
 
 One packed recursion computes every flip sequence. ``flip_sequences(k)``
 runs it once over the Dyck words and keeps the table for the latest k, which
-the splice, the walk, the middle-levels detours, ``cycle_factor`` and the
-``factor`` command share; ``flip_sequence``, ``path`` and ``flip_edge`` run
+the splice, the walk (its middle-levels detours too), ``cycle_factor`` and
+the ``factor`` command share; ``flip_sequence``, ``path`` and ``flip_edge`` run
 it for one word and keep nothing. The table holds each sequence as
 ``bytes``, one byte per position (at most MAX_LEN = 62), so indexing, slicing
 and ``index`` read positions as ints; ``flip_sequence`` returns a tuple.

@@ -15,7 +15,7 @@ path picture it reflects the path left-to-right.
 from __future__ import annotations
 
 import os
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from math import comb
 from typing import Callable
 
@@ -175,20 +175,22 @@ def mirror(x: Bits) -> Bits:
     return Bits(mirror_val(x.val, x.n), x.n)
 
 
+def _position_table(width: int, offset: int) -> list[tuple[int, ...]]:
+    """Per value of ``width`` bits, the positions of its set bits placed at bits offset and up."""
+    table = [()]
+    for b in range(1, 1 << width):
+        top = b.bit_length()
+        table.append(table[b ^ 1 << (top - 1)] + (offset + top,))
+    return table
+
+
 @cache
-def _byte_positions() -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _byte_positions() -> tuple[list[tuple[int, ...]], ...]:
     """Per byte offset j, the positions of each byte value's set bits placed at bits 8j..8j+7.
 
-    Built on first use, so a run that renders no subsets does not pay for it.
+    Built on first use, so a run that calls no ``positions`` does not pay for it.
     """
-    tables = []
-    for offset in range(0, 64, 8):
-        table = [()]
-        for b in range(1, 256):
-            top = b.bit_length()
-            table.append(table[b ^ 1 << (top - 1)] + (offset + top,))
-        tables.append(tuple(table))
-    return tuple(tables)
+    return tuple(_position_table(8, offset) for offset in range(0, 64, 8))
 
 
 def positions(val: int) -> tuple[int, ...]:
@@ -200,6 +202,24 @@ def positions(val: int) -> tuple[int, ...]:
         if not val:
             return out
     raise ValueError("value wider than 64 bits")
+
+
+@lru_cache(maxsize=1)
+def subset_mapper(n: int) -> Callable[[int], tuple[int, ...]]:
+    """A function mapping a packed value of length n to ``positions(val)``.
+
+    Up to n = 2 * CHUNK_BITS the value is cut where ``line_renderer`` cuts
+    it, and each part has its own table of positions, so a value costs two
+    lookups and one tuple concatenation; a wider value goes to ``positions``.
+    The mapper is kept for the latest n, so a sweep of cycles of one k
+    builds its tables once.
+    """
+    if n > 2 * CHUNK_BITS:
+        return positions
+    width = -(-n // 2) if n > CHUNK_BITS else n
+    mask = (1 << width) - 1
+    low, high = _position_table(width, 0), _position_table(n - width, width)
+    return lambda val: low[val & mask] + high[val >> width]
 
 
 def is_dyck(x: Bits) -> bool:

@@ -7,18 +7,30 @@ neighbour. The walker must give the same sequence, keep only the witness
 vertices in its table, and raise ``AssemblyError`` from each of its
 postconditions with a message that names Dyck origins; degree and count
 failures also name the tuples whose witnesses meet the failing vertex or
-path.
+path. In odd and middle coordinates it must give the gplus cycle mapped
+vertex by vertex with ``odd_val``, and with each closing edge replaced by
+its detour (``reference_middle``, the earlier middle-levels stream).
 """
 
 import re
 from collections import Counter
+from itertools import chain
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddgray.assembly import AssemblyError, _splice_table, stream_gplus_vals
+from oddgray.assembly import (
+    TARGET_GPLUS,
+    TARGET_MIDDLE,
+    TARGET_ODD,
+    AssemblyError,
+    _splice_table,
+    _walk,
+    odd_val,
+    stream_gplus_vals,
+)
 from oddgray.checking import Context, Derivation, hand_tree, locate
 from oddgray.factor import _path_vals, flip_sequence, flip_sequences
 from oddgray.spanning import SpanningTree, counting_tree, full_tree, mask_width
@@ -54,6 +66,25 @@ def reference_cycle(k, tree):
         out.append(cur)
         a, b = adj[cur]
         prev, cur = cur, (b if a == prev else a)
+    return out
+
+
+def reference_middle(k, tree):
+    """The reference cycle with 0 appended to each vertex and its closing edges detoured.
+
+    A closing edge {x0, ~x0} of the Dyck word x becomes ~x0, ~x1, ..., x1, x0
+    along the complemented factor path of x, with 1 appended.
+    """
+    full, top = (1 << 2 * k) - 1, 1 << 2 * k
+    seq_of = {x.val: flip_sequence(x) for x in enumerate_dyck(k)}
+    cycle = reference_cycle(k, tree)
+    out = []
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        out.append(a)
+        if a ^ b == full:
+            x = a if a in seq_of else b
+            detour = [w ^ full | top for w in _path_vals(x, seq_of[x])]
+            out.extend(reversed(detour) if a == x else detour)
     return out
 
 
@@ -100,6 +131,37 @@ def test_walk_matches_reference_on_random_masks(data):
     assert list(stream_gplus_vals(k, tree)) == reference_cycle(k, tree)
 
 
+@pytest.mark.parametrize("k", range(3, 11))
+def test_odd_walk_is_the_gplus_walk_mapped_by_odd_val(k):
+    # at k = 3 the start is itself a table vertex
+    tree = full_tree(k)
+    expected = [odd_val(v, k) for v in stream_gplus_vals(k, tree)]
+    assert list(stream_gplus_vals(k, tree, TARGET_ODD)) == expected
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.data())
+def test_odd_walk_matches_odd_val_on_random_masks(data):
+    k = data.draw(st.integers(6, 9))
+    tree = counting_tree(k, data.draw(st.integers(0, (1 << mask_width(k)) - 1)))
+    expected = [odd_val(v, k) for v in stream_gplus_vals(k, tree)]
+    assert list(stream_gplus_vals(k, tree, TARGET_ODD)) == expected
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_middle_walk_takes_each_closing_detour(k):
+    tree = full_tree(k)
+    assert list(stream_gplus_vals(k, tree, TARGET_MIDDLE)) == reference_middle(k, tree)
+
+
+@settings(deadline=None, max_examples=8)
+@given(st.data())
+def test_middle_walk_matches_the_detours_on_random_masks(data):
+    k = data.draw(st.integers(6, 8))
+    tree = counting_tree(k, data.draw(st.integers(0, (1 << mask_width(k)) - 1)))
+    assert list(stream_gplus_vals(k, tree, TARGET_MIDDLE)) == reference_middle(k, tree)
+
+
 def test_table_holds_exactly_the_witness_vertices():
     tree = full_tree(8)
     dyck = enumerate_dyck(8)
@@ -113,6 +175,20 @@ def test_table_holds_exactly_the_witness_vertices():
         a, b, o, i = entry >> 22 & full, entry >> 6 & full, entry >> 38, entry & 63
         assert _path_vals(dyck[o].val, seqs[o])[i] == v
         assert v not in (a, b) and a != b
+
+
+def test_walk_is_cut_after_the_vertex_count():
+    # The start's entry sends the walk over a witness edge to 1, and 1 and 2
+    # name each other as both neighbours, so the walk hops between them and
+    # never returns; it stops after binomial(9, 4) = 126 vertices.
+    def entry(a, b):  # origin 0, index 0
+        return (a << 8 | b) << 6
+
+    table = {15: entry(1, 255), 1: entry(2, 2), 2: entry(1, 1)}
+    out = []
+    with pytest.raises(AssemblyError, match="did not return to its start after 126 vertices"):
+        out.extend(chain.from_iterable(_walk(4, table, full_tree(4), TARGET_GPLUS)))
+    assert out[:5] == [15, 1, 2, 1, 2] and len(out) == 126
 
 
 def test_duplicated_derivation_fails_the_count_check():

@@ -8,9 +8,11 @@ below as the reference; and against the three wrapping moves the peel is
 built from. The packed support ``validate_tree`` checks is compared with the
 wrapped tuple on ``Bits``, and ``Derivation.of_support`` must read each
 derivation back from it. The table-driven renderers of packed values,
-``line_renderer`` and ``positions``, are compared with ``bitstring`` and
-with the bit-by-bit loop kept below as the reference.
+``line_renderer``, ``positions`` and ``subset_mapper``, are compared with
+``bitstring`` and with the bit-by-bit loop kept below as the reference.
 """
+
+from functools import cache
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,7 @@ from oddgray.words import (
     line_renderer,
     mirror,
     positions,
+    subset_mapper,
 )
 
 MAX_LEN = 16
@@ -190,6 +193,23 @@ def test_line_renderer_covers_every_width():
 def test_positions_match_reference(case):
     val, _ = case
     assert positions(val) == reference_positions(val)
+
+
+cached_subset_mapper = cache(subset_mapper)
+
+
+@relaxed
+@given(packed_values())
+def test_subset_mapper_matches_reference(case):
+    val, n = case
+    assert cached_subset_mapper(n)(val) == reference_positions(val)
+
+
+def test_subset_mapper_covers_every_width():
+    for n in range(1, 62):
+        subset = subset_mapper(n)
+        for val in (0, 1, (1 << n) - 1, 1 << (n - 1), 0x5555555555555555 >> (64 - n)):
+            assert subset(val) == reference_positions(val)
 
 
 def test_positions_cover_every_byte_at_every_offset():
