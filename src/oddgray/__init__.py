@@ -10,21 +10,9 @@ at desk scale.
 """
 
 from .words import Bits, cat, complement, decompose, enumerate_dyck, is_dyck, mirror
-from .factor import FactorPath, cycle_factor, flip_edge, flip_sequence, path
+from .factor import flip_sequence
 from .flippable import BRIDGE, PATCH, Pattern, QUAD, fan
-from .spanning import (
-    Partition,
-    SpanningTree,
-    TreeReport,
-    counting_tree,
-    flat_tree,
-    full_tree,
-    mask_width,
-    partition,
-    steep_tree,
-    tree_family,
-    validate_tree,
-)
+from .spanning import SpanningTree, counting_tree, full_tree, mask_width
 from .assembly import (
     AssemblyError,
     CycleCertificate,
@@ -37,9 +25,10 @@ from .assembly import (
 
 # Names served on first use by the module that defines them, so that
 # importing the package loads neither ``checking`` nor ``verify``.
-_CHECKING = """Context Derivation FlippableTuple MarkedWord TreeEntry apply_context canonical_witness
-    conflict_violations derivations enumerate_tuples is_witness locate mirror_marked
-    mirror_tuple witness wrap_marked""".split()
+_CHECKING = """Context Derivation FactorPath FlippableTuple MarkedWord Partition TreeEntry
+    TreeReport apply_context canonical_witness conflict_violations cycle_factor derivations
+    enumerate_tuples flat_tree flip_edge is_witness locate mirror_marked mirror_tuple partition
+    path steep_tree tree_family validate_tree witness wrap_marked""".split()
 _VERIFY = """VerificationReport brute_force_hamilton verify_certificate verify_factor
     verify_flip_properties verify_tree verify_tuple_closure""".split()
 

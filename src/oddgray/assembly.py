@@ -26,7 +26,7 @@ The splice toggles every witness edge, and then places each witness vertex
 with no search over the factor. The placement pass, which visits every
 support member, also checks the tree: a union-find over origin numbers, a
 mark bitmask per word and a membership count cover the conditions of
-``spanning.validate_tree``, which runs only to write the text of a
+``checking.validate_tree``, which runs only to write the text of a
 failure. A witness meets each member's path in its named edge, and in
 every family that edge sits at fixed positions of the witness cycle
 (``flippable.Pattern.named_edges``, in the table of seed literals that
@@ -54,11 +54,11 @@ bit(p) in gplus and middle coordinates and ALL ^ bit(p) in odd ones (ALL has
 below, the top bit, the flip sequence and the top bit again. A segment ends
 at the next stop along the path in the walking direction, read from the
 path's stop mask: one word per Dyck word, with a bit at the index of each
-table vertex and at index 0 of path 0, the start. A table vertex reached
-along its path is left by a witness edge. So the Python work grows with
-the witness edges, not with the vertices, and no vertex is mapped from
-gplus to its target. The walk must return to its start after exactly the
-target's number of vertices.
+table vertex, set as the placement pass stores it, and at index 0 of path
+0, the start. A table vertex reached along its path is left by a witness
+edge. So the Python work grows with the witness edges, not with the
+vertices, and no vertex is mapped from gplus to its target. The walk must
+return to its start after exactly the target's number of vertices.
 
 Targets:
 
@@ -84,7 +84,7 @@ maps to the subset {1..k}).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, chain
 from math import comb
 from operator import xor
@@ -112,11 +112,8 @@ class AssemblyError(RuntimeError):
     """The symmetric difference did not form a single 2-regular cycle."""
 
 
-@dataclass(frozen=True)
-class CycleCertificate:
-    k: int
-    target: str
-    vertices: tuple
+class CycleCertificate(namedtuple("CycleCertificate", "k target vertices")):
+    __slots__ = ()
 
     def edge_set(self) -> frozenset[frozenset]:
         n = len(self.vertices)
@@ -133,14 +130,15 @@ def _tree_for(k: int, family_mask: int | None) -> spanning.SpanningTree:
 
 def _splice_table(
     k: int, tree: spanning.SpanningTree, dyck: tuple[Bits, ...], seqs: tuple[bytes, ...]
-) -> dict[int, int]:
+) -> tuple[dict[int, int], array]:
     """Witness vertex -> its packed entry: ((origin << 2k | a) << 2k | b) << 6 | index.
 
     The origin number indexes ``dyck`` and ``seqs``, their flip sequences
     (``factor.flip_sequences``); a and b are the vertex's two final
     neighbours, its factor neighbours with the witness edges toggled in.
     Every vertex not in the table keeps its two factor-cycle neighbours.
-    The tree is checked in the placement pass, and ``spanning.validate_tree``
+    Returned with the walk's stop masks (see the module docstring). The
+    tree is checked in the placement pass, and ``checking.validate_tree``
     runs only to report a tree that fails.
     """
     if not tree.spans_dyck(k):
@@ -173,6 +171,8 @@ def _splice_table(
     origin_of = {x.val: o for o, x in enumerate(dyck)}
     parent = array("l", range(len(dyck)))
     marks = array("Q", bytes(8 * len(dyck)))
+    stops = array("Q", bytes(8 * len(dyck)))
+    stops[0] = 1
     count = 0
     bit = _BIT.__getitem__
     bad = []
@@ -231,6 +231,7 @@ def _splice_table(
                     del table[y]
                 else:
                     table[y] = ((o << last | nb[0]) << last | nb[1]) << 6 | j
+                    stops[o] |= 1 << j
     if count != len(dyck) - 1:
         _reject(tree)
     if bad:
@@ -254,12 +255,14 @@ def _splice_table(
             f"{len(stray)} witness vertices lie on no factor path at a named edge, e.g. "
             f"{Bits(v, last)!r}{where}"
         )
-    return table
+    return table, stops
 
 
 def _reject(tree: spanning.SpanningTree) -> NoReturn:
     """Raise the ``ValueError`` for a tree the splice cannot use, invalidity first."""
-    report = spanning.validate_tree(tree)
+    from .checking import validate_tree
+
+    report = validate_tree(tree)
     if not report.passed:
         raise ValueError("invalid spanning tree: " + "; ".join(report.failures))
     raise ValueError("tree does not span the Dyck words of this semilength")
@@ -276,7 +279,7 @@ def _meeting(tree: spanning.SpanningTree, vertices: set[int], what: str) -> str:
 
 
 def _walk(
-    k: int, table: dict[int, int], tree: spanning.SpanningTree, target: str
+    k: int, table: dict[int, int], stops: array, tree: spanning.SpanningTree, target: str
 ) -> Iterator[list[int]]:
     """The spliced cycle from the least vertex (1 << k) - 1, toward its smaller neighbour, in runs.
 
@@ -298,10 +301,6 @@ def _walk(
     # bit[p] and step[p] flip position p, in gplus and in the walk's coordinates; p = 0 closes
     bit = (full, *_BIT[1:span])
     step = (top if laps == 2 else full, *(flip ^ b for b in bit[1:]))
-    stops = array("Q", bytes(8 * len(dyck)))
-    stops[0] = 1
-    for entry in table.values():
-        stops[entry >> above] |= 1 << (entry & 63)
     reached = bytearray(len(dyck))  # the paths whose table vertices the walk met
     start = g = v = (1 << k) - 1  # dyck[0] = 1^k 0^k, at index 0 of its own path
     # off the table, the start leaves toward its smaller factor neighbour, as if from the larger
@@ -376,8 +375,8 @@ def stream_gplus_vals(
     """
     if k < 3:
         raise ValueError(PETERSEN_NOTE if k == 2 else "assembly needs k >= 3")
-    table = _splice_table(k, tree, enumerate_dyck(k), flip_sequences(k))
-    return chain.from_iterable(_walk(k, table, tree, target))
+    table, stops = _splice_table(k, tree, enumerate_dyck(k), flip_sequences(k))
+    return chain.from_iterable(_walk(k, table, stops, tree, target))
 
 
 def hamilton_gplus(k: int, tree: spanning.SpanningTree) -> CycleCertificate:

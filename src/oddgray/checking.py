@@ -2,7 +2,9 @@
 
 Generation carries tuples as packed entries (``flippable``) and never
 imports this module; the verifiers, the tests, the ``tree`` command and the
-splice's failure messages import it inside the call that needs it.
+splice's failure messages import it inside the call that needs it. It is
+the one module that declares dataclasses, so a generation run imports
+neither ``dataclasses`` nor ``inspect``.
 
 A ``FlippableTuple`` holds ``MarkedWord`` members in canonical order, and
 ``apply_context`` wraps a seed tuple in a ``Context``. A ``Derivation``
@@ -23,6 +25,10 @@ semilength k. Two pool tuples whose supports share exactly one word mark it
 at different positions, so all their witnesses can be applied at once
 (``conflict_violations``), and every pool tuple has exactly one derivation,
 so a tree entry's derivation gives the canonical witness.
+
+It also holds the factor's views on ``Bits`` (``path``, ``flip_edge``,
+``cycle_factor``), the flat and steep trees on their own, and
+``validate_tree``, whose texts the splice reports when its own check fails.
 """
 
 from __future__ import annotations
@@ -31,10 +37,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .factor import flip_edge
+from .factor import _path_vals, flip_sequence, flip_sequences
 from .flippable import BRIDGE, PATCH, QUAD, PackedEntry, Pattern, append, fan, seed, shift, wrap
-from .spanning import SpanningTree
+from .spanning import SpanningTree, _Recursion, full_tree
 from .words import (
+    MAX_K,
     Bits,
     EMPTY,
     ONE,
@@ -316,6 +323,34 @@ def canonical_witness(t: FlippableTuple) -> tuple[Bits, ...]:
     return ds[0].witness()
 
 
+@dataclass(frozen=True)
+class FactorPath:
+    origin: Bits
+    vertices: tuple[Bits, ...]
+
+
+def path(x: Bits) -> FactorPath:
+    """The factor path from x to its complement (2k+1 vertices)."""
+    return FactorPath(x, tuple(Bits(v, x.n) for v in _path_vals(x.val, flip_sequence(x))))
+
+
+def flip_edge(x: Bits, i: int) -> frozenset[Bits]:
+    """The unique edge of path(x) along which bit i flips."""
+    if not 1 <= i <= x.n:
+        raise ValueError(f"position {i} outside 1..{x.n}")
+    seq = flip_sequence(x)
+    step = seq.index(i)
+    return frozenset(Bits(v, x.n) for v in _path_vals(x.val, seq)[step : step + 2])
+
+
+def cycle_factor(k: int) -> Iterator[FactorPath]:
+    """One path per Dyck word of semilength k, in enumeration order."""
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"semilength {k} outside 1..{MAX_K}")
+    for x, seq in zip(enumerate_dyck(k), flip_sequences(k)):
+        yield FactorPath(x, tuple(Bits(v, x.n) for v in _path_vals(x.val, seq)))
+
+
 def locate(y: Bits) -> tuple[Bits, int]:
     """The unique (origin, index) with path(origin).vertices[index] == y.
 
@@ -480,3 +515,130 @@ def tree_json(tree: SpanningTree) -> dict:
         "base": sorted(str(x) for x in tree.base),
         "tuples": [{**t.to_json(), "derivation": d.to_json()} for t, d in pairs],
     }
+
+
+@dataclass(frozen=True)
+class Partition:
+    """The flat/steep split of the Dyck words of one semilength."""
+
+    k: int
+    flat: frozenset[Bits]
+    steep: frozenset[Bits]
+
+
+@lru_cache(maxsize=None)
+def partition(k: int) -> Partition:
+    if k < 2:
+        raise ValueError("partition defined for semilength >= 2")
+    words = enumerate_dyck(k)
+    if k == 3:
+        steep = frozenset((Bits.parse("110010"),))
+    else:
+        steep = frozenset(x for x in words if x.bit(2) == 1)
+    return Partition(k, frozenset(words) - steep, steep)
+
+
+def flat_tree(k: int) -> SpanningTree:
+    if k < 2:
+        raise ValueError("flat tree defined for semilength >= 2")
+    return SpanningTree(partition(k).flat, tuple(_Recursion().flat(k)), 2 * k)
+
+
+def steep_tree(k: int) -> SpanningTree:
+    if k < 2:
+        raise ValueError("steep tree defined for semilength >= 2")
+    return SpanningTree(partition(k).steep, tuple(_Recursion().steep(k)), 2 * k)
+
+
+def tree_family(k: int) -> tuple[SpanningTree | None, SpanningTree, SpanningTree]:
+    """(full, flat, steep) trees of one semilength; full is None for k == 2."""
+    full = full_tree(k) if k >= 3 else None
+    return full, flat_tree(k), steep_tree(k)
+
+
+@dataclass(frozen=True)
+class TreeReport:
+    passed: bool
+    failures: tuple[str, ...]
+
+
+def validate_tree(t: SpanningTree) -> TreeReport:
+    """Check the spanning-tree conditions, reporting every violation.
+
+    (1) supports inside the base set, (2) pairwise support intersections of
+    size at most one, (3) sum(|support| - 1) == |base| - 1, (4) connected
+    incidence structure, (5) distinct marks on shared words. Given (3), the
+    incidence structure (words plus tuples, joined by membership) has exactly
+    |base| + #tuples - 1 edges, so (3) and (4) make it a tree; that both
+    implies (2) and matches the recursive block-splitting definition of a
+    spanning hypertree, since removing any tuple from a tree of incidences
+    leaves one component per support word.
+
+    The checks run on each entry's packed support; a word is keyed by its
+    packed value with a stop bit above its last position, so words of
+    different lengths never collide. Tuples and words are rendered only for
+    a failure message, so a tree makes its derivations only when it fails.
+    """
+
+    def word(key: int) -> Bits:
+        n = key.bit_length() - 1
+        return Bits(key ^ 1 << n, n)
+
+    base = [x.val | 1 << x.n for x in t.words]
+    parent = dict(zip(base, base))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # One pass makes check (1), counts for (3), gathers the marked words of
+    # (2) and (5), and joins the words of (4).
+    failures: list[str] = []
+    by_word: dict[int, list[tuple[int, int]]] = {}
+    count = 0
+    stop = 1 << t.n
+    for idx, (_, _, members) in enumerate(t.packed):
+        count += len(members) - 1
+        outside = []
+        root = None
+        for val, mark in members:
+            w = val | stop
+            by_word.setdefault(w, []).append((idx, mark))
+            if w not in parent:
+                outside.append(w)
+            elif root is None:
+                root = find(w)
+            else:
+                parent[find(w)] = root
+        if outside:
+            failures.append(
+                f"support of {t.entries[idx].tup} leaves the base set: {sorted(map(word, outside))}"
+            )
+
+    pair_shared: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+    for w, marked in by_word.items():
+        for a in range(len(marked) - 1):
+            for b in range(a + 1, len(marked)):
+                (ia, ma), (ib, mb) = marked[a], marked[b]
+                pair_shared.setdefault((ia, ib), []).append((w, ma == mb))
+    failing = [p for p, shared in pair_shared.items() if len(shared) > 1 or shared[0][1]]
+    for a, b in sorted(failing):
+        shared = pair_shared[a, b]
+        pair = f"tuples {t.entries[a].tup} and {t.entries[b].tup}"
+        if len(shared) > 1:
+            failures.append(f"{pair} share {len(shared)} words")
+        else:
+            failures.append(f"{pair} mark {word(shared[0][0])} identically")
+
+    if count != len(base) - 1:
+        failures.append(
+            f"tuple-size accounting: sum(size - 1) = {count}, expected {len(base) - 1}"
+        )
+
+    roots = {find(x) for x in parent}
+    if len(roots) > 1:
+        failures.append(f"incidence structure has {len(roots)} components")
+
+    return TreeReport(not failures, tuple(failures))

@@ -29,7 +29,7 @@ from math import comb
 from typing import IO, Iterable, Iterator
 
 from . import assembly, spanning
-from .factor import _path_vals, cycle_factor, flip_sequences
+from .factor import _path_vals, flip_sequences
 from .words import MAX_K, enumerate_dyck, line_renderer, subset_mapper
 
 # Lines joined into one string per ``out.write``.
@@ -193,6 +193,8 @@ def _cmd_bench(args, parser, out: IO[str]) -> int:
         parser.error(f"bench needs 3 <= k <= {_ceiling()}")
     if args.repeat < 1:
         parser.error("bench needs --repeat >= 1")
+    from .checking import cycle_factor
+
     total = comb(2 * k + 1, k)
     for _ in range(args.repeat):
         t0 = time.perf_counter()

@@ -15,26 +15,18 @@ and cover all binomial(2k+1, k) vertices of the two layers.
 
 One packed recursion computes every flip sequence. ``flip_sequences(k)``
 runs it once over the Dyck words and keeps the table for the latest k, which
-the splice, the walk (its middle-levels detours too), ``cycle_factor`` and
-the ``factor`` command share; ``flip_sequence``, ``path`` and ``flip_edge`` run
-it for one word and keep nothing. The table holds each sequence as
+the splice, the walk, the ``factor`` command and ``checking``'s views on
+``Bits`` (``path``, ``flip_edge``, ``cycle_factor``) share; ``flip_sequence``
+runs it for one word and keeps nothing. The table holds each sequence as
 ``bytes``, one byte per position (at most MAX_LEN = 62), so indexing, slicing
 and ``index`` read positions as ints; ``flip_sequence`` returns a tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
-from .words import MAX_K, MAX_LEN, Bits, enumerate_dyck, first_return_val, is_dyck
-
-
-@dataclass(frozen=True)
-class FactorPath:
-    origin: Bits
-    vertices: tuple[Bits, ...]
+from .words import MAX_LEN, Bits, enumerate_dyck, first_return_val, is_dyck
 
 
 # _ADD[s] translates each byte b to b + s (mod 256): one table per shift a
@@ -89,24 +81,10 @@ def _path_vals(val: int, seq: bytes | tuple[int, ...]) -> list[int]:
     return vals
 
 
-def path(x: Bits) -> FactorPath:
-    """The factor path from x to its complement (2k+1 vertices)."""
-    return FactorPath(x, tuple(Bits(v, x.n) for v in _path_vals(x.val, flip_sequence(x))))
+def __getattr__(name: str):
+    # ``cycle_factor`` lives in ``checking``; its old import path still serves it.
+    if name == "cycle_factor":
+        from .checking import cycle_factor
 
-
-def flip_edge(x: Bits, i: int) -> frozenset[Bits]:
-    """The unique edge of path(x) along which bit i flips."""
-    if not 1 <= i <= x.n:
-        raise ValueError(f"position {i} outside 1..{x.n}")
-    seq = flip_sequence(x)
-    step = seq.index(i)
-    return frozenset(Bits(v, x.n) for v in _path_vals(x.val, seq)[step : step + 2])
-
-
-def cycle_factor(k: int) -> Iterator[FactorPath]:
-    """One path per Dyck word of semilength k, in enumeration order."""
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"semilength {k} outside 1..{MAX_K}")
-    for x, seq in zip(enumerate_dyck(k), flip_sequences(k)):
-        yield FactorPath(x, tuple(Bits(v, x.n) for v in _path_vals(x.val, seq)))
-
+        return cycle_factor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -36,7 +36,7 @@ which generation never imports; ``Pattern.tuple()`` reads the seed there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .words import Bits, EMPTY, is_dyck, mirror_val
 
@@ -77,20 +77,19 @@ _FAMILIES = tuple(_SEEDS)
 _NAMED_EDGES = {f: tuple(e for _, _, e in members) for f, (_, _, members) in _SEEDS.items()}
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(namedtuple("Pattern", "family inner")):
     """One of the four seed tuples; ``inner`` is the fan parameter (empty otherwise)."""
 
-    family: str
-    inner: Bits = EMPTY
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown pattern family {self.family!r}")
-        if self.family != "fan" and self.inner.n:
-            raise ValueError(f"{self.family} takes no parameter")
-        if self.family == "fan" and not is_dyck(self.inner):
+    def __new__(cls, family: str, inner: Bits = EMPTY) -> "Pattern":
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown pattern family {family!r}")
+        if family != "fan" and inner.n:
+            raise ValueError(f"{family} takes no parameter")
+        if family == "fan" and not is_dyck(inner):
             raise ValueError("fan parameter must be a Dyck word")
+        return super().__new__(cls, family, inner)
 
     def _head(self) -> tuple[int, int]:
         """The packed prefix ahead of every listed literal, and its length: 1 w for fan(w)."""

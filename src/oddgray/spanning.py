@@ -10,8 +10,8 @@ their witness cycles stay edge-disjoint.
 
 The construction splits the words into a *flat* block (second bit 0; for
 k >= 4 exactly the words 10.D_{k-1}) and a *steep* block (the rest), with
-k = 3 split irregularly as the singleton {110010} versus the other four.
-Trees are then built by mutual induction:
+k = 3 split irregularly as the singleton {110010} versus the other four
+(``checking.partition``). Trees are then built by mutual induction:
 
   full(k)   spans everything: steep(k), plus flat(k-1) and steep(k-1)
             shifted behind "10", joined by the connector bridge.(10)^(k-3);
@@ -38,6 +38,10 @@ once, and then appends each inner word v to the wrapped list. A memo local
 to one build keeps the shared subtrees, so nothing outlives the build but
 the tree.
 
+Generation builds only ``full_tree`` and ``counting_tree``; the flat and
+steep trees on their own and ``validate_tree`` serve the checks, in
+``checking``.
+
 A tree is its words, its packed entries and its word length, however it
 was made. Its derivations (``SpanningTree.entries``, which the ``tree``
 command, the verifiers, the splice's failure messages and perfbench read)
@@ -49,28 +53,18 @@ a tree by hand from derivations by peeling them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .flippable import BRIDGE, PATCH, PackedEntry, QUAD, append, fan, seed, shift, wrap
 from .words import Bits, enumerate_dyck
 
 
-@dataclass(frozen=True)
-class Partition:
-    """The flat/steep split of the Dyck words of one semilength."""
-
-    k: int
-    flat: frozenset[Bits]
-    steep: frozenset[Bits]
-
-
 class SpanningTree:
     """Tree tuples as packed entries over a base set of words, the entries' words of length n.
 
-    ``full_tree``, ``flat_tree``, ``steep_tree`` and ``counting_tree`` make
-    one from the recursion's entries; ``base`` and the derivations
-    ``entries`` are read back on first read.
+    ``full_tree``, ``counting_tree`` and ``checking``'s ``flat_tree`` and
+    ``steep_tree`` make one from the recursion's entries; ``base`` and the
+    derivations ``entries`` are read back on first read.
     """
 
     def __init__(self, words, packed: tuple[PackedEntry, ...], n: int) -> None:
@@ -96,30 +90,12 @@ class SpanningTree:
         return frozenset(e.tup for e in self.entries)
 
 
-@dataclass(frozen=True)
-class TreeReport:
-    passed: bool
-    failures: tuple[str, ...]
-
-
 _TEN = Bits.parse("10")
 _1100 = Bits.parse("1100")
 
 
 def _alternating(j: int) -> Bits:
     return Bits.parse("10" * j)
-
-
-@lru_cache(maxsize=None)
-def partition(k: int) -> Partition:
-    if k < 2:
-        raise ValueError("partition defined for semilength >= 2")
-    words = enumerate_dyck(k)
-    if k == 3:
-        steep = frozenset((Bits.parse("110010"),))
-    else:
-        steep = frozenset(x for x in words if x.bit(2) == 1)
-    return Partition(k, frozenset(words) - steep, steep)
 
 
 class _Recursion:
@@ -132,11 +108,6 @@ class _Recursion:
 
     def __init__(self) -> None:
         self.memo: dict = {}
-
-    def tree(self, kind: str, k: int, chosen: frozenset[Bits] | None = None) -> list:
-        if kind == "flat":
-            return self.flat(k)
-        return self.steep(k, chosen) if kind == "steep" else self.full(k, chosen)
 
     def flat(self, j: int) -> list:
         memo = self.memo
@@ -213,34 +184,11 @@ class _Recursion:
         return out
 
 
-def _built(kind: str, k: int, chosen: frozenset[Bits] | None = None) -> SpanningTree:
-    # The words come first: enumerating them refuses a k too large for memory.
-    words = enumerate_dyck(k) if kind == "full" else getattr(partition(k), kind)
-    return SpanningTree(words, tuple(_Recursion().tree(kind, k, chosen)), 2 * k)
-
-
-def flat_tree(k: int) -> SpanningTree:
-    if k < 2:
-        raise ValueError("flat tree defined for semilength >= 2")
-    return _built("flat", k)
-
-
-def steep_tree(k: int) -> SpanningTree:
-    if k < 2:
-        raise ValueError("steep tree defined for semilength >= 2")
-    return _built("steep", k)
-
-
 def full_tree(k: int) -> SpanningTree:
     if k < 3:
         raise ValueError("full tree defined for semilength >= 3")
-    return _built("full", k)
-
-
-def tree_family(k: int) -> tuple[SpanningTree | None, SpanningTree, SpanningTree]:
-    """(full, flat, steep) trees of one semilength; full is None for k == 2."""
-    full = full_tree(k) if k >= 3 else None
-    return full, flat_tree(k), steep_tree(k)
+    # The words come first: enumerating them refuses a k too large for memory.
+    return SpanningTree(enumerate_dyck(k), tuple(_Recursion().full(k)), 2 * k)
 
 
 def mask_width(k: int) -> int:
@@ -256,92 +204,16 @@ def counting_tree(k: int, y_mask: int) -> SpanningTree:
     Bit i of the mask switches the i-th Dyck word of semilength k-5 (in
     enumeration order) to the alternate stage-5 sub-construction.
     """
-    words = enumerate_dyck(k - 5) if k >= 6 else None
-    if words is None:
-        raise ValueError("counting trees defined for semilength >= 6")
-    if not 0 <= y_mask < (1 << len(words)):
-        raise ValueError(f"mask {y_mask} outside 0..{(1 << len(words)) - 1}")
-    chosen = frozenset(w for i, w in enumerate(words) if y_mask >> i & 1)
-    return _built("full", k, chosen)
+    if not 0 <= y_mask < (1 << mask_width(k)):
+        raise ValueError(f"mask {y_mask} outside 0..{(1 << mask_width(k)) - 1}")
+    chosen = frozenset(w for i, w in enumerate(enumerate_dyck(k - 5)) if y_mask >> i & 1)
+    return SpanningTree(enumerate_dyck(k), tuple(_Recursion().full(k, chosen)), 2 * k)
 
 
-def validate_tree(t: SpanningTree) -> TreeReport:
-    """Check the spanning-tree conditions, reporting every violation.
+def __getattr__(name: str):
+    # ``validate_tree`` lives in ``checking``; its old import path still serves it.
+    if name == "validate_tree":
+        from .checking import validate_tree
 
-    (1) supports inside the base set, (2) pairwise support intersections of
-    size at most one, (3) sum(|support| - 1) == |base| - 1, (4) connected
-    incidence structure, (5) distinct marks on shared words. Given (3), the
-    incidence structure (words plus tuples, joined by membership) has exactly
-    |base| + #tuples - 1 edges, so (3) and (4) make it a tree; that both
-    implies (2) and matches the recursive block-splitting definition of a
-    spanning hypertree, since removing any tuple from a tree of incidences
-    leaves one component per support word.
-
-    The checks run on each entry's packed support; a word is keyed by its
-    packed value with a stop bit above its last position, so words of
-    different lengths never collide. Tuples and words are rendered only for
-    a failure message, so a tree makes its derivations only when it fails.
-    """
-
-    def word(key: int) -> Bits:
-        n = key.bit_length() - 1
-        return Bits(key ^ 1 << n, n)
-
-    base = [x.val | 1 << x.n for x in t.words]
-    parent = dict(zip(base, base))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # One pass makes check (1), counts for (3), gathers the marked words of
-    # (2) and (5), and joins the words of (4).
-    failures: list[str] = []
-    by_word: dict[int, list[tuple[int, int]]] = {}
-    count = 0
-    stop = 1 << t.n
-    for idx, (_, _, members) in enumerate(t.packed):
-        count += len(members) - 1
-        outside = []
-        root = None
-        for val, mark in members:
-            w = val | stop
-            by_word.setdefault(w, []).append((idx, mark))
-            if w not in parent:
-                outside.append(w)
-            elif root is None:
-                root = find(w)
-            else:
-                parent[find(w)] = root
-        if outside:
-            failures.append(
-                f"support of {t.entries[idx].tup} leaves the base set: {sorted(map(word, outside))}"
-            )
-
-    pair_shared: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for w, marked in by_word.items():
-        for a in range(len(marked) - 1):
-            for b in range(a + 1, len(marked)):
-                (ia, ma), (ib, mb) = marked[a], marked[b]
-                pair_shared.setdefault((ia, ib), []).append((w, ma == mb))
-    failing = [p for p, shared in pair_shared.items() if len(shared) > 1 or shared[0][1]]
-    for a, b in sorted(failing):
-        shared = pair_shared[a, b]
-        pair = f"tuples {t.entries[a].tup} and {t.entries[b].tup}"
-        if len(shared) > 1:
-            failures.append(f"{pair} share {len(shared)} words")
-        else:
-            failures.append(f"{pair} mark {word(shared[0][0])} identically")
-
-    if count != len(base) - 1:
-        failures.append(
-            f"tuple-size accounting: sum(size - 1) = {count}, expected {len(base) - 1}"
-        )
-
-    roots = {find(x) for x in parent}
-    if len(roots) > 1:
-        failures.append(f"incidence structure has {len(roots)} components")
-
-    return TreeReport(not failures, tuple(failures))
+        return validate_tree
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,7 @@ genuine exception at k = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, repeat
 from math import comb
 from typing import Iterable
@@ -22,10 +22,8 @@ from .words import Bits, bitstring, positions
 BRUTE_FORCE_CAP = 40
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    passed: bool
-    failures: tuple[tuple[str, str], ...]
+# passed: bool; failures: ((name, item), ...)
+VerificationReport = namedtuple("VerificationReport", "passed failures")
 
 
 def _report(failures: list[tuple[str, str]]) -> VerificationReport:
@@ -164,7 +162,7 @@ def brute_force_hamilton(k: int, target: str):
 
 def verify_factor(k: int) -> VerificationReport:
     """Factor paths are disjoint, cover both layers, and number Catalan(k)."""
-    from .factor import cycle_factor
+    from .checking import cycle_factor
 
     failures: list[tuple[str, str]] = []
     catalan = comb(2 * k, k) // (k + 1)
@@ -241,8 +239,8 @@ def verify_tree(k: int, mask: int | None = None) -> VerificationReport:
     witness the splice takes from it is the canonical one, and each packed
     entry, which the splice reads, must be what peeling that derivation gives.
     """
-    from .checking import derivations, is_witness
-    from .spanning import counting_tree, full_tree, validate_tree
+    from .checking import derivations, is_witness, validate_tree
+    from .spanning import counting_tree, full_tree
 
     failures: list[tuple[str, str]] = []
     tree = full_tree(k) if mask is None else counting_tree(k, mask)

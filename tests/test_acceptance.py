@@ -16,12 +16,15 @@ from oddgray.checking import (
     conflict_violations,
     derivations,
     enumerate_tuples,
+    flip_edge,
     hand_tree,
     is_witness,
+    path,
+    validate_tree,
 )
-from oddgray.factor import flip_edge, flip_sequence, path
+from oddgray.factor import flip_sequence
 from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
-from oddgray.spanning import mask_width, validate_tree
+from oddgray.spanning import mask_width
 from oddgray.verify import (
     brute_force_hamilton,
     verify_certificate,

@@ -2,8 +2,8 @@ from math import comb
 
 import pytest
 
-from oddgray.checking import locate
-from oddgray.factor import cycle_factor, flip_edge, flip_sequence, flip_sequences, path
+from oddgray.checking import cycle_factor, flip_edge, locate, path
+from oddgray.factor import flip_sequence, flip_sequences
 from oddgray.words import Bits, cat, complement, decompose, enumerate_dyck, mirror
 
 B = Bits.parse

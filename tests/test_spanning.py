@@ -11,20 +11,16 @@ from oddgray.checking import (
     canonical_witness,
     derivations,
     enumerate_tuples,
-    hand_tree,
-    tree_json,
-)
-from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
-from oddgray.spanning import (
-    counting_tree,
     flat_tree,
-    full_tree,
-    mask_width,
+    hand_tree,
     partition,
     steep_tree,
     tree_family,
+    tree_json,
     validate_tree,
 )
+from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
+from oddgray.spanning import counting_tree, full_tree, mask_width
 from oddgray.words import Bits, EMPTY, enumerate_dyck
 
 B = Bits.parse

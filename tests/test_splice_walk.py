@@ -13,6 +13,7 @@ its detour (``reference_middle``, the earlier middle-levels stream).
 """
 
 import re
+from array import array
 from collections import Counter
 from itertools import chain
 from math import comb
@@ -166,7 +167,7 @@ def test_table_holds_exactly_the_witness_vertices():
     tree = full_tree(8)
     dyck = enumerate_dyck(8)
     seqs = flip_sequences(8)
-    table = _splice_table(8, tree, dyck, seqs)
+    table, _ = _splice_table(8, tree, dyck, seqs)
     assert set(table) == surviving_witness_vertices(tree)
     assert len(table) == 4014
     full = (1 << 16) - 1
@@ -177,6 +178,21 @@ def test_table_holds_exactly_the_witness_vertices():
         assert v not in (a, b) and a != b
 
 
+@pytest.mark.parametrize("k, mask", [(3, None), (5, None), (8, None), (7, 2), (9, 3053)])
+def test_stop_masks_hold_the_table_vertices_and_the_start(k, mask):
+    # One bit per stored entry, at its index on its origin's path, and the
+    # walk's start, index 0 of path 0; none for a vertex whose toggles cancel.
+    tree = full_tree(k) if mask is None else counting_tree(k, mask)
+    dyck = enumerate_dyck(k)
+    table, stops = _splice_table(k, tree, dyck, flip_sequences(k))
+    expected = [0] * len(dyck)
+    expected[0] = 1
+    for entry in table.values():
+        expected[entry >> (4 * k + 6)] |= 1 << (entry & 63)
+    assert list(stops) == expected
+    assert sum(m.bit_count() for m in stops) == len(table) + (table.get((1 << k) - 1) is None)
+
+
 def test_walk_is_cut_after_the_vertex_count():
     # The start's entry sends the walk over a witness edge to 1, and 1 and 2
     # name each other as both neighbours, so the walk hops between them and
@@ -185,9 +201,10 @@ def test_walk_is_cut_after_the_vertex_count():
         return (a << 8 | b) << 6
 
     table = {15: entry(1, 255), 1: entry(2, 2), 2: entry(1, 1)}
+    stops = array("Q", [1] + [0] * 13)  # every entry is at index 0 of path 0
     out = []
     with pytest.raises(AssemblyError, match="did not return to its start after 126 vertices"):
-        out.extend(chain.from_iterable(_walk(4, table, full_tree(4), TARGET_GPLUS)))
+        out.extend(chain.from_iterable(_walk(4, table, stops, full_tree(4), TARGET_GPLUS)))
     assert out[:5] == [15, 1, 2, 1, 2] and len(out) == 126
 
 

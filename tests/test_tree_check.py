@@ -1,4 +1,4 @@
-"""The splice's own tree check against ``spanning.validate_tree``.
+"""The splice's own tree check against ``checking.validate_tree``.
 
 The splice checks the tree inside its placement pass and calls
 ``validate_tree`` only to render a failure. The texts below were recorded
@@ -21,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddgray.assembly import AssemblyError, _splice_table, stream_gplus_vals
-from oddgray.checking import hand_tree
+from oddgray.checking import hand_tree, validate_tree
 from oddgray.factor import flip_sequences
-from oddgray.spanning import SpanningTree, full_tree, validate_tree
+from oddgray.spanning import SpanningTree, full_tree
 from oddgray.words import enumerate_dyck
 
 
@@ -212,12 +212,12 @@ def test_generation_calls_validate_tree_only_to_render_a_failure():
         "import io\n"
         "from oddgray import assembly, checking, cli, spanning\n"
         "calls = 0\n"
-        "validate = spanning.validate_tree\n"
+        "validate = checking.validate_tree\n"
         "def counted(*args):\n"
         "    global calls\n"
         "    calls += 1\n"
         "    return validate(*args)\n"
-        "spanning.validate_tree = counted\n"
+        "checking.validate_tree = counted\n"
         "for argv in (['gen', '--k', '8'], ['gen', '--k', '7', '--family', '3']):\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0\n"
         "print(calls)\n"

@@ -2,7 +2,7 @@ import pytest
 
 from oddgray import verify
 from oddgray.assembly import CycleCertificate, hamilton_odd
-from oddgray.factor import cycle_factor
+from oddgray.checking import cycle_factor
 from oddgray.verify import (
     brute_force_hamilton,
     verify_certificate,
