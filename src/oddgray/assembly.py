@@ -2,18 +2,8 @@
 
 The Hamilton cycle is the cycle factor with one witness cycle per
 spanning-tree tuple XOR-ed in. Because the tree is conflict-free and spans
-every Dyck word, the splices join all factor cycles into one. Only the
-witness vertices get neighbours that differ from the factor's, so only they
-are stored: the splice table maps each to its two final neighbours a and
-b and to its (Dyck origin o, index j) on the factor, packed in one int
-
-  ((o << 2k | a) << 2k | b) << 6 | j
-
-(j <= 2k <= 60 fits in six bits, and o is unbounded above). Every other
-vertex keeps its two factor-cycle neighbours, which its path's flip
-sequence gives, so checking the table for degree 2 checks the whole graph.
-Memory thus grows with the witness vertices, not with the whole graph.
-The splice and the walk read one shared table of flip sequences per k
+every Dyck word, the splices join all factor cycles into one. The splice
+and the walk read one shared table of flip sequences per k
 (``factor.flip_sequences``).
 
 The splice reads the tree's packed entries, whose witnesses and supports
@@ -22,43 +12,68 @@ generation runs no derivation search, peels no context and never loads
 ``checking``, where ``verify.verify_tree`` checks that each entry's
 derivation is its tuple's only one and peels to its packed entry. The
 failure messages below read the tuples there (``SpanningTree.entries``).
-The splice toggles every witness edge, and then places each witness vertex
-with no search over the factor. The placement pass, which visits every
-support member, also checks the tree: a union-find over origin numbers, a
-mark bitmask per word and a membership count cover the conditions of
-``checking.validate_tree``, which runs only to write the text of a
-failure. A witness meets each member's path in its named edge, and in
-every family that edge sits at fixed positions of the witness cycle
-(``flippable.Pattern.named_edges``, in the table of seed literals that
-fixes them), in the support's member order:
+
+A witness of a t-tuple has 2t vertices and meets each member's path in
+exactly its named edge. In every family that edge sits at witness positions
+{2r, 2r + 1} (``flippable.Pattern.named_edges``, in the table of seed
+literals that fixes them), in the support's member order:
 
   fan     (3, 2), (4, 5), (0, 1)
   bridge  (5, 4), (2, 3), (0, 1)
   quad    (7, 6), (5, 4), (2, 3), (0, 1)
   patch   (0, 1), (5, 4), (3, 2)
 
-The named edge of member (x, m) flips m at index i = seq.index(m) of the
-path of x, so it joins x ^ (the first i flips of seq) to that vertex with m
-flipped. A witness vertex placed there must equal one of the two exactly;
-one that no named edge holds raises ``AssemblyError`` with the tuple, the
-member's Dyck origin and the index; a vertex of the wrong degree, and a
-walk that misses a factor path, name the tuples whose witnesses meet it.
+So every witness vertex ends a named edge, and its other witness edge, from
+2r + 1 to 2r + 2 or from 2r to 2r - 1 (mod 2t), is its hop: toggling the
+witness takes the named edges out of the factor and puts the hops in. The
+named edge of member (x, m) flips m at index i = seq.index(m) of the path of
+x, so it joins x ^ (the first i flips of seq), its lower end, to that vertex
+with m flipped, its upper end, at index i + 1.
 
-The walk goes one factor-path segment at a time. Between two table
-vertices the cycle stays on one path, so a segment is an interval of that
-path's flip sequence, emitted by one ``itertools.accumulate`` over a step
-table, which alone sets the target's coordinates: flipping position p XORs
-bit(p) in gplus and middle coordinates and ALL ^ bit(p) in odd ones (ALL has
-2k+1 bits), and the closing edge {x, ~x}, from index 2k to index 0, XORs
-``full`` in gplus and odd coordinates; in middle ones it is the detour
-below, the top bit, the flip sequence and the top bit again. A segment ends
-at the next stop along the path in the walking direction, read from the
-path's stop mask: one word per Dyck word, with a bit at the index of each
-table vertex, set as the placement pass stores it, and at index 0 of path
-0, the start. A table vertex reached along its path is left by a witness
-edge. So the Python work grows with the witness edges, not with the
-vertices, and no vertex is mapped from gplus to its target. The walk must
-return to its start after exactly the target's number of vertices.
+The splice is one pass over the members (``_splice_hops``). It checks the
+tree: a union-find over origin numbers, a mark bitmask per word and a
+membership count cover the conditions of ``checking.validate_tree``, which
+runs only to write the text of a failure. It checks that the witness
+vertices at a member's named positions are the two ends of its named edge.
+And it stores each hop at both its ends, in a dict keyed by the end's vertex
+value, as the end the hop lands on packed in one int: that end's Dyck
+origin, its index on its path, whether it is the upper end, and its vertex.
+A vertex that ends two named edges, i - 1 and i of its path, has two hops,
+the second in a small side dict. Each path gets a mask with a bit at the
+index of each of its named edges. Memory thus grows with the witness
+vertices, not with the whole graph.
+
+The walk goes one run at a time. A run leaves the end a hop lands on along
+its path, away from that end's named edge, and stops at the nearest
+named-edge end: going up from index j, at the lowest bit of the path's mask
+at or above j; going down, above the highest bit below j; and past the
+path's closing step to the other end of the mask if there is none. There
+the walk takes that end's hop. A run of one vertex is a vertex that ends two
+named edges, which leaves by the hop it did not arrive by. A run is an
+interval of the path's flip sequence, emitted by one
+``itertools.accumulate`` over a step table, which alone sets the target's
+coordinates: flipping position p XORs bit(p) in gplus and middle coordinates
+and ALL ^ bit(p) in odd ones (ALL has 2k+1 bits), and the closing edge
+{x, ~x}, from index 2k to index 0, XORs ``full`` in gplus and odd
+coordinates; in middle ones it is the detour below, the top bit, the flip
+sequence and the top bit again. The walk starts at index 0 of path 0, the
+least vertex, toward its smaller neighbour, and the run that comes back
+along path 0 stops there. So the Python work grows with the witness edges,
+not with the vertices, and no vertex is mapped from gplus to its target. The
+walk must return to its start after exactly the target's number of
+vertices.
+
+The hops are the toggled graph exactly when every witness position holds an
+end of its member's named edge, every hop joins two paths, and no two
+witnesses share a hop edge. The union-find ensures the last two: a tuple's
+words are distinct, and two tuples whose witnesses share a hop share the
+words of both its paths. A tree that breaks the first goes to the toggle
+splice in ``checking`` (``_splice_table`` and ``_walk``), which toggles
+every witness edge into a table of final neighbours and walks it if it is
+one cycle. It raises an ``AssemblyError`` for a witness vertex that no named
+edge holds, naming the tuple, the member's Dyck origin and the index, and
+for a vertex of the wrong degree, naming the tuples whose witnesses meet
+it. Either splice raises the ``ValueError`` of an invalid tree.
 
 Targets:
 
@@ -128,60 +143,44 @@ def _tree_for(k: int, family_mask: int | None) -> spanning.SpanningTree:
     return spanning.counting_tree(k, family_mask)
 
 
-def _splice_table(
+def _splice_hops(
     k: int, tree: spanning.SpanningTree, dyck: tuple[Bits, ...], seqs: tuple[bytes, ...]
-) -> tuple[dict[int, int], array]:
-    """Witness vertex -> its packed entry: ((origin << 2k | a) << 2k | b) << 6 | index.
+) -> tuple[dict[int, int], dict[int, int], array] | None:
+    """Each witness vertex's hops and each path's named edges, or None for the reference.
 
-    The origin number indexes ``dyck`` and ``seqs``, their flip sequences
-    (``factor.flip_sequences``); a and b are the vertex's two final
-    neighbours, its factor neighbours with the witness edges toggled in.
-    Every vertex not in the table keeps its two factor-cycle neighbours.
-    Returned with the walk's stop masks (see the module docstring). The
-    tree is checked in the placement pass, and ``checking.validate_tree``
-    runs only to report a tree that fails.
+    ``hops`` maps each witness vertex to the end its hop lands on, packed as
+    ((origin << 6 | index) << 1 | upper) << 2k | vertex, and ``side`` holds
+    the second hop of a vertex that ends two named edges; ``masks[o]`` has a
+    bit at the index of each named edge on the path of ``dyck[o]``, whose
+    flip sequence is ``seqs[o]``. An invalid tree raises its ``ValueError``.
     """
     if not tree.spans_dyck(k):
         _reject(tree)
     packed = tree.packed
     last = 2 * k
     full = (1 << last) - 1
-
-    # First each witness vertex collects its two witness-cycle neighbours, the
-    # ends of the edges it toggles, as a negative int: minus its toggled
-    # neighbours in slots of 2k + 1 bits, each with a stop bit at 2k, so a
-    # vertex of two witnesses holds four slots.
-    slot, stop = last + 1, 1 << last
-    pair = 2 * slot
-    table: dict[int, int] = {}
-    get = table.get
-    for _, cycle, _ in packed:
-        for prev, cur, nxt in zip((cycle[-1], *cycle), cycle, (*cycle[1:], cycle[0])):
-            table[cur] = (get(cur, 0) << pair) - ((prev | stop) << slot | nxt | stop)
-
-    # Then each member's named edge places the witness vertices at its
-    # positions (see the module docstring). A placed vertex's factor
-    # neighbours take its toggles, an edge toggled twice cancelling, and a
-    # vertex whose toggles all cancel drops out. A vertex that no named edge
-    # holds stays negative, and is reported below. The same pass checks the
-    # tree: every member is a Dyck word, no word takes a mark twice, and
+    # The keys go in first, so that the dict has its final size before the
+    # arrays of the check below exist.
+    hops = dict.fromkeys(chain.from_iterable(cycle for _, cycle, _ in packed))
+    side: dict[int, int] = {}
+    # The check: every member is a Dyck word, no word takes a mark twice, and
     # joining each support's words in a union-find over origin numbers never
     # joins two words already joined. With sum(|support| - 1) == |words| - 1
     # that is all of ``validate_tree``'s conditions.
     origin_of = {x.val: o for o, x in enumerate(dyck)}
     parent = array("l", range(len(dyck)))
     marks = array("Q", bytes(8 * len(dyck)))
-    stops = array("Q", bytes(8 * len(dyck)))
-    stops[0] = 1
+    masks = array("Q", bytes(8 * len(dyck)))
     count = 0
     bit = _BIT.__getitem__
-    bad = []
-    misplaced = {}
-    for idx, (pattern, cycle, support) in enumerate(packed):
+    for pattern, cycle, support in packed:
+        named = pattern.named_edges
+        if len(cycle) != 2 * len(support) or len(named) != len(support):
+            return None
         count += len(support) - 1
-        place = len(cycle) == 2 * len(support)
         root = None
-        for (x, mark), (a, b) in zip(support, pattern.named_edges):
+        ends = [0] * len(cycle)  # per witness position, its packed end
+        for (x, mark), (a, b) in zip(support, named):
             o = origin_of.get(x)
             if o is None or marks[o] & _BIT[mark]:
                 _reject(tree)
@@ -196,66 +195,35 @@ def _splice_table(
                 _reject(tree)
             else:
                 parent[r] = root
-            if not place:
-                continue
+            # The named edge joins index i, after the first i flips of seq
+            # (or all flips but the last 2k - i), to index i + 1.
             seq = seqs[o]
             i = seq.index(mark)
-            # the first i flips, or all flips but the last 2k - i
             low = x ^ sum(map(bit, seq[:i])) if i <= k else x ^ full ^ sum(map(bit, seq[i:]))
-            for y in (cycle[a], cycle[b]):
-                toggled = get(y, 0)
-                if toggled >= 0:  # placed already, dropped, or of no witness
-                    continue
-                if y == low:
-                    j = i
-                elif y == low ^ _BIT[mark]:
-                    j = i + 1
-                else:
-                    misplaced.setdefault(y, (idx, o, i))
-                    continue
-                before = y ^ (_BIT[seq[j - 1]] if j else full)
-                after = y ^ (_BIT[seq[j]] if j < last else full)
-                nb = [before, after]
-                toggled = -toggled
-                while toggled:
-                    w = toggled & full
-                    toggled >>= slot
-                    if w in nb:
-                        nb.remove(w)
-                    else:
-                        nb.append(w)
-                if len(nb) != 2:
-                    bad.append((y, o, j, len(nb)))
-                    table[y] = 0  # placed, and reported below
-                elif before in nb and after in nb:
-                    del table[y]
-                else:
-                    table[y] = ((o << last | nb[0]) << last | nb[1]) << 6 | j
-                    stops[o] |= 1 << j
+            if cycle[a] != low:
+                a, b = b, a
+            if cycle[a] != low or cycle[b] != low ^ _BIT[mark]:
+                return None
+            masks[o] |= 1 << i
+            ends[a] = (o << 6 | i) << last + 1 | low
+            ends[b] = ((o << 6 | i + 1) << 1 | 1) << last | cycle[b]
+        # Position 2r + 1 hops to 2r + 2, and the last position to 0. A hop
+        # joins the paths of two members, and no earlier witness has it: a
+        # tuple with both paths would have joined them in the union-find.
+        ends.append(ends[0])
+        for near, far in zip(ends[1::2], ends[2::2]):
+            u, w = near & full, far & full
+            if hops[u] is None:
+                hops[u] = far
+            else:
+                side[u] = far
+            if hops[w] is None:
+                hops[w] = near
+            else:
+                side[w] = near
     if count != len(dyck) - 1:
         _reject(tree)
-    if bad:
-        v, o, i, d = bad[0]
-        raise AssemblyError(
-            f"{len(bad)} vertices do not have degree 2 after splicing, e.g. "
-            f"{Bits(v, last)}, index {i} on the factor path of {dyck[o]}, has {d} neighbours"
-            + _meeting(tree, {v}, "it")
-        )
-    stray = [v for v, e in table.items() if e < 0]
-    if stray:
-        v = next((v for v in stray if v in misplaced), stray[0])
-        where = ""
-        if v in misplaced:
-            idx, o, i = misplaced[v]
-            where = (
-                f": tuple {tree.entries[idx].tup} names the edge from index {i} to {i + 1} "
-                f"on the factor path of {dyck[o]}"
-            )
-        raise AssemblyError(
-            f"{len(stray)} witness vertices lie on no factor path at a named edge, e.g. "
-            f"{Bits(v, last)!r}{where}"
-        )
-    return table, stops
+    return hops, side, masks
 
 
 def _reject(tree: spanning.SpanningTree) -> NoReturn:
@@ -278,17 +246,22 @@ def _meeting(tree: spanning.SpanningTree, vertices: set[int], what: str) -> str:
     return f"; the witnesses of {len(tuples)} tuples meet {what}: {', '.join(tuples)}"
 
 
-def _walk(
-    k: int, table: dict[int, int], stops: array, tree: spanning.SpanningTree, target: str
+def _walk_runs(
+    k: int,
+    hops: dict[int, int],
+    side: dict[int, int],
+    masks: array,
+    tree: spanning.SpanningTree,
+    target: str,
 ) -> Iterator[list[int]]:
     """The spliced cycle from the least vertex (1 << k) - 1, toward its smaller neighbour, in runs.
 
-    Each run is one segment of a factor path in ``target``'s coordinates,
-    ended by a stop and left by a witness edge, or a table vertex alone
-    between two witness edges (see the module docstring). The walk is cut
-    after the target's number of vertices, so a broken table cannot make it
-    loop forever. The tree is read only to name the tuples at a path the
-    walk missed.
+    Each run is one stretch of a factor path in ``target``'s coordinates,
+    from the end a hop lands on to the nearest named-edge end away from that
+    end's named edge, where the walk takes the next hop (see the module
+    docstring). The walk is cut after the target's number of vertices, so a
+    broken hop map cannot make it loop forever. The tree is read only to
+    name the tuples at a path the walk missed.
     """
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
     last = 2 * k
@@ -296,61 +269,66 @@ def _walk(
     full, top = (1 << last) - 1, 1 << last
     # per target: a path's laps (a middle detour is the second) and what weight k + 1 XORs in
     laps, flip = {TARGET_GPLUS: (1, 0), TARGET_ODD: (1, top | full), TARGET_MIDDLE: (2, 0)}[target]
-    lap, total = laps * span, laps * comb(span, k)
-    upper, above = last + 6, 2 * last + 6  # where an entry's neighbour a and origin start
+    detour, total = laps == 2, laps * comb(span, k)
     # bit[p] and step[p] flip position p, in gplus and in the walk's coordinates; p = 0 closes
     bit = (full, *_BIT[1:span])
-    step = (top if laps == 2 else full, *(flip ^ b for b in bit[1:]))
-    reached = bytearray(len(dyck))  # the paths whose table vertices the walk met
+    step = (top if detour else full, *(flip ^ b for b in bit[1:])).__getitem__
+    reached = bytearray(len(dyck))  # the paths the walk ran along
     start = g = v = (1 << k) - 1  # dyck[0] = 1^k 0^k, at index 0 of its own path
-    # off the table, the start leaves toward its smaller factor neighbour, as if from the larger
-    entry = table.get(start, (start ^ full) << upper | (start ^ bit[seqs[0][0]]) << 6)
-    prev = max(entry >> 6 & full, entry >> upper & full)
-    o, count = -1, 0
+    # The start can end only named edge 0, so ahead of it lies its hop or the
+    # next vertex of its path; the walk leaves toward the smaller neighbour,
+    # as a run from index 0 of path 0. It goes back by the closing step only
+    # when it ends named edge 0 (start ^ bit(2k), its next vertex, is less
+    # than start ^ full), and then it returns by its hop, so only a run up
+    # path 0 can come back to the start, and it stops there.
+    ahead = hops.get(start)
+    ahead = start ^ bit[seqs[0][0]] if ahead is None else ahead & full
+    forward = ahead < start ^ full
+    o = j = count = 0
+    prev = -1
     while True:
-        # v, not yet emitted, is g in the walk's coordinates; entry is g's
-        j = entry & 63
-        if entry >> above != o:
-            o = entry >> above
-            reached[o] = 1
-            # the path's steps and stops at both ends of its closing step (or
-            # detour), so that a run may wrap from index 2k to 0 or from 0 to 2k
-            ext = (seqs[o] + b"\0") * laps + seqs[o]
-            s = stops[o] | stops[o] << lap
-        nxt = entry >> 6 & full
-        if nxt == prev:
-            nxt = entry >> upper & full
-        if nxt == g ^ bit[ext[j]]:
-            ahead = s >> j + 1
-            steps = ext[j : j + (ahead & -ahead).bit_length()]
-        elif nxt == g ^ bit[ext[j + lap - 1]]:
-            steps = ext[(s & (1 << j + lap) - 1).bit_length() - 1 : j + lap][::-1]
-        else:
-            steps = b""
-        run = list(accumulate(map(step.__getitem__, steps), xor, initial=v))
+        # v, not yet emitted, is g at index j of path o in the walk's coordinates
+        reached[o] = 1
+        seq, m = seqs[o], masks[o]
+        if forward:  # up to the lowest named edge at or above j
+            a = m >> j
+            if a:
+                steps = seq[j : j + (a & -a).bit_length() - 1]
+            else:  # past the closing step, or detour
+                t = (m & -m).bit_length() - 1 if o else 0
+                steps = b"\0".join((seq[j:], seq, seq[:t]) if detour else (seq[j:], seq[:t]))
+        else:  # down to the upper end of the highest named edge below j
+            a = m & (1 << j) - 1
+            if a:
+                steps = seq[a.bit_length() : j][::-1]
+            else:  # past the closing step, or detour
+                t = m.bit_length()
+                steps = b"\0".join((seq[t:], seq, seq[:j]) if detour else (seq[t:], seq[:j]))
+                steps = steps[::-1]
+        run = list(accumulate(map(step, steps), xor, initial=v))
         if steps:
             v = run[-1]
             g = v ^ flip if v > full else v
             if g == start:  # the walk is back: its last run ends before the start
                 run.pop()
-                nxt = start
-            else:
-                # reached along its path, a table vertex is left by a witness edge:
-                # one whose final neighbours are its factor neighbours is not in the table
-                entry = table[g]
-                nxt = entry >> 6 & full
-                if nxt == g ^ bit[steps[-1]]:
-                    nxt = entry >> upper & full
         count += len(run)
         if count > total:
             yield run[: len(run) - count + total]
             raise AssemblyError(f"the walk did not return to its start after {total} vertices")
         yield run
-        prev, g = g, nxt
+        if steps and g == start:
+            break
+        # g ends the named edge the run stopped at, and leaves by its hop; a
+        # run of g alone means g ends two, and it leaves by the other hop
+        e = hops[g]
+        if not steps and e & full == prev:
+            e = side[g]
+        prev, g = g, e & full
         if g == start:
             break
-        v = g ^ flip if g.bit_count() > k else g
-        entry = table[g]
+        e >>= last
+        forward, j, o = e & 1, e >> 1 & 63, e >> 7
+        v = g ^ flip if j & 1 else g  # odd indices have weight k + 1
     if count != total:
         missed = [o for o, r in enumerate(reached) if not r]
         where = ""
@@ -371,12 +349,18 @@ def stream_gplus_vals(
 ) -> Iterator[int]:
     """The Hamilton cycle of ``target``'s graph as packed vertices, in canonical rotation.
 
-    The splice table is built at the call, so a bad tree raises there.
+    The splice is built at the call, so a bad tree raises there.
     """
     if k < 3:
         raise ValueError(PETERSEN_NOTE if k == 2 else "assembly needs k >= 3")
-    table, stops = _splice_table(k, tree, enumerate_dyck(k), flip_sequences(k))
-    return chain.from_iterable(_walk(k, table, stops, tree, target))
+    dyck, seqs = enumerate_dyck(k), flip_sequences(k)
+    spliced = _splice_hops(k, tree, dyck, seqs)
+    if spliced is None:
+        from .checking import _splice_table, _walk
+
+        table, stops = _splice_table(k, tree, dyck, seqs)
+        return chain.from_iterable(_walk(k, table, stops, tree, target))
+    return chain.from_iterable(_walk_runs(k, *spliced, tree, target))
 
 
 def hamilton_gplus(k: int, tree: spanning.SpanningTree) -> CycleCertificate:

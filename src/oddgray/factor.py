@@ -13,13 +13,14 @@ steps flip a 0, even steps flip a 1). Closing each path with the complement
 edge {x, ~x} gives one cycle per Dyck word; the cycles are vertex-disjoint
 and cover all binomial(2k+1, k) vertices of the two layers.
 
-One packed recursion computes every flip sequence. ``flip_sequences(k)``
-runs it once over the Dyck words and keeps the table for the latest k, which
-the splice, the walk, the ``factor`` command and ``checking``'s views on
-``Bits`` (``path``, ``flip_edge``, ``cycle_factor``) share; ``flip_sequence``
-runs it for one word and keeps nothing. The table holds each sequence as
-``bytes``, one byte per position (at most MAX_LEN = 62), so indexing, slicing
-and ``index`` read positions as ints; ``flip_sequence`` returns a tuple.
+``flip_sequences(k)`` builds the table of every flip sequence one
+semilength at a time, each word 1u0v from the smaller u and v, and keeps it
+for the latest k, which the splice, the walk, the ``factor`` command and
+``checking``'s views on ``Bits`` (``path``, ``flip_edge``, ``cycle_factor``)
+share; ``flip_sequence`` runs the recursion for one word and keeps nothing.
+The table holds each sequence as ``bytes``, one byte per position (at most
+MAX_LEN = 62), so indexing, slicing and ``index`` read positions as ints;
+``flip_sequence`` returns a tuple.
 """
 
 from __future__ import annotations
@@ -65,11 +66,25 @@ def flip_sequence(x: Bits) -> tuple[int, ...]:
 def flip_sequences(k: int) -> tuple[bytes, ...]:
     """``flip_sequence`` of every Dyck word of semilength k as ``bytes``, in enumeration order.
 
-    One memo serves the whole table and is dropped with the call; the table
-    is kept for the latest k only, which every caller of that k shares.
+    Built one semilength at a time: the words 1u0v of semilength s pair each
+    u of semilength a < s with each v of semilength s - 1 - a, so each
+    sequence is a head made once per u and a tail shifted once per (s, a).
+    The table is kept for the latest k only, which every caller of that k
+    shares; the smaller semilengths are dropped with the call. The words
+    come first, so a k too large for memory is refused before any work.
     """
-    memo: dict[int, bytes] = {1: b""}
-    return tuple(_flip_seq(x.val, x.n, memo) for x in enumerate_dyck(k))
+    words = enumerate_dyck(k)
+    levels: list[dict[int, bytes]] = [{0: b""}]
+    for s in range(1, k + 1):
+        level: dict[int, bytes] = {}
+        for a in range(s):
+            base = 2 * a + 2  # the position of the 0 that closes the leading 1
+            tails = [(v << base, f.translate(_ADD[base])) for v, f in levels[s - 1 - a].items()]
+            for u, f in levels[a].items():
+                x, head = 1 | u << 1, bytes((base,)) + f[::-1].translate(_ADD[1]) + b"\x01"
+                level.update({x | v: head + tail for v, tail in tails})
+        levels.append(level)
+    return tuple(map(levels[k].__getitem__, [x.val for x in words]))
 
 
 def _path_vals(val: int, seq: bytes | tuple[int, ...]) -> list[int]:

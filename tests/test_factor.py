@@ -97,6 +97,11 @@ def test_flip_sequences_match_flip_sequence(k):
     assert flip_sequences(k) == tuple(map(bytes, map(flips_by_unfolding, enumerate_dyck(k))))
 
 
+def test_flip_sequences_table_matches_the_per_word_recursion():
+    # The table at k = 10 against ``flip_sequence``, which recurses on each word alone.
+    assert flip_sequences(10) == tuple(bytes(flip_sequence(x)) for x in enumerate_dyck(10))
+
+
 def test_mirror_reverses_flip_sequence():
     # F(mirror(u)) = |u| + 1 - reverse(F(u)), the identity that lets the
     # packed recursion skip mirroring, checked on the oracle alone.

@@ -14,7 +14,10 @@ digests were recorded before the tree build switched to packed entries and
 the splice to direct placement of witness vertices. The ``tree --k 10``,
 ``tree --k 7 --family 3``, ``tree --k 10 --family 12345`` and ``selfcheck
 --max-k 7`` digests were recorded before a built tree's derivations were
-read back from its packed supports instead of replayed.
+read back from its packed supports instead of replayed. The ``gen --k 9
+--family 3053`` and ``middle --k 9`` digests were recorded before the
+splice stored one hop per named-edge end and the flip sequences were built
+one semilength at a time.
 """
 
 import hashlib
@@ -84,6 +87,8 @@ GOLDEN = {
     "tree --k 7 --family 3": "5aedc8081ee0dca28d8667e620f7afb7df2b6d1f74dd723296067996ec0c72a1",
     "tree --k 10 --family 12345": "830d259336bdd0cf1971b011871937a58a36961c9150979366a2b028bf18871b",
     "selfcheck --max-k 7": "8254633926d1f93b61fe012c22ef18d152b7b7e67a157da747c8c25373268b30",
+    "gen --k 9 --family 3053": "f7c4c425b6ac784eb0f4f57388540f371de29ff5008bc750db3475e182518648",
+    "middle --k 9": "4a235e7b935e83ef7886710dcbbbc4e8054abf58f924e851c0394f4a3a17639a",
 }
 
 # hamilton_odd(8, mask).vertices, one comma-separated subset per line.

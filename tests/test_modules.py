@@ -23,7 +23,7 @@ from oddgray import checking, cli
 
 PACKAGE = Path(oddgray.__file__).parent
 # The lines of the oddgray modules ``gen --k 8`` may load.
-GEN_LINE_BUDGET = 1560
+GEN_LINE_BUDGET = 1558
 
 RUNS = {
     "gen": ("-m", "oddgray", "gen", "--k", "8"),
@@ -32,6 +32,7 @@ RUNS = {
     "verify": ("-m", "oddgray", "verify", "--k", "3", "--target", "odd", "--input", "-"),
     "library": ("-c", "import oddgray; oddgray.verify_certificate(oddgray.hamilton_odd(8, 5))"),
     "tree": ("-m", "oddgray", "tree", "--k", "4"),
+    "bench": ("-m", "oddgray", "bench", "--k", "6", "--repeat", "1"),
 }
 
 # Every name ``oddgray/__init__.py`` exported before ``checking`` was split off.

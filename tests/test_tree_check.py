@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddgray.assembly import AssemblyError, _splice_table, stream_gplus_vals
-from oddgray.checking import hand_tree, validate_tree
+from oddgray.assembly import AssemblyError, stream_gplus_vals
+from oddgray.checking import _splice_table, hand_tree, validate_tree
 from oddgray.factor import flip_sequences
 from oddgray.spanning import SpanningTree, full_tree
 from oddgray.words import enumerate_dyck

@@ -7,10 +7,12 @@ collect them. Run them with
 
 They pin the digests of ``gen --k 11`` and ``gen --k 12`` and run both
 files through ``oddgray verify``, which checks a file in one pass and holds
-only the set of vertices seen. The ``gen --k 12`` child's peak RSS, taken
-from ``os.wait4``, must stay at or below 230 MB; it peaks at about 197 MB
-(Python 3.11, x86-64). On a 2-vCPU Xeon the tier takes about 30 s and
-peaks at about 0.55 GB, in the k = 12 ``verify``. The digests were recorded
+only the set of vertices seen. At both sizes the table of flip sequences,
+built one semilength at a time, must equal ``flip_sequence`` word by word.
+The ``gen --k 12`` child's peak RSS, taken from ``os.wait4``, must stay at
+or below 230 MB; it peaks at about 184 MB (Python 3.11, x86-64). On a
+2-vCPU Xeon the tier takes about 40 s and peaks at about 0.55 GB, in the
+k = 12 ``verify``. The digests were recorded
 before the flip-sequence recursion dropped its mirror step. The
 ``middle --k 10`` digest was recorded before the tree build switched to
 packed entries and the splice to direct placement of witness vertices.
@@ -22,6 +24,9 @@ import subprocess
 import sys
 
 import pytest
+
+from oddgray.factor import flip_sequence, flip_sequences
+from oddgray.words import enumerate_dyck
 
 GOLDEN = {
     11: "f3a87234ba90ca4f3e7adb3d2f13675072ba8fa90c0eb2ea4673b2474950da18",
@@ -101,3 +106,8 @@ def test_middle_k10_digest(tmp_path):
     with open(path, "wb") as fh:
         oddgray("middle", "--k", "10", stdout=fh)
     assert sha256_of(path) == MIDDLE_K10
+
+
+@pytest.mark.parametrize("k", [11, 12])
+def test_flip_sequences_table_matches_the_per_word_recursion(k):
+    assert flip_sequences(k) == tuple(bytes(flip_sequence(x)) for x in enumerate_dyck(k))
