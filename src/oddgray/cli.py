@@ -9,9 +9,11 @@ block; identical invocations produce byte-identical output. ``gen`` renders
 ``assembly.stream_odd_vals``, which refuses k = 2 (the Petersen graph), k < 3
 and bad masks before a line is written. ``verify`` reads a file, or stdin
 with ``--input -`` (so ``oddgray gen --k 9 | oddgray verify --k 9 --target
-odd --input -`` needs no file), packs each line as it reads it into
-``verify.verify_cycle`` and stops at the first malformed line, holding only
-the vertices seen (k = 11: about 3 s and 151 MB on a 2-vCPU Xeon).
+odd --input -`` needs no file) through ``verify.verify_lines``, which packs
+the lines a block at a time as it reads them, stops at the first malformed
+one, and marks the vertices seen in a bitmap of one bit per value (k = 11:
+1.2-1.5 s and 17 MB on a 2-vCPU Xeon; a k whose bitmap exceeds physical
+memory exits 2 before a line is read).
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments. The
 environment variable ODDGRAY_MAX_K lowers the accepted k ceiling (default
@@ -122,30 +124,18 @@ def _cmd_verify(args, parser, out: IO[str]) -> int:
     k = args.k
     if not 1 <= k <= _ceiling():
         parser.error(f"verify needs 1 <= k <= {_ceiling()}")
-    n = 2 * k if args.target == "gplus" else 2 * k + 1
-    malformed = []
-
-    def vals(fh):
-        """Each non-blank line, packed; the first malformed one ends the stream."""
-        for i, line in enumerate(filter(None, map(str.strip, fh)), 1):
-            if len(line) != n or line.strip("01"):
-                malformed.append(("line-format", f"line {i}: {line!r}"))
-                return
-            yield int(line[::-1], 2)
-
     stdin = args.input == "-"
     try:
         # a byte outside ASCII decodes to a lone surrogate, which fails the line format
         source = sys.stdin.fileno() if stdin else args.input
         with open(source, encoding="ascii", errors="surrogateescape", closefd=not stdin) as fh:
-            report = verify.verify_cycle(k, args.target, vals(fh))
+            report = verify.verify_lines(k, args.target, fh)
     except OSError as exc:
         parser.error(f"cannot read {args.input}: {exc}")
-    failures = malformed or report.failures
-    for name, item in failures:
+    for name, item in report.failures:
         out.write(f"FAIL {name}: {item}\n")
-    out.write("PASS\n" if not failures else "FAIL\n")
-    return 0 if not failures else 1
+    out.write("PASS\n" if report.passed else "FAIL\n")
+    return 0 if report.passed else 1
 
 
 def _iter_selfcheck(max_k: int):

@@ -2,24 +2,30 @@
 
 ``verify_cycle`` re-derives the target graph's vertex form and adjacency rule
 from raw bit arithmetic and checks a claimed cycle of packed vertices in one
-pass, holding only the set of vertices seen; nothing from the construction
-modules is consulted (the property suites further down do exercise those
-modules, and import them locally). ``verify_certificate`` and ``oddgray
-verify`` both pack their vertices for it. ``brute_force_hamilton`` searches
-small instances exhaustively, which pins down both positive cases and the one
-genuine exception at k = 2.
+pass, marking each vertex seen in a bitmap of one bit per n-bit value (4 MB
+at k = 12); nothing from the construction modules is consulted (the property
+suites further down do exercise those modules, and import them locally).
+``verify_certificate`` and ``verify_lines``, which ``oddgray verify`` runs,
+pack their vertices for it as it reads them. ``brute_force_hamilton``
+searches small instances exhaustively, which pins down both positive cases
+and the one genuine exception at k = 2.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 from collections import namedtuple
-from itertools import combinations, repeat
+from itertools import chain, combinations, islice, repeat
 from math import comb
+from operator import itemgetter
 from typing import Iterable
 
 from .words import Bits, bitstring, positions
 
 BRUTE_FORCE_CAP = 40
+# Lines ``verify_lines`` checks and packs at a time.
+LINES_PER_BLOCK = 4096
 
 
 # passed: bool; failures: ((name, item), ...)
@@ -30,15 +36,31 @@ def _report(failures: list[tuple[str, str]]) -> VerificationReport:
     return VerificationReport(not failures, tuple(failures))
 
 
+def _bitmap(k: int, n: int) -> mmap.mmap:
+    """A zeroed bitmap of one bit per n-bit value; its untouched pages cost no memory.
+
+    A bitmap larger than physical memory is refused before any vertex is read.
+    """
+    size = max(1, 1 << n >> 3)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > have:
+        raise ValueError(
+            f"k = {k} needs a bitmap of {size >> 20:,} MB, one bit per {n}-bit value; "
+            f"this machine has {have >> 20:,} MB of physical memory"
+        )
+    return mmap.mmap(-1, size)
+
+
 def verify_cycle(k: int, target: str, vals: Iterable[int], show=None) -> VerificationReport:
     """Check a claimed cycle of packed vertices in one pass over ``vals``.
 
-    Only the set of well-formed values seen is held; a malformed vertex is
-    not counted as a repeat. ``show(i, v)`` renders vertex i, packed as v;
-    by default as its positions (odd) or its bitstring (gplus and middle).
-    Failures, in order: vertex-count, vertex-form (the first malformed
-    vertex), distinct, and adjacency (the first failing step, the closing
-    step last; reported only when every vertex is well formed).
+    Each well-formed value seen is marked in a bitmap indexed by the value
+    itself, which refuses a k too large for memory before ``vals`` is read; a
+    malformed vertex is not counted as a repeat. ``show(i, v)`` renders vertex
+    i, packed as v; by default as its positions (odd) or its bitstring (gplus
+    and middle). Failures, in order: vertex-count, vertex-form (the first
+    malformed vertex), distinct, and adjacency (the first failing step, the
+    closing step last; reported only when every vertex is well formed).
     """
     size = comb(2 * k + 1, k)
     # Length, weights, vertex count, and the weights of a ^ b on an edge: for
@@ -54,21 +76,25 @@ def verify_cycle(k: int, target: str, vals: Iterable[int], show=None) -> Verific
     n, weights, expected, steps = spec
     if show is None:
         show = lambda i, v: str(positions(v)) if target == "odd" else bitstring(v, n)
-    seen: set[int] = set()
     bad = misstep = None
-    count = malformed = 0
-    for v in vals:
-        if v >> n or v.bit_count() not in weights:
-            malformed += 1
-            bad = bad or (count, v)
-        else:
-            seen.add(v)
-        if not count:
-            first = v
-        elif misstep is None and (prev ^ v).bit_count() not in steps:
-            misstep = count - 1, prev, v
-        prev = v
-        count += 1
+    count = 0
+    repeated = False
+    with _bitmap(k, n) as seen:
+        for v in vals:
+            if v >> n or v.bit_count() not in weights:
+                bad = bad or (count, v)
+            else:
+                i, bit = v >> 3, 1 << (v & 7)
+                byte = seen[i]
+                if byte & bit:
+                    repeated = True
+                seen[i] = byte | bit
+            if not count:
+                first = v
+            elif misstep is None and (prev ^ v).bit_count() not in steps:
+                misstep = count - 1, prev, v
+            prev = v
+            count += 1
     if count and misstep is None and (prev ^ first).bit_count() not in steps:
         misstep = count - 1, prev, first
 
@@ -77,7 +103,7 @@ def verify_cycle(k: int, target: str, vals: Iterable[int], show=None) -> Verific
         failures.append(("vertex-count", f"{count} instead of {expected}"))
     if bad is not None:
         failures.append(("vertex-form", show(*bad)))
-    if len(seen) + malformed < count:
+    if repeated:
         failures.append(("distinct", "repeated vertex"))
     if bad is None and misstep is not None:
         i, a, b = misstep
@@ -91,19 +117,53 @@ def verify_certificate(cert) -> VerificationReport:
     An odd vertex, a tuple of k elements of 1..2k+1, packs to the sum of
     their bits, of weight k exactly when they are distinct; a gplus or middle
     vertex is a ``Bits`` of the target's length. Anything else packs to a
-    negative value, which no target accepts.
+    negative value, which no target accepts. Vertices are packed as the check
+    reads them, through C-level ``map``s when every vertex is a k-tuple.
     """
     k, target, vertices = cert.k, cert.target, cert.vertices
     if target == "odd":
         bits, miss = {i: 1 << (i - 1) for i in range(1, 2 * k + 2)}, repeat(-1 << (2 * k + 1))
-        vals = [
-            sum(map(bits.get, v, miss)) if isinstance(v, tuple) and len(v) == k else -1
-            for v in vertices
-        ]
+        if set(map(type, vertices)) <= {tuple} and set(map(len, vertices)) <= {k}:
+            vals = map(sum, map(map, repeat(bits.get), vertices, repeat(miss)))
+        else:
+            vals = (
+                sum(map(bits.get, v, miss)) if isinstance(v, tuple) and len(v) == k else -1
+                for v in vertices
+            )
     else:
         n = 2 * k if target == "gplus" else 2 * k + 1
-        vals = [v.val if isinstance(v, Bits) and v.n == n else -1 for v in vertices]
+        vals = (v.val if isinstance(v, Bits) and v.n == n else -1 for v in vertices)
     return verify_cycle(k, target, vals, lambda i, v: str(vertices[i]))
+
+
+def verify_lines(k: int, target: str, lines: Iterable[str]) -> VerificationReport:
+    """``verify_cycle`` over lines of bits, position 1 first, packed as they are read.
+
+    Blank lines are skipped. The first malformed line, of the wrong length or
+    with a character other than 0 and 1, ends the check and is its only
+    failure: line-format, naming the line's number among the non-blank ones.
+    Lines are checked and packed a block at a time, through C-level ``map``s.
+    """
+    n = 2 * k if target == "gplus" else 2 * k + 1
+    reverse = itemgetter(slice(None, None, -1))
+    malformed: list[tuple[str, str]] = []
+
+    def blocks():
+        stripped = filter(None, map(str.strip, lines))
+        done = 0
+        while block := list(islice(stripped, LINES_PER_BLOCK)):
+            good = len(block)
+            text = "".join(block)
+            if set(map(len, block)) != {n} or text.count("0") + text.count("1") != len(text):
+                good = next(i for i, line in enumerate(block) if len(line) != n or line.strip("01"))
+            yield map(int, map(reverse, block[:good]), repeat(2))
+            if good < len(block):
+                malformed.append(("line-format", f"line {done + good + 1}: {block[good]!r}"))
+                return
+            done += good
+
+    report = verify_cycle(k, target, chain.from_iterable(blocks()))
+    return _report(malformed) if malformed else report
 
 
 def _raw_graph(k: int, target: str):

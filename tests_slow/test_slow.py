@@ -6,20 +6,23 @@ collect them. Run them with
     PYTHONPATH=src python -m pytest -q tests_slow
 
 They pin the digests of ``gen --k 11`` and ``gen --k 12`` and run both
-files through ``oddgray verify``, which checks a file in one pass and holds
-only the set of vertices seen. At both sizes the table of flip sequences,
-built one semilength at a time, must equal ``flip_sequence`` word by word.
-The ``gen --k 12`` child's peak RSS, taken from ``os.wait4``, must stay at
-or below 230 MB; it peaks at about 184 MB (Python 3.11, x86-64). On a
-2-vCPU Xeon the tier takes about 40 s and peaks at about 0.55 GB, in the
-k = 12 ``verify``. The digests were recorded
-before the flip-sequence recursion dropped its mirror step. The
+files through ``oddgray verify``, which checks its input in one pass and
+marks the vertices seen in a bitmap of one bit per value (4 MB at k = 12);
+the k = 12 file is piped to ``verify --input -``. At both sizes the table
+of flip sequences, built one semilength at a time, must equal
+``flip_sequence`` word by word. Peak RSS is taken from ``os.wait4``: the
+``gen --k 12`` child must stay at or below 230 MB, and peaks at about
+184 MB (Python 3.11, x86-64); the ``verify --k 12`` child must stay at or
+below 60 MB, and peaks at about 20 MB. On a 2-vCPU Xeon the tier takes
+about 30 s and peaks at about 184 MB, in ``gen --k 12``. The digests were
+recorded before the flip-sequence recursion dropped its mirror step. The
 ``middle --k 10`` digest was recorded before the tree build switched to
 packed entries and the splice to direct placement of witness vertices.
 """
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 
@@ -66,6 +69,21 @@ def verify_stdout(k, path):
     return res.stdout
 
 
+def verify_piped(k, path):
+    """``verify --input -`` with the file piped to it: its stdout and the child's peak RSS in MB."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oddgray", "verify", "--k", str(k), "--target", "odd", "--input", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+    )
+    with open(path, "rb") as fh:
+        shutil.copyfileobj(fh, proc.stdin)
+    proc.stdin.close()
+    out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return out.decode(), usage.ru_maxrss / 1024
+
+
 @pytest.fixture(scope="module")
 def gen_k11(tmp_path_factory):
     return generate(tmp_path_factory, 11)[0]
@@ -94,7 +112,11 @@ def test_gen_k12_digest(gen_k12):
 
 
 def test_gen_k12_verifies(gen_k12):
-    assert verify_stdout(12, gen_k12) == "PASS\n"
+    # A child's ru_maxrss starts at the peak of the process that forks it; this
+    # test runs before the in-process flip-sequence tests raise that peak.
+    out, peak_mb = verify_piped(12, gen_k12)
+    assert out == "PASS\n"
+    assert peak_mb <= 60
 
 
 def test_gen_k12_peak_rss(gen_k12_run):
