@@ -67,13 +67,13 @@ The hops are the toggled graph exactly when every witness position holds an
 end of its member's named edge, every hop joins two paths, and no two
 witnesses share a hop edge. The union-find ensures the last two: a tuple's
 words are distinct, and two tuples whose witnesses share a hop share the
-words of both its paths. A tree that breaks the first goes to the toggle
-splice in ``checking`` (``_splice_table`` and ``_walk``), which toggles
-every witness edge into a table of final neighbours and walks it if it is
-one cycle. It raises an ``AssemblyError`` for a witness vertex that no named
-edge holds, naming the tuple, the member's Dyck origin and the index, and
-for a vertex of the wrong degree, naming the tuples whose witnesses meet
-it. Either splice raises the ``ValueError`` of an invalid tree.
+words of both its paths. The splice checks the first, so no vertex is left
+with a degree other than 2. A tree thus fails in one of three ways, in this
+order: an invalid tree raises the ``ValueError`` of ``validate_tree``; a
+witness of the wrong length, or a position off its member's named edge,
+raises an ``AssemblyError`` naming the tuple, the Dyck origin, the index and
+the vertex; and a walk cut after the target's number of vertices, or back
+too early, raises one naming the paths it missed and the tuples at the first.
 
 Targets:
 
@@ -145,14 +145,15 @@ def _tree_for(k: int, family_mask: int | None) -> spanning.SpanningTree:
 
 def _splice_hops(
     k: int, tree: spanning.SpanningTree, dyck: tuple[Bits, ...], seqs: tuple[bytes, ...]
-) -> tuple[dict[int, int], dict[int, int], array] | None:
-    """Each witness vertex's hops and each path's named edges, or None for the reference.
+) -> tuple[dict[int, int], dict[int, int], array]:
+    """Each witness vertex's hops and each path's named edges.
 
     ``hops`` maps each witness vertex to the end its hop lands on, packed as
     ((origin << 6 | index) << 1 | upper) << 2k | vertex, and ``side`` holds
     the second hop of a vertex that ends two named edges; ``masks[o]`` has a
     bit at the index of each named edge on the path of ``dyck[o]``, whose
-    flip sequence is ``seqs[o]``. An invalid tree raises its ``ValueError``.
+    flip sequence is ``seqs[o]``. An invalid tree raises its ``ValueError``,
+    and then a misplaced witness vertex an ``AssemblyError`` naming the first.
     """
     if not tree.spans_dyck(k):
         _reject(tree)
@@ -173,11 +174,15 @@ def _splice_hops(
     masks = array("Q", bytes(8 * len(dyck)))
     count = 0
     bit = _BIT.__getitem__
-    for pattern, cycle, support in packed:
+    # the witness vertices off their named edges, and the first as (entry, origin, index, vertex)
+    misplaced, first = 0, ()
+    for idx, (pattern, cycle, support) in enumerate(packed):
         named = pattern.named_edges
-        if len(cycle) != 2 * len(support) or len(named) != len(support):
-            return None
         count += len(support) - 1
+        placed = readable = len(cycle) == 2 * len(support) == 2 * len(named)
+        if not readable:  # every vertex counts, and the first stands for them
+            misplaced += len(cycle)
+            named = ((0, 0),) * len(support)
         root = None
         ends = [0] * len(cycle)  # per witness position, its packed end
         for (x, mark), (a, b) in zip(support, named):
@@ -195,18 +200,28 @@ def _splice_hops(
                 _reject(tree)
             else:
                 parent[r] = root
+            if not readable:
+                first = first or cycle and (idx, o, seqs[o].index(mark), cycle[0])
+                continue
             # The named edge joins index i, after the first i flips of seq
             # (or all flips but the last 2k - i), to index i + 1.
             seq = seqs[o]
             i = seq.index(mark)
             low = x ^ sum(map(bit, seq[:i])) if i <= k else x ^ full ^ sum(map(bit, seq[i:]))
+            high = low ^ _BIT[mark]
             if cycle[a] != low:
                 a, b = b, a
-            if cycle[a] != low or cycle[b] != low ^ _BIT[mark]:
-                return None
+            if cycle[a] != low or cycle[b] != high:
+                off = [y for y in (cycle[b], cycle[a]) if y != low and y != high] or [cycle[b]]
+                misplaced += len(off)
+                first = first or (idx, o, i, off[0])
+                placed = False
+                continue
             masks[o] |= 1 << i
             ends[a] = (o << 6 | i) << last + 1 | low
-            ends[b] = ((o << 6 | i + 1) << 1 | 1) << last | cycle[b]
+            ends[b] = ((o << 6 | i + 1) << 1 | 1) << last | high
+        if not placed:
+            continue
         # Position 2r + 1 hops to 2r + 2, and the last position to 0. A hop
         # joins the paths of two members, and no earlier witness has it: a
         # tuple with both paths would have joined them in the union-find.
@@ -223,6 +238,13 @@ def _splice_hops(
                 side[w] = near
     if count != len(dyck) - 1:
         _reject(tree)
+    if first:
+        idx, o, i, v = first
+        raise AssemblyError(
+            f"{misplaced} witness vertices lie on no factor path at a named edge, e.g. "
+            f"{Bits(v, last)!r}: tuple {tree.entries[idx].tup} names the edge from index {i} "
+            f"to {i + 1} on the factor path of {dyck[o]}"
+        )
     return hops, side, masks
 
 
@@ -234,16 +256,6 @@ def _reject(tree: spanning.SpanningTree) -> NoReturn:
     if not report.passed:
         raise ValueError("invalid spanning tree: " + "; ".join(report.failures))
     raise ValueError("tree does not span the Dyck words of this semilength")
-
-
-def _meeting(tree: spanning.SpanningTree, vertices: set[int], what: str) -> str:
-    """A message clause naming the tuples whose witness cycles hold any of ``vertices``."""
-    tuples = [
-        str(tree.entries[i].tup)
-        for i, (_, cycle, _) in enumerate(tree.packed)
-        if not vertices.isdisjoint(cycle)
-    ]
-    return f"; the witnesses of {len(tuples)} tuples meet {what}: {', '.join(tuples)}"
 
 
 def _walk_runs(
@@ -332,9 +344,14 @@ def _walk_runs(
     if count != total:
         missed = [o for o, r in enumerate(reached) if not r]
         where = ""
-        if missed:
-            x, seq = dyck[missed[0]], seqs[missed[0]]
-            where = _meeting(tree, set(_path_vals(x.val, seq)), f"the factor path of {x}")
+        if missed:  # and the tuples whose witnesses meet the first missed path
+            x = dyck[missed[0]]
+            path = set(_path_vals(x.val, seqs[missed[0]]))
+            tuples = [
+                e.tup for e, (_, c, _) in zip(tree.entries, tree.packed) if not path.isdisjoint(c)
+            ]
+            where = f"; the witnesses of {len(tuples)} tuples meet the factor path of {x}: "
+            where += ", ".join(map(str, tuples))
         raise AssemblyError(
             f"splice produced more than one cycle: the walk reached {count} of "
             f"{total} vertices, and no factor path of these {len(missed)} of "
@@ -354,13 +371,7 @@ def stream_gplus_vals(
     if k < 3:
         raise ValueError(PETERSEN_NOTE if k == 2 else "assembly needs k >= 3")
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
-    spliced = _splice_hops(k, tree, dyck, seqs)
-    if spliced is None:
-        from .checking import _splice_table, _walk
-
-        table, stops = _splice_table(k, tree, dyck, seqs)
-        return chain.from_iterable(_walk(k, table, stops, tree, target))
-    return chain.from_iterable(_walk_runs(k, *spliced, tree, target))
+    return chain.from_iterable(_walk_runs(k, *_splice_hops(k, tree, dyck, seqs), tree, target))
 
 
 def hamilton_gplus(k: int, tree: spanning.SpanningTree) -> CycleCertificate:

@@ -27,33 +27,17 @@ at different positions, so all their witnesses can be applied at once
 so a tree entry's derivation gives the canonical witness.
 
 It also holds the factor's views on ``Bits`` (``path``, ``flip_edge``,
-``cycle_factor``), the flat and steep trees on their own, and
-``validate_tree``, whose texts the splice reports when its own check fails.
-Last comes the reference splice, ``_splice_table`` and ``_walk``: it toggles
-every witness edge into a table of final neighbours and walks that table.
-``assembly.stream_gplus_vals`` hands it the trees that the hop splice does
-not accept, so it writes every placement and degree failure.
+``cycle_factor``), the seeds' literal witnesses (``base_witness``), a tree's
+tuples as a set (``tuple_set``), the flat and steep trees on their own, and
+``validate_tree``, whose texts ``assembly._splice_hops`` reports when its own
+check of the tree fails.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
-from math import comb
-from operator import xor
 from typing import Iterable, Iterator
-
-from .assembly import (
-    TARGET_GPLUS,
-    TARGET_MIDDLE,
-    TARGET_ODD,
-    AssemblyError,
-    _BIT,
-    _meeting,
-    _reject,
-)
 
 from .factor import _path_vals, flip_sequence, flip_sequences
 from .flippable import BRIDGE, PATCH, QUAD, PackedEntry, Pattern, append, fan, seed, shift, wrap
@@ -178,6 +162,12 @@ def seed_tuple(pattern: Pattern) -> FlippableTuple:
     """``pattern.tuple()``: the seed's packed members as marked words."""
     n = pattern.word_length
     return FlippableTuple.of(MarkedWord(Bits(x, n), m) for x, m in seed(pattern)[2])
+
+
+def base_witness(pattern: Pattern) -> tuple[Bits, ...]:
+    """The seed's witness cycle, as the table of seed literals in ``flippable`` lists it."""
+    n = pattern.word_length
+    return tuple(Bits(y, n) for y in seed(pattern)[1])
 
 
 def _peel(pattern: Pattern, ctx: Context) -> tuple[PackedEntry, int]:
@@ -526,6 +516,10 @@ def hand_tree(base: Iterable[Bits], derivations: Iterable[Derivation]) -> Spanni
     return SpanningTree(frozenset(base), tuple(e for e, _ in peeled), n)
 
 
+def tuple_set(tree: SpanningTree) -> frozenset[FlippableTuple]:
+    return frozenset(e.tup for e in tree.entries)
+
+
 def tree_json(tree: SpanningTree) -> dict:
     """The tree as the ``tree`` command prints it: its base and its tuples with derivations."""
     pairs = sorted(((e.tup, e.derivation) for e in tree.entries), key=lambda p: p[0])
@@ -660,222 +654,3 @@ def validate_tree(t: SpanningTree) -> TreeReport:
         failures.append(f"incidence structure has {len(roots)} components")
 
     return TreeReport(not failures, tuple(failures))
-
-
-def _splice_table(
-    k: int, tree: SpanningTree, dyck: tuple[Bits, ...], seqs: tuple[bytes, ...]
-) -> tuple[dict[int, int], array]:
-    """Witness vertex -> its packed entry: ((origin << 2k | a) << 2k | b) << 6 | index.
-
-    The origin number indexes ``dyck`` and ``seqs``, their flip sequences
-    (``factor.flip_sequences``); a and b are the vertex's two final
-    neighbours, its factor neighbours with the witness edges toggled in.
-    Every vertex not in the table keeps its two factor-cycle neighbours.
-    Returned with the walk's stop masks: one word per Dyck word, with a bit
-    at the index of each table vertex on its path, and at index 0 of path 0,
-    the start. The tree is checked as ``assembly._splice_hops`` checks it,
-    and ``validate_tree`` runs only to report a tree that fails.
-    """
-    if not tree.spans_dyck(k):
-        _reject(tree)
-    packed = tree.packed
-    last = 2 * k
-    full = (1 << last) - 1
-
-    # First each witness vertex collects its two witness-cycle neighbours, the
-    # ends of the edges it toggles, as a negative int: minus its toggled
-    # neighbours in slots of 2k + 1 bits, each with a stop bit at 2k, so a
-    # vertex of two witnesses holds four slots.
-    slot, stop = last + 1, 1 << last
-    pair = 2 * slot
-    table: dict[int, int] = {}
-    get = table.get
-    for _, cycle, _ in packed:
-        for prev, cur, nxt in zip((cycle[-1], *cycle), cycle, (*cycle[1:], cycle[0])):
-            table[cur] = (get(cur, 0) << pair) - ((prev | stop) << slot | nxt | stop)
-
-    # Then each member's named edge places the witness vertices at its
-    # positions (see the module docstring). A placed vertex's factor
-    # neighbours take its toggles, an edge toggled twice cancelling, and a
-    # vertex whose toggles all cancel drops out. A vertex that no named edge
-    # holds stays negative, and is reported below. The same pass checks the
-    # tree: every member is a Dyck word, no word takes a mark twice, and
-    # joining each support's words in a union-find over origin numbers never
-    # joins two words already joined. With sum(|support| - 1) == |words| - 1
-    # that is all of ``validate_tree``'s conditions.
-    origin_of = {x.val: o for o, x in enumerate(dyck)}
-    parent = array("l", range(len(dyck)))
-    marks = array("Q", bytes(8 * len(dyck)))
-    stops = array("Q", bytes(8 * len(dyck)))
-    stops[0] = 1
-    count = 0
-    bit = _BIT.__getitem__
-    bad = []
-    misplaced = {}
-    for idx, (pattern, cycle, support) in enumerate(packed):
-        count += len(support) - 1
-        place = len(cycle) == 2 * len(support)
-        root = None
-        for (x, mark), (a, b) in zip(support, pattern.named_edges):
-            o = origin_of.get(x)
-            if o is None or marks[o] & _BIT[mark]:
-                _reject(tree)
-            marks[o] |= _BIT[mark]
-            r = o  # o's root, halving the path on the way
-            while (p := parent[r]) != r:
-                parent[r] = parent[p]
-                r = parent[p]
-            if root is None:
-                root = r
-            elif r == root:
-                _reject(tree)
-            else:
-                parent[r] = root
-            if not place:
-                continue
-            seq = seqs[o]
-            i = seq.index(mark)
-            # the first i flips, or all flips but the last 2k - i
-            low = x ^ sum(map(bit, seq[:i])) if i <= k else x ^ full ^ sum(map(bit, seq[i:]))
-            for y in (cycle[a], cycle[b]):
-                toggled = get(y, 0)
-                if toggled >= 0:  # placed already, dropped, or of no witness
-                    continue
-                if y == low:
-                    j = i
-                elif y == low ^ _BIT[mark]:
-                    j = i + 1
-                else:
-                    misplaced.setdefault(y, (idx, o, i))
-                    continue
-                before = y ^ (_BIT[seq[j - 1]] if j else full)
-                after = y ^ (_BIT[seq[j]] if j < last else full)
-                nb = [before, after]
-                toggled = -toggled
-                while toggled:
-                    w = toggled & full
-                    toggled >>= slot
-                    if w in nb:
-                        nb.remove(w)
-                    else:
-                        nb.append(w)
-                if len(nb) != 2:
-                    bad.append((y, o, j, len(nb)))
-                    table[y] = 0  # placed, and reported below
-                elif before in nb and after in nb:
-                    del table[y]
-                else:
-                    table[y] = ((o << last | nb[0]) << last | nb[1]) << 6 | j
-                    stops[o] |= 1 << j
-    if count != len(dyck) - 1:
-        _reject(tree)
-    if bad:
-        v, o, i, d = bad[0]
-        raise AssemblyError(
-            f"{len(bad)} vertices do not have degree 2 after splicing, e.g. "
-            f"{Bits(v, last)}, index {i} on the factor path of {dyck[o]}, has {d} neighbours"
-            + _meeting(tree, {v}, "it")
-        )
-    stray = [v for v, e in table.items() if e < 0]
-    if stray:
-        v = next((v for v in stray if v in misplaced), stray[0])
-        where = ""
-        if v in misplaced:
-            idx, o, i = misplaced[v]
-            where = (
-                f": tuple {tree.entries[idx].tup} names the edge from index {i} to {i + 1} "
-                f"on the factor path of {dyck[o]}"
-            )
-        raise AssemblyError(
-            f"{len(stray)} witness vertices lie on no factor path at a named edge, e.g. "
-            f"{Bits(v, last)!r}{where}"
-        )
-    return table, stops
-
-
-def _walk(
-    k: int, table: dict[int, int], stops: array, tree: SpanningTree, target: str
-) -> Iterator[list[int]]:
-    """The spliced cycle from the least vertex (1 << k) - 1, toward its smaller neighbour, in runs.
-
-    Each run is one segment of a factor path in ``target``'s coordinates,
-    ended by a stop and left by a witness edge, or a table vertex alone
-    between two witness edges, as ``assembly._walk_runs`` emits it. The walk is cut
-    after the target's number of vertices, so a broken table cannot make it
-    loop forever. The tree is read only to name the tuples at a path the
-    walk missed.
-    """
-    dyck, seqs = enumerate_dyck(k), flip_sequences(k)
-    last = 2 * k
-    span = last + 1  # the vertices, and the edges, of one factor cycle
-    full, top = (1 << last) - 1, 1 << last
-    # per target: a path's laps (a middle detour is the second) and what weight k + 1 XORs in
-    laps, flip = {TARGET_GPLUS: (1, 0), TARGET_ODD: (1, top | full), TARGET_MIDDLE: (2, 0)}[target]
-    lap, total = laps * span, laps * comb(span, k)
-    upper, above = last + 6, 2 * last + 6  # where an entry's neighbour a and origin start
-    # bit[p] and step[p] flip position p, in gplus and in the walk's coordinates; p = 0 closes
-    bit = (full, *_BIT[1:span])
-    step = (top if laps == 2 else full, *(flip ^ b for b in bit[1:]))
-    reached = bytearray(len(dyck))  # the paths whose table vertices the walk met
-    start = g = v = (1 << k) - 1  # dyck[0] = 1^k 0^k, at index 0 of its own path
-    # off the table, the start leaves toward its smaller factor neighbour, as if from the larger
-    entry = table.get(start, (start ^ full) << upper | (start ^ bit[seqs[0][0]]) << 6)
-    prev = max(entry >> 6 & full, entry >> upper & full)
-    o, count = -1, 0
-    while True:
-        # v, not yet emitted, is g in the walk's coordinates; entry is g's
-        j = entry & 63
-        if entry >> above != o:
-            o = entry >> above
-            reached[o] = 1
-            # the path's steps and stops at both ends of its closing step (or
-            # detour), so that a run may wrap from index 2k to 0 or from 0 to 2k
-            ext = (seqs[o] + b"\0") * laps + seqs[o]
-            s = stops[o] | stops[o] << lap
-        nxt = entry >> 6 & full
-        if nxt == prev:
-            nxt = entry >> upper & full
-        if nxt == g ^ bit[ext[j]]:
-            ahead = s >> j + 1
-            steps = ext[j : j + (ahead & -ahead).bit_length()]
-        elif nxt == g ^ bit[ext[j + lap - 1]]:
-            steps = ext[(s & (1 << j + lap) - 1).bit_length() - 1 : j + lap][::-1]
-        else:
-            steps = b""
-        run = list(accumulate(map(step.__getitem__, steps), xor, initial=v))
-        if steps:
-            v = run[-1]
-            g = v ^ flip if v > full else v
-            if g == start:  # the walk is back: its last run ends before the start
-                run.pop()
-                nxt = start
-            else:
-                # reached along its path, a table vertex is left by a witness edge:
-                # one whose final neighbours are its factor neighbours is not in the table
-                entry = table[g]
-                nxt = entry >> 6 & full
-                if nxt == g ^ bit[steps[-1]]:
-                    nxt = entry >> upper & full
-        count += len(run)
-        if count > total:
-            yield run[: len(run) - count + total]
-            raise AssemblyError(f"the walk did not return to its start after {total} vertices")
-        yield run
-        prev, g = g, nxt
-        if g == start:
-            break
-        v = g ^ flip if g.bit_count() > k else g
-        entry = table[g]
-    if count != total:
-        missed = [o for o, r in enumerate(reached) if not r]
-        where = ""
-        if missed:
-            x, seq = dyck[missed[0]], seqs[missed[0]]
-            where = _meeting(tree, set(_path_vals(x.val, seq)), f"the factor path of {x}")
-        raise AssemblyError(
-            f"splice produced more than one cycle: the walk reached {count} of "
-            f"{total} vertices, and no factor path of these {len(missed)} of "
-            f"{len(dyck)} Dyck words: {', '.join(str(dyck[o]) for o in missed[:8])}"
-            + (", ..." if len(missed) > 8 else "")
-            + where
-        )

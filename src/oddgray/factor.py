@@ -14,13 +14,13 @@ edge {x, ~x} gives one cycle per Dyck word; the cycles are vertex-disjoint
 and cover all binomial(2k+1, k) vertices of the two layers.
 
 ``flip_sequences(k)`` builds the table of every flip sequence one
-semilength at a time, each word 1u0v from the smaller u and v, and keeps it
-for the latest k, which the splice, the walk, the ``factor`` command and
-``checking``'s views on ``Bits`` (``path``, ``flip_edge``, ``cycle_factor``)
-share; ``flip_sequence`` runs the recursion for one word and keeps nothing.
-The table holds each sequence as ``bytes``, one byte per position (at most
-MAX_LEN = 62), so indexing, slicing and ``index`` read positions as ints;
-``flip_sequence`` returns a tuple.
+semilength at a time, in enumeration order, each word 1u0v from the smaller
+u and v, and keeps it for the latest k, which the splice, the walk, the
+``factor`` command and ``checking``'s views on ``Bits`` (``path``,
+``flip_edge``, ``cycle_factor``) share; ``flip_sequence`` runs the recursion
+for one word and keeps nothing. The table holds each sequence as ``bytes``,
+one byte per position (at most MAX_LEN = 62), so indexing, slicing and
+``index`` read positions as ints; ``flip_sequence`` returns a tuple.
 """
 
 from __future__ import annotations
@@ -66,25 +66,30 @@ def flip_sequence(x: Bits) -> tuple[int, ...]:
 def flip_sequences(k: int) -> tuple[bytes, ...]:
     """``flip_sequence`` of every Dyck word of semilength k as ``bytes``, in enumeration order.
 
-    Built one semilength at a time: the words 1u0v of semilength s pair each
-    u of semilength a < s with each v of semilength s - 1 - a, so each
-    sequence is a head made once per u and a tail shifted once per (s, a).
-    The table is kept for the latest k only, which every caller of that k
-    shares; the smaller semilengths are dropped with the call. The words
-    come first, so a k too large for memory is refused before any work.
+    Each level is a list in enumeration order: the words 1u0v by u, in
+    descending order with a word after its extensions, then by v. So u runs
+    over each word y of the level below and then over what y leaves as it
+    drops a closing 10: F(y) ends with |y|, |y| - 1 exactly when y ends
+    with 10, and loses those two flips with it. The table is kept for the
+    latest k only, which every caller of that k shares. The words come
+    first, so a k too large for memory is refused before any work.
     """
-    words = enumerate_dyck(k)
-    levels: list[dict[int, bytes]] = [{0: b""}]
+    enumerate_dyck(k)
+    levels: list[list[bytes]] = [[b""]]
     for s in range(1, k + 1):
-        level: dict[int, bytes] = {}
-        for a in range(s):
-            base = 2 * a + 2  # the position of the 0 that closes the leading 1
-            tails = [(v << base, f.translate(_ADD[base])) for v, f in levels[s - 1 - a].items()]
-            for u, f in levels[a].items():
-                x, head = 1 | u << 1, bytes((base,)) + f[::-1].translate(_ADD[1]) + b"\x01"
-                level.update({x | v: head + tail for v, tail in tails})
+        # tails[a]: each sequence of semilength s - 1 - a, shifted past 1u0 with |u| = 2a
+        tails = [[f.translate(_ADD[2 * a + 2]) for f in levels[s - 1 - a]] for a in range(s)]
+        level: list[bytes] = []
+        for f in levels[s - 1]:
+            n = len(f)
+            while True:
+                head = bytes((n + 2,)) + f[::-1].translate(_ADD[1]) + b"\x01"
+                level += [head + tail for tail in tails[n // 2]]
+                if not n or f[-1] != n - 1:
+                    break
+                f, n = f[:-2], n - 2
         levels.append(level)
-    return tuple(map(levels[k].__getitem__, [x.val for x in words]))
+    return tuple(levels[k])
 
 
 def _path_vals(val: int, seq: bytes | tuple[int, ...]) -> list[int]:

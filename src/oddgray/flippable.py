@@ -106,10 +106,6 @@ class Pattern(namedtuple("Pattern", "family inner")):
 
         return seed_tuple(self)
 
-    def base_witness(self) -> tuple[Bits, ...]:
-        n = self.word_length
-        return tuple(Bits(y, n) for y in seed(self)[1])
-
     @property
     def named_edges(self) -> tuple[tuple[int, int], ...]:
         """Per member, in the seed's member order, the witness positions of its named edge."""

@@ -86,9 +86,6 @@ class SpanningTree:
         words = enumerate_dyck(k)
         return self.words is words or self.base == frozenset(words)
 
-    def tuple_set(self) -> frozenset:
-        return frozenset(e.tup for e in self.entries)
-
 
 _TEN = Bits.parse("10")
 _1100 = Bits.parse("1100")

@@ -17,6 +17,7 @@ from oddgray.checking import (
     steep_tree,
     tree_family,
     tree_json,
+    tuple_set,
     validate_tree,
 )
 from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
@@ -73,7 +74,7 @@ def test_partition_rejects_tiny():
 
 
 def test_full_tree_3_is_the_published_pair():
-    assert full_tree(3).tuple_set() == {fan().tuple(), BRIDGE.tuple()}
+    assert tuple_set(full_tree(3)) == {fan().tuple(), BRIDGE.tuple()}
 
 
 def test_steep_tree_4_literals():
@@ -83,7 +84,7 @@ def test_steep_tree_4_literals():
         apply_context(BRIDGE.tuple(), Context(B("1"), B("0"))),
         apply_context(fan().tuple(), Context(EMPTY, B("10"))),
     }
-    assert steep_tree(4).tuple_set() == expected
+    assert tuple_set(steep_tree(4)) == expected
 
 
 def test_flat_tree_4_is_shifted_full_tree_3():
@@ -92,7 +93,7 @@ def test_flat_tree_4_is_shifted_full_tree_3():
         apply_context(fan().tuple(), Context(ten, EMPTY)),
         apply_context(BRIDGE.tuple(), Context(ten, EMPTY)),
     }
-    assert flat_tree(4).tuple_set() == expected
+    assert tuple_set(flat_tree(4)) == expected
 
 
 def test_tuple_size_accounting():
@@ -298,14 +299,14 @@ def test_mask_width():
 
 
 def test_counting_tree_mask_zero_is_the_plain_tree():
-    assert counting_tree(6, 0).tuple_set() == full_tree(6).tuple_set()
+    assert tuple_set(counting_tree(6, 0)) == tuple_set(full_tree(6))
 
 
 def test_counting_tree_uses_alternate_connector():
     t = counting_tree(6, 1)
     connector = apply_context(fan(B("1100")).tuple(), Context(EMPTY, B("10")))
-    assert connector in t.tuple_set()
-    assert connector not in full_tree(6).tuple_set()
+    assert connector in tuple_set(t)
+    assert connector not in tuple_set(full_tree(6))
 
 
 def test_counting_trees_distinct_and_valid():
@@ -315,7 +316,7 @@ def test_counting_trees_distinct_and_valid():
             t = counting_tree(k, mask)
             if k < 8:
                 assert validate_tree(t).passed
-            seen.add(t.tuple_set())
+            seen.add(tuple_set(t))
         assert len(seen) == 1 << mask_width(k)
 
 

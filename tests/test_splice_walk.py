@@ -3,28 +3,26 @@
 ``reference_cycle`` below is the earliest assembly: the cycle factor loaded
 into a dict of neighbour lists over every vertex, each witness edge toggled
 in, and the result traversed from its least vertex toward the smaller
-neighbour. The walker must give the same sequence, and raise
-``AssemblyError`` from each of its postconditions with a message that names
-Dyck origins; degree and count failures also name the tuples whose
-witnesses meet the failing vertex or path. In odd and middle coordinates it
-must give the gplus cycle mapped vertex by vertex with ``odd_val``, and with
-each closing edge replaced by its detour (``reference_middle``, the earlier
-middle-levels stream).
+neighbour. The walker must give the same sequence. In odd and middle
+coordinates it must give the gplus cycle mapped vertex by vertex with
+``odd_val``, and with each closing edge replaced by its detour
+(``reference_middle``, the earlier middle-levels stream).
 
-``assembly._splice_hops`` stores one hop per named-edge end and accepts
-every valid tree tried here; ``checking._splice_table`` and
-``checking._walk``, the toggle splice it replaced, take the trees it does
-not accept, so the broken trees below fail with the texts they always
-had. Generation never calls that reference on a valid tree.
+``assembly._splice_hops`` is the only splice, and a tree fails it in one of
+three ways, each tried here on broken trees: an invalid tree raises
+``validate_tree``'s ``ValueError``; a witness position that does not hold an
+end of its member's named edge raises an ``AssemblyError`` naming the tuple,
+the Dyck origin, the index and the vertex; and a walk that does not return
+after the target's number of vertices, or returns early, raises an
+``AssemblyError`` naming the Dyck origins it missed and the tuples whose
+witnesses meet the first of them. Once every witness sits at its named
+edges, every vertex of the toggled graph has degree 2, which the reference
+adjacency shows on random masks.
 """
 
 import re
-import subprocess
-import sys
 from array import array
-from collections import Counter
 from itertools import chain
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +38,7 @@ from oddgray.assembly import (
     odd_val,
     stream_gplus_vals,
 )
-from oddgray.checking import Context, Derivation, _splice_table, _walk, hand_tree, locate
+from oddgray.checking import Context, Derivation, hand_tree, locate, validate_tree
 from oddgray.factor import _path_vals, flip_sequence, flip_sequences
 from oddgray.spanning import SpanningTree, counting_tree, full_tree, mask_width
 from oddgray.words import Bits, enumerate_dyck
@@ -95,14 +93,6 @@ def reference_middle(k, tree):
             detour = [w ^ full | top for w in _path_vals(x, seq_of[x])]
             out.extend(reversed(detour) if a == x else detour)
     return out
-
-
-def surviving_witness_vertices(tree):
-    """Endpoints of the witness edges toggled an odd number of times."""
-    edges = Counter()
-    for _, cycle, _ in tree.packed:
-        edges.update(frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1]))
-    return {v for e, m in edges.items() if m % 2 for v in e}
 
 
 def component_of_start(k, tree):
@@ -171,42 +161,10 @@ def test_middle_walk_matches_the_detours_on_random_masks(data):
     assert list(stream_gplus_vals(k, tree, TARGET_MIDDLE)) == reference_middle(k, tree)
 
 
-def test_table_holds_exactly_the_witness_vertices():
-    tree = full_tree(8)
-    dyck = enumerate_dyck(8)
-    seqs = flip_sequences(8)
-    table, _ = _splice_table(8, tree, dyck, seqs)
-    assert set(table) == surviving_witness_vertices(tree)
-    assert len(table) == 4014
-    full = (1 << 16) - 1
-    for v, entry in table.items():
-        # ((origin << 2k | a) << 2k | b) << 6 | index
-        a, b, o, i = entry >> 22 & full, entry >> 6 & full, entry >> 38, entry & 63
-        assert _path_vals(dyck[o].val, seqs[o])[i] == v
-        assert v not in (a, b) and a != b
-
-
-@pytest.mark.parametrize("k, mask", [(3, None), (5, None), (8, None), (7, 2), (9, 3053)])
-def test_stop_masks_hold_the_table_vertices_and_the_start(k, mask):
-    # One bit per stored entry, at its index on its origin's path, and the
-    # walk's start, index 0 of path 0; none for a vertex whose toggles cancel.
-    tree = full_tree(k) if mask is None else counting_tree(k, mask)
-    dyck = enumerate_dyck(k)
-    table, stops = _splice_table(k, tree, dyck, flip_sequences(k))
-    expected = [0] * len(dyck)
-    expected[0] = 1
-    for entry in table.values():
-        expected[entry >> (4 * k + 6)] |= 1 << (entry & 63)
-    assert list(stops) == expected
-    assert sum(m.bit_count() for m in stops) == len(table) + (table.get((1 << k) - 1) is None)
-
-
 def hop_invariants(k, tree):
     """Check the hop splice of a valid tree against the tree's own supports and witnesses."""
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
-    spliced = _splice_hops(k, tree, dyck, seqs)
-    assert spliced is not None, "the hop splice handed a valid tree to the reference"
-    hops, side, masks = spliced
+    hops, side, masks = _splice_hops(k, tree, dyck, seqs)
     full = (1 << 2 * k) - 1
     # two ends per member, and every witness vertex ends one named edge or two
     assert len(hops) + len(side) == 2 * sum(len(s) for _, _, s in tree.packed)
@@ -240,12 +198,19 @@ def test_hop_splice_invariants_on_random_masks(data):
     hop_invariants(k, counting_tree(k, data.draw(st.integers(0, (1 << mask_width(k)) - 1))))
 
 
-def outcome(run):
-    """What a splice and walk give: the cycle, or the type and text of the error."""
-    try:
-        return list(run())
-    except (ValueError, AssemblyError) as err:
-        return type(err).__name__, str(err)
+def first_misplaced(k, tree):
+    """The first entry whose witness is the wrong length or, at a member's named
+    positions, holds a vertex off that member's named edge, found with ``locate``."""
+    for idx, (pattern, cycle, support) in enumerate(tree.packed):
+        if len(cycle) != 2 * len(support):
+            return idx
+        for (x, mark), (a, b) in zip(support, pattern.named_edges):
+            w = Bits(x, 2 * k)
+            i = flip_sequence(w).index(mark)
+            held = {locate(Bits(cycle[a], 2 * k)), locate(Bits(cycle[b], 2 * k))}
+            if held != {(w, i), (w, i + 1)}:
+                return idx
+    return None
 
 
 @settings(deadline=None, max_examples=40)
@@ -253,8 +218,10 @@ def outcome(run):
 def test_hop_splice_fails_as_the_reference_fails(data):
     # A built tree with one entry dropped or duplicated, one member
     # re-marked, or one witness rotated, reversed or taken from another
-    # entry: whichever splice takes it, the stream gives the reference's
-    # cycle or its error.
+    # entry of its length (or its own): an invalid tree raises
+    # ``validate_tree``'s text, a valid one with a witness off its named
+    # edges names that witness's tuple, and any other gives the reference
+    # cycle, or fails the count exactly when the reference is not one cycle.
     k = data.draw(st.integers(4, 7))
     packed = list(full_tree(k).packed)
     i = data.draw(st.integers(0, len(packed) - 1))
@@ -277,45 +244,38 @@ def test_hop_splice_fails_as_the_reference_fails(data):
         j = data.draw(st.sampled_from([j for j, e in enumerate(packed) if len(e[1]) == len(cycle)]))
         packed[i] = pattern, packed[j][1], support
     tree = SpanningTree(enumerate_dyck(k), tuple(packed), 2 * k)
-    dyck, seqs = enumerate_dyck(k), flip_sequences(k)
+    report = validate_tree(tree)
+    if not report.passed:
+        with pytest.raises(ValueError) as err:
+            stream_gplus_vals(k, tree)
+        assert str(err.value) == "invalid spanning tree: " + "; ".join(report.failures)
+        return
+    idx = first_misplaced(k, tree)
+    if idx is not None:
+        with pytest.raises(AssemblyError, match="lie on no factor path at a named edge") as err:
+            stream_gplus_vals(k, tree)
+        assert f": tuple {tree.entries[idx].tup} names the edge from index " in str(err.value)
+        return
+    adj = reference_adjacency(k, tree)
+    assert all(len(nb) == 2 for nb in adj.values())
+    if len(component_of_start(k, tree)) == len(adj):
+        assert list(stream_gplus_vals(k, tree)) == reference_cycle(k, tree)
+    else:
+        with pytest.raises(AssemblyError, match="splice produced more than one cycle"):
+            list(stream_gplus_vals(k, tree))
 
-    def reference():
-        table, stops = _splice_table(k, tree, dyck, seqs)
-        return chain.from_iterable(_walk(k, table, stops, tree, TARGET_GPLUS))
 
-    assert outcome(lambda: stream_gplus_vals(k, tree)) == outcome(reference)
-
-
-def test_generation_never_calls_the_reference_splice():
-    code = (
-        "import io\n"
-        "from oddgray import assembly, checking, cli, hamilton_odd, spanning\n"
-        "calls = 0\n"
-        "splice = checking._splice_table\n"
-        "def counted(*args):\n"
-        "    global calls\n"
-        "    calls += 1\n"
-        "    return splice(*args)\n"
-        "checking._splice_table = counted\n"
-        "runs = (['gen', '--k', '8'], ['gen', '--k', '7', '--family', '3'],\n"
-        "        ['middle', '--k', '6'])\n"
-        "for argv in runs:\n"
-        "    assert cli.main(argv, out=io.StringIO()) == 0\n"
-        "hamilton_odd(8, 5)\n"
-        "print(calls)\n"
-        "tree = spanning.full_tree(5)\n"
-        "packed = list(tree.packed)\n"
-        "pattern, cycle, support = packed[7]\n"
-        "packed[7] = pattern, (*cycle[1:], cycle[0]), support\n"
-        "try:\n"
-        "    assembly.stream_gplus_vals(5, spanning.SpanningTree(tree.words, tuple(packed), 10))\n"
-        "except assembly.AssemblyError:\n"
-        "    print(calls)\n"
-    )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    # the broken tree, a rotated witness, shows that the counter counts
-    assert res.stdout.split() == ["0", "1"]
+@settings(deadline=None, max_examples=6)
+@given(st.data())
+def test_accepted_trees_leave_every_vertex_of_degree_2(data):
+    # Why the splice needs no degree check: once every witness position
+    # holds an end of its member's named edge, each named edge has one
+    # owner, a vertex ends at most named edges i - 1 and i of its own path,
+    # and the union-find keeps hop edges distinct.
+    k = data.draw(st.integers(6, 9))
+    tree = counting_tree(k, data.draw(st.integers(0, (1 << mask_width(k)) - 1)))
+    _splice_hops(k, tree, enumerate_dyck(k), flip_sequences(k))
+    assert all(len(nb) == 2 for nb in reference_adjacency(k, tree).values())
 
 
 def test_walk_is_cut_after_the_vertex_count():
@@ -333,21 +293,6 @@ def test_walk_is_cut_after_the_vertex_count():
     with pytest.raises(AssemblyError, match="did not return to its start after 126 vertices"):
         runs = _walk_runs(4, hops, side, masks, full_tree(4), TARGET_GPLUS)
         out.extend(chain.from_iterable(runs))
-    assert out[:5] == [15, 1, 2, 1, 2] and len(out) == 126
-
-
-def test_reference_walk_is_cut_after_the_vertex_count():
-    # The start's entry sends the walk over a witness edge to 1, and 1 and 2
-    # name each other as both neighbours, so the walk hops between them and
-    # never returns; it stops after binomial(9, 4) = 126 vertices.
-    def entry(a, b):  # origin 0, index 0
-        return (a << 8 | b) << 6
-
-    table = {15: entry(1, 255), 1: entry(2, 2), 2: entry(1, 1)}
-    stops = array("Q", [1] + [0] * 13)  # every entry is at index 0 of path 0
-    out = []
-    with pytest.raises(AssemblyError, match="did not return to its start after 126 vertices"):
-        out.extend(chain.from_iterable(_walk(4, table, stops, full_tree(4), TARGET_GPLUS)))
     assert out[:5] == [15, 1, 2, 1, 2] and len(out) == 126
 
 
@@ -410,35 +355,36 @@ def test_rerouted_hops_fail_the_count_check():
     assert msg.endswith(f"meet the factor path of {missed[0]}: {', '.join(named)}")
 
 
-def test_duplicated_derivation_fails_the_count_check():
-    # Entry 0 splices entry 1's witness: its tuple still validates, but
-    # entry 1's witness is toggled twice and cancels, and entry 0's is never
-    # toggled, so their factor cycles stay apart.
+def test_duplicated_derivation_fails_placement():
+    # Entry 0, a fan, splices entry 1's patch witness: its tuple still
+    # validates, but none of the six vertices at the fan's named positions
+    # ends the named edge of its member. The first is at position 3, where
+    # the fan's first member 110[1]0010 names the edge from index 1 to 2.
     k = 4
     tree = full_tree(k)
-    broken = with_witness(tree, 0, tree.packed[1][1])
-    component = component_of_start(k, broken)
-    reached = {locate(Bits(v, 2 * k))[0] for v in component}
-    missed = [x for x in enumerate_dyck(k) if x not in reached]
-    assert missed
+    witness = tree.packed[1][1]
+    broken = with_witness(tree, 0, witness)
     with pytest.raises(AssemblyError) as err:
-        list(stream_gplus_vals(k, broken))
-    msg = str(err.value)
-    assert f"reached {len(component)} of {comb(9, 4)} vertices" in msg
-    assert f"{len(missed)} of 14 Dyck words" in msg
-    for x in missed[:8]:
-        assert str(x) in msg
-    # The two entries splicing the one witness are named at the first missed path.
-    named = f"{tree.entries[0].tup}, {tree.entries[1].tup}"
-    assert msg.endswith(f"the witnesses of 2 tuples meet the factor path of {missed[0]}: {named}")
+        stream_gplus_vals(k, broken)
+    tup, x, v = tree.entries[0].tup, Bits.parse("11010010"), Bits.parse("10011001")
+    assert str(err.value) == (
+        "6 witness vertices lie on no factor path at a named edge, e.g. Bits('10011001'): "
+        "tuple {110[1]0010, 1101010[0], 110110[0]0} names the edge from index 1 to 2 "
+        "on the factor path of 11010010"
+    )
+    assert str(tup) == "{110[1]0010, 1101010[0], 110110[0]0}"
+    assert tree.packed[0][0].named_edges[0] == (3, 2) and witness[3] == v.val
+    assert flip_sequence(x).index(tup.mark_of(x)) == 1
+    assert locate(v) not in {(x, 1), (x, 2)}
 
 
-def test_rewrapped_derivation_fails_the_degree_check():
-    # The bridge entry of the k = 4 tree wrapped in (10, empty) instead of
-    # its own context (1, 0): its witness meets factor edges another tuple's
-    # witness already toggled, so two vertices end with four neighbours. The
-    # message names the tuples whose witnesses hold the failing vertex: the
-    # bridge and that other tuple.
+def test_rewrapped_derivation_fails_placement():
+    # The bridge entry of the k = 4 tree splices the witness of its pattern
+    # wrapped in (10, empty) instead of its own context (1, 0). Its tuple
+    # still validates, but the witness sits on other factor edges, and none
+    # of its six vertices ends the named edge of its member. The first is at
+    # position 5, where the bridge's first member 110101[0]0 names the edge
+    # from index 2 to 3.
     k = 4
     tree = full_tree(k)
     idx = next(
@@ -447,24 +393,20 @@ def test_rewrapped_derivation_fails_the_degree_check():
     old = tree.entries[idx].derivation
     assert (str(old.context.prefix), str(old.context.suffix)) == ("1", "0")
     ctx = Context(Bits.parse("10"), Bits.parse(""))
-    broken = with_witness(tree, idx, Derivation(old.pattern, ctx).witness_vals())
-    with pytest.raises(AssemblyError, match="do not have degree 2") as err:
-        list(stream_gplus_vals(k, broken))
-    m = re.search(
-        r"e\.g\. ([01]+), index (\d+) on the factor path of ([01]+), has (\d+) neighbours; "
-        r"the witnesses of (\d+) tuples meet it: (.*)$",
-        str(err.value),
+    witness = Derivation(old.pattern, ctx).witness_vals()
+    broken = with_witness(tree, idx, witness)
+    with pytest.raises(AssemblyError) as err:
+        stream_gplus_vals(k, broken)
+    tup, x, v = tree.entries[idx].tup, Bits.parse("11010100"), Bits.parse("01111010")
+    assert str(err.value) == (
+        "6 witness vertices lie on no factor path at a named edge, e.g. Bits('01111010'): "
+        "tuple {110101[0]0, 11[1]00100, 1[1]110000} names the edge from index 2 to 3 "
+        "on the factor path of 11010100"
     )
-    assert m, str(err.value)
-    vertex, index, origin, degree, count, named = m.groups()
-    assert locate(Bits.parse(vertex)) == (Bits.parse(origin), int(index))
-    assert degree != "2"
-    v = Bits.parse(vertex).val
-    holders = [
-        str(e.tup) for e, (_, cycle, _) in zip(broken.entries, broken.packed) if v in cycle
-    ]
-    assert str(tree.entries[idx].tup) in holders
-    assert named == ", ".join(holders) and int(count) == len(holders) == 2
+    assert str(tup) == "{110101[0]0, 11[1]00100, 1[1]110000}"
+    assert tree.packed[idx][0].named_edges[0] == (5, 4) and witness[5] == v.val
+    assert flip_sequence(x).index(tup.mark_of(x)) == 2
+    assert locate(v) not in {(x, 2), (x, 3)}
 
 
 def test_witness_vertex_off_the_factor_fails():

@@ -7,9 +7,10 @@ one broken tree per failure kind of ``validate_tree``, one whose words close
 a cycle with no mark repeated (which only the union-find catches), a tree
 that does not span, and one that is both invalid and too small, whose
 invalidity is reported first. A hypothesis property then mutates built
-trees, and the splice must reject exactly the mutants that
-``validate_tree`` rejects, with its text; a mutant it accepts may still
-fail placement with an ``AssemblyError``.
+trees, and ``assembly._splice_hops`` must reject exactly the mutants that
+``validate_tree`` rejects, with its text, also those whose witnesses are
+misplaced too; a mutant it accepts may still fail placement with an
+``AssemblyError``.
 """
 
 import subprocess
@@ -20,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddgray.assembly import AssemblyError, stream_gplus_vals
-from oddgray.checking import _splice_table, hand_tree, validate_tree
+from oddgray.assembly import AssemblyError, _splice_hops, stream_gplus_vals
+from oddgray.checking import hand_tree, validate_tree
 from oddgray.factor import flip_sequences
 from oddgray.spanning import SpanningTree, full_tree
 from oddgray.words import enumerate_dyck
@@ -162,20 +163,32 @@ def built_packed(k):
 
 @st.composite
 def mutants(draw):
-    """(k, packed entries) of ``full_tree(k)`` with one entry dropped or
-    duplicated, or one member re-marked or moved to another word."""
+    """(k, packed entries) of ``full_tree(k)`` with one or two mutations: an
+    entry dropped or duplicated, a member re-marked or moved to another
+    word, or a witness rotated or taken from another entry of its length."""
     k = draw(st.integers(4, 8))
     packed = list(built_packed(k))
+    kinds = ["drop", "duplicate", "mark", "word", "rotate", "swap"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2)):
+        mutate(draw, k, packed, kind)
+    return k, packed
+
+
+def mutate(draw, k, packed, kind):
     i = draw(st.integers(0, len(packed) - 1))
-    kind = draw(st.sampled_from(["drop", "duplicate", "mark", "word"]))
+    pattern, cycle, support = packed[i]
     if kind == "drop":
         del packed[i]
     elif kind == "duplicate":
         packed.insert(draw(st.integers(0, len(packed))), packed[i])
+    elif kind == "rotate":
+        packed[i] = pattern, (*cycle[1:], cycle[0]), support
+    elif kind == "swap":
+        j = draw(st.sampled_from([j for j, e in enumerate(packed) if len(e[1]) == len(cycle)]))
+        packed[i] = pattern, packed[j][1], support
     else:
         # Members from position 2 on: ``Derivation.of_support``, which
         # renders a failing tuple, reads the marks of the first two.
-        support = packed[i][2]
         pos = draw(st.integers(2, len(support) - 1))
         x, m = support[pos]
         if kind == "word":
@@ -187,7 +200,6 @@ def mutants(draw):
         if kind == "word" or not (others and draw(st.booleans())):
             others = [a for a in range(1, 2 * k + 1) if a != m and a not in others]
         packed[i] = with_member(packed[i], pos, (x, draw(st.sampled_from(others))))
-    return k, packed
 
 
 @settings(deadline=None, max_examples=60)
@@ -197,7 +209,7 @@ def test_splice_rejects_exactly_the_trees_validate_tree_rejects(mutant):
     tree = packed_tree(k, packed)
     report = validate_tree(tree)
     try:
-        _splice_table(k, tree, enumerate_dyck(k), flip_sequences(k))
+        _splice_hops(k, tree, enumerate_dyck(k), flip_sequences(k))
     except ValueError as err:
         assert not report.passed
         assert str(err) == INVALID + "; ".join(report.failures)
