@@ -40,8 +40,9 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .factor import _path_vals, flip_sequence, flip_sequences
-from .flippable import BRIDGE, PATCH, QUAD, PackedEntry, Pattern, append, fan, seed, shift, wrap
-from .spanning import SpanningTree, _Recursion, full_tree
+from .flippable import BRIDGE, IDENTITY, PATCH, QUAD, PackedEntry, Pattern, fan, leaf
+from .flippable import appended, shifted, wrapped
+from .spanning import SpanningTree, flat, full_tree, steep
 from .words import (
     MAX_K,
     Bits,
@@ -161,51 +162,44 @@ def apply_context(t: FlippableTuple, ctx: Context) -> FlippableTuple:
 def seed_tuple(pattern: Pattern) -> FlippableTuple:
     """``pattern.tuple()``: the seed's packed members as marked words."""
     n = pattern.word_length
-    return FlippableTuple.of(MarkedWord(Bits(x, n), m) for x, m in seed(pattern)[2])
+    return FlippableTuple.of(MarkedWord(Bits(x, n), m) for x, m in leaf(pattern, IDENTITY)[2])
 
 
 def base_witness(pattern: Pattern) -> tuple[Bits, ...]:
     """The seed's witness cycle, as the table of seed literals in ``flippable`` lists it."""
     n = pattern.word_length
-    return tuple(Bits(y, n) for y in seed(pattern)[1])
+    return tuple(Bits(y, n) for y in leaf(pattern, IDENTITY)[1])
 
 
 def _peel(pattern: Pattern, ctx: Context) -> tuple[PackedEntry, int]:
     """The packed entry of ``apply_context(pattern.tuple(), ctx)``, with its word length.
 
-    Peels the context into the moves, one per round. With u the prefix and v
+    Peels the context into the moves of ``flippable``, outermost first, and
+    composes each into the map that wraps the seed. With u the prefix and v
     the suffix, the leading 1 of u closes either inside u (u = 1a0b with a
-    Dyck: shift by 1a0, go on with (b, v)) or inside v (v = v'0d: the word
-    u.tuple.v equals 1 mirror(tuple') 0 d for the context (mirror(v'),
-    mirror(u minus its leading 1)) wrapped around the same seed, so go on
-    there, then wrap and append d). Once the prefix is empty, the seed's
-    entry gets the remaining suffix, and the moves follow innermost first.
+    Dyck: the word is 1a0 shifted ahead of the rest, so go on with (b, v))
+    or inside v (v = v'0d: the word u.tuple.v equals 1 mirror(tuple') 0 d
+    for the context (mirror(v'), mirror(u minus its leading 1)) wrapped
+    around the same seed, so append d, wrap, and go on there). Each round
+    shortens the context, and once the prefix is empty the remaining suffix
+    is appended to the seed.
     """
     u, un = ctx.prefix.val, ctx.prefix.n
     v, vn = ctx.suffix.val, ctx.suffix.n
-    moves = []  # (wrapped, word): a shift by 1a0, or a wrap with tail d
+    total = n = un + vn + pattern.word_length
+    f = IDENTITY
     while un:
         p = first_return_val(u | v << un, un + vn)
         if p <= un:
-            moves.append((False, Bits(u & (1 << p) - 1, p)))
-            u >>= p
-            un -= p
+            f = shifted(f, Bits(u & (1 << p) - 1, p), n)
+            u, un, n = u >> p, un - p, n - p
         else:
             q = p - un
-            moves.append((True, Bits(v >> q, vn - q)))
+            f = wrapped(appended(f, Bits(v >> q, vn - q), n), n - vn + q)
+            n -= vn - q + 2
             head, body = v & ((1 << (q - 1)) - 1), u >> 1
             u, un, v, vn = mirror_val(head, q - 1), q - 1, mirror_val(body, un - 1), un - 1
-    n = pattern.word_length
-    entries = append([seed(pattern)], Bits(v, vn), n)
-    n += vn
-    for wrapped, w in reversed(moves):
-        if wrapped:
-            entries = append(wrap(entries, n), w, n + 2)
-            n += 2 + w.n
-        else:
-            entries = shift(entries, w)
-            n += w.n
-    return entries[0], n
+    return leaf(pattern, appended(f, Bits(v, vn), n)), total
 
 
 def witness(pattern: Pattern, ctx: Context) -> tuple[Bits, ...]:
@@ -232,7 +226,7 @@ class Derivation:
         The first member's word holds u below position |u| + 1 and the suffix
         above position |u| + L.
         """
-        (_, s0), (_, s1) = seed(pattern)[2][:2]
+        (_, s0), (_, s1) = leaf(pattern, IDENTITY)[2][:2]
         size = pattern.word_length
         (x, m0), (_, m1) = support[0], support[1]
         un = m0 - s0 if m1 - m0 == s1 - s0 else m0 + s0 - size - 1
@@ -553,13 +547,13 @@ def partition(k: int) -> Partition:
 def flat_tree(k: int) -> SpanningTree:
     if k < 2:
         raise ValueError("flat tree defined for semilength >= 2")
-    return SpanningTree(partition(k).flat, tuple(_Recursion().flat(k)), 2 * k)
+    return SpanningTree(partition(k).flat, tuple(flat(k, IDENTITY)), 2 * k)
 
 
 def steep_tree(k: int) -> SpanningTree:
     if k < 2:
         raise ValueError("steep tree defined for semilength >= 2")
-    return SpanningTree(partition(k).steep, tuple(_Recursion().steep(k)), 2 * k)
+    return SpanningTree(partition(k).steep, tuple(steep(k, IDENTITY)), 2 * k)
 
 
 def tree_family(k: int) -> tuple[SpanningTree | None, SpanningTree, SpanningTree]:

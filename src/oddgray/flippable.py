@@ -15,19 +15,30 @@ wraps the seed itself, an odd-length prefix wraps its mirror image.
 
 A tuple is carried as a packed entry (seed pattern, witness values,
 ((word value, mark), ...)), the support in the seed's member order; a word
-of length n packs position i at bit i-1. ``seed`` makes a seed's entry from
-the one table of seed literals, and three moves carry witness and support
-together:
+of length n packs position i at bit i-1. Three moves wrap a tuple T:
 
   shift p (length |p|)     witness y -> ~p y, support (x, m) -> (p x, m + |p|);
   wrap (words of length n) witness y -> 1 mirror(y) 1,
                            support (x, m) -> (1 mirror(x) 0, n + 2 - m);
   append v                 witness y -> y v, support (x, m) -> (x v, m).
 
+Each move is a map on packed words of length n, with R_n the reversal of n
+bits: val -> (R_n(val) if rev else val) << s ^ c, and on marks
+m -> (n + 1 - m if rev else m) + s. Shift p has s = |p| and c = ~p on
+witnesses, p on supports; wrap has rev, s = 1 and c = ones(n) << 1 | 1,
+with 1 << (n + 1) added on witnesses; append v has s = 0 and c = v << n.
+Maps of this form compose (``compose``): under an outer map (rev', s', c')
+from length N, the inner reversal flips if rev', the shift becomes
+N - n - s + s' and the constant R_N(c) << s' ^ c', because
+R_N(w << s) = R_n(w) << (N - n - s) for w of length n and R_N distributes
+over XOR; marks compose alike. ``shifted``, ``wrapped`` and ``appended``
+compose a move into a map, and ``leaf`` applies a map to a seed's
+literals, reversed once per pattern.
+
 Each move keeps every witness vertex at its position in the cycle, so the
 positions of a seed's named edges (``Pattern.named_edges``) hold for every
-tuple wrapped from it. The spanning recursion builds trees from these four
-functions only.
+tuple wrapped from it. The spanning recursion passes composed maps down and
+makes each tree entry with ``leaf``.
 
 The tuple model on ``Bits`` (marked words, tuples, contexts), the context
 peel, the derivation search and the witness test live in ``checking``,
@@ -37,8 +48,9 @@ which generation never imports; ``Pattern.tuple()`` reads the seed there.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 
-from .words import Bits, EMPTY, is_dyck, mirror_val
+from .words import Bits, EMPTY, is_dyck, reverse_val
 
 # The seed literals, packed: per family, the length of its words, its witness,
 # and in member order each member's word, its mark, and the witness positions
@@ -131,50 +143,56 @@ QUAD = Pattern("quad")
 PackedEntry = tuple[Pattern, tuple[int, ...], tuple[tuple[int, int], ...]]
 
 
-def seed(pattern: Pattern) -> PackedEntry:
-    """The seed's packed entry: its literal witness and its members, in the empty context."""
+# A map (rev, s, cw, cx) on packed words, cw for witness vertices and cx for support words.
+Map = tuple[bool, int, int, int]
+IDENTITY: Map = (False, 0, 0, 0)
+
+
+def compose(f: Map, n_out: int, n: int, rev: bool, s: int, cw: int, cx: int) -> Map:
+    """f after the move (rev, s, cw, cx) from words of length n to words of length n_out."""
+    frev, fs, fcw, fcx = f
+    if frev:
+        s = n_out - n - s
+        cw, cx = reverse_val(cw, n_out), reverse_val(cx, n_out)
+    return rev != frev, s + fs, cw << fs ^ fcw, cx << fs ^ fcx
+
+
+def shifted(f: Map, p: Bits, n_out: int) -> Map:
+    """f after shift p to length n_out: witness y -> ~p y, support x -> p x."""
+    return compose(f, n_out, n_out - p.n, False, p.n, p.val ^ (1 << p.n) - 1, p.val)
+
+
+def wrapped(f: Map, n_out: int) -> Map:
+    """f after wrap to length n_out: witness y -> 1 mirror(y) 1, support x -> 1 mirror(x) 0."""
+    ends = (1 << n_out - 1) - 1
+    return compose(f, n_out, n_out - 2, True, 1, ends | 1 << n_out - 1, ends)
+
+
+def appended(f: Map, v: Bits, n_out: int) -> Map:
+    """f after append v to length n_out: witness y -> y v, support x -> x v."""
+    n = n_out - v.n
+    return compose(f, n_out, n, False, 0, v.val << n, v.val << n)
+
+
+@cache
+def _literals(pattern: Pattern, rev: bool) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The seed's witness and members, packed, each reversed over the word length if rev."""
     _, witness, members = _SEEDS[pattern.family]
     head, hn = pattern._head()
-    return (
-        pattern,
-        tuple([head | y << hn for y in witness]),
-        tuple([(head | x << hn, m + hn) for x, m, _ in members]),
-    )
+    n = pattern.word_length
+    ys = [head | y << hn for y in witness]
+    xs = [(head | x << hn, m + hn) for x, m, _ in members]
+    if rev:
+        ys = [reverse_val(y, n) for y in ys]
+        xs = [(reverse_val(x, n), n + 1 - m) for x, m in xs]
+    return tuple(ys), tuple(xs)
 
 
-def shift(entries: list[PackedEntry], p: Bits) -> list[PackedEntry]:
-    """p T for an even Dyck word p: witness y -> ~p y, support (x, m) -> (p x, m + |p|)."""
-    pv, pn = p.val, p.n
-    low = pv ^ (1 << pn) - 1
-    return [
-        (pat, tuple([low | y << pn for y in ws]), tuple([(pv | x << pn, m + pn) for x, m in ss]))
-        for pat, ws, ss in entries
-    ]
-
-
-def wrap(entries: list[PackedEntry], n: int) -> list[PackedEntry]:
-    """1 mirror(T) 0 over words of length n.
-
-    Witness y -> 1 mirror(y) 1, support (x, m) -> (1 mirror(x) 0, n + 2 - m).
-    """
-    ends = 1 | 1 << (n + 1)
-    return [
-        (
-            pat,
-            tuple([mirror_val(y, n) << 1 | ends for y in ws]),
-            tuple([(mirror_val(x, n) << 1 | 1, n + 2 - m) for x, m in ss]),
-        )
-        for pat, ws, ss in entries
-    ]
-
-
-def append(entries: list[PackedEntry], v: Bits, n: int) -> list[PackedEntry]:
-    """T v over words of length n: witness y -> y v, support (x, m) -> (x v, m)."""
-    high = v.val << n
-    return [
-        (pat, tuple([y | high for y in ws]), tuple([(x | high, m) for x, m in ss]))
-        for pat, ws, ss in entries
-    ]
+def leaf(pattern: Pattern, f: Map) -> PackedEntry:
+    """The packed entry of the seed wrapped by f; ``leaf(pattern, IDENTITY)`` is the seed's own."""
+    rev, s, cw, cx = f
+    ys, xs = _literals(pattern, rev)
+    return pattern, tuple([y << s ^ cw for y in ys]), tuple([(x << s ^ cx, m + s) for x, m in xs])
 
 
 def __getattr__(name: str):

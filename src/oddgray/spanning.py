@@ -28,15 +28,15 @@ bitmask over the semilength k-5 enumeration, the alternate order-4 split
 instead. Distinct masks give distinct trees, hence 2^Catalan(k-5) trees in
 total, each yielding a different Hamilton cycle downstream.
 
-One recursion (``_Recursion``) makes every tree, as a list of packed
-entries (``flippable.PackedEntry``: seed pattern, witness values, support),
-from the four functions ``flippable`` defines: ``seed``, ``shift`` (p T
-behind an even Dyck word p), ``wrap`` (1 mirror(T) 0) and ``append`` (T v).
-Each move carries witness and support by its law, so no context is ever
-peeled. A steep tree's stage j wraps the flat and steep trees of order j-1
-once, and then appends each inner word v to the wrapped list. A memo local
-to one build keeps the shared subtrees, so nothing outlives the build but
-the tree.
+Four generator functions make every tree: ``full``, ``flat`` and ``steep``
+of order j, and ``alt_flat_4``, the alternate order-4 block. Each takes a
+map (``flippable.Map``) that wraps every entry it makes, and yields packed
+entries (``flippable.PackedEntry``: seed pattern, witness values, support)
+in tree order. A subtree placed behind a shift, a wrap or an append is made
+by calling its generator with that move composed into the map, and a leaf
+applies the composed map to its seed's literals (``flippable.leaf``), so
+no context is ever peeled and no subtree is held: a steep tree's stage j
+makes the flat and steep trees of order j-1 again for every inner word v.
 
 Generation builds only ``full_tree`` and ``counting_tree``; the flat and
 steep trees on their own and ``validate_tree`` serve the checks, in
@@ -53,9 +53,11 @@ a tree by hand from derivations by peeling them.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
+from typing import Iterator
 
-from .flippable import BRIDGE, PATCH, PackedEntry, QUAD, append, fan, seed, shift, wrap
+from .flippable import BRIDGE, IDENTITY, PATCH, QUAD, Map, PackedEntry, Pattern, fan, leaf
+from .flippable import appended, shifted, wrapped
 from .words import Bits, enumerate_dyck
 
 
@@ -63,7 +65,7 @@ class SpanningTree:
     """Tree tuples as packed entries over a base set of words, the entries' words of length n.
 
     ``full_tree``, ``counting_tree`` and ``checking``'s ``flat_tree`` and
-    ``steep_tree`` make one from the recursion's entries; ``base`` and the
+    ``steep_tree`` make one from the generators' entries; ``base`` and the
     derivations ``entries`` are read back on first read.
     """
 
@@ -89,103 +91,74 @@ class SpanningTree:
 
 _TEN = Bits.parse("10")
 _1100 = Bits.parse("1100")
+_FAN, _FAN_10, _FAN_1100 = fan(), fan(_TEN), fan(_1100)
 
 
-def _alternating(j: int) -> Bits:
-    return Bits.parse("10" * j)
+@cache
+def _connector(i: int) -> Pattern:
+    """fan((10)^(i-3)), stage i's connector; one object serves every entry that uses it."""
+    return fan(Bits.parse("10" * (i - 3)))
 
 
-class _Recursion:
-    """The flat, steep and full trees of the construction, as lists of packed entries.
+def flat(j: int, f: Map) -> Iterator[PackedEntry]:
+    """The flat tree of order j, each entry wrapped by f."""
+    if j == 3:
+        yield leaf(QUAD, f)
+    elif j > 3:
+        yield from full(j - 1, shifted(f, _TEN, 2 * j))
 
-    One instance makes one tree. Its memo keeps the chosen-free subtrees
-    while it lives; a mask's ``chosen`` inner words change stage 5 of the
-    outermost steep tree only.
-    """
 
-    def __init__(self) -> None:
-        self.memo: dict = {}
+def alt_flat_4(f: Map) -> Iterator[PackedEntry]:
+    """The order-4 words other than 11001100, spanned by a path of five tuples."""
+    yield leaf(QUAD, wrapped(f, 8))
+    yield leaf(_FAN_10, f)
+    yield leaf(_FAN, appended(f, _TEN, 8))
+    yield leaf(BRIDGE, appended(f, _TEN, 8))
+    yield leaf(QUAD, shifted(f, _TEN, 8))
 
-    def flat(self, j: int) -> list:
-        memo = self.memo
-        if ("flat", j) not in memo:
-            if j == 2:
-                memo["flat", j] = []
-            elif j == 3:
-                memo["flat", j] = [seed(QUAD)]
-            else:
-                memo["flat", j] = shift(self.full(j - 1), _TEN)
-        return memo["flat", j]
 
-    def alt_flat_4(self) -> list:
-        # Spans the order-4 words other than 11001100; a path of five tuples.
-        if "alt" not in self.memo:
-            quad = seed(QUAD)
-            self.memo["alt"] = [
-                *wrap([quad], 6),
-                seed(fan(_TEN)),
-                *append([seed(fan())], _TEN, 6),
-                *append([seed(BRIDGE)], _TEN, 6),
-                *shift([quad], _TEN),
-            ]
-        return self.memo["alt"]
+def steep(j: int, f: Map, chosen: frozenset[Bits] = frozenset()) -> Iterator[PackedEntry]:
+    """The steep tree of order j, each entry wrapped by f; ``chosen`` switches stage 5."""
+    n = 2 * j
+    if j == 4:
+        yield leaf(_FAN_10, f)
+        yield leaf(PATCH, f)
+        yield leaf(BRIDGE, wrapped(f, 8))
+        yield leaf(_FAN, appended(f, _TEN, 8))
+    elif j > 4:
+        yield from full(j - 2, shifted(f, _1100, n))
+        for i in range(3, j + 1):
+            connector = _connector(i)
+            for v in enumerate_dyck(j - i):
+                g = appended(f, v, n)
+                if chosen and i == 5 and v in chosen:
+                    yield leaf(_FAN_1100, g)
+                    yield from alt_flat_4(wrapped(g, 10))
+                else:
+                    yield leaf(connector, g)
+                    g = wrapped(g, 2 * i)
+                    yield from flat(i - 1, g)
+                    yield from steep(i - 1, g)
 
-    def stage(self, i: int) -> list:
-        # Stage i of a steep tree before its inner word is appended: the
-        # connector fan((10)^(i-3)) and the flat and steep trees of order
-        # i-1, wrapped once and shared by every inner word.
-        if ("stage", i) not in self.memo:
-            wrapped = wrap([*self.flat(i - 1), *self.steep(i - 1)], 2 * i - 2)
-            self.memo["stage", i] = [seed(fan(_alternating(i - 3))), *wrapped]
-        return self.memo["stage", i]
 
-    def steep(self, j: int, chosen: frozenset[Bits] | None = None) -> list:
-        if not chosen and ("steep", j) in self.memo:
-            return self.memo["steep", j]
-        if j in (2, 3):
-            out = []
-        elif j == 4:
-            out = [
-                seed(fan(_TEN)),
-                seed(PATCH),
-                *wrap([seed(BRIDGE)], 6),
-                *append([seed(fan())], _TEN, 6),
-            ]
-        else:
-            out = shift(self.full(j - 2), _1100)
-            for i in range(3, j + 1):
-                group = self.stage(i)
-                alt = None
-                if i == 5 and chosen:
-                    alt = [seed(fan(_1100)), *wrap(self.alt_flat_4(), 8)]
-                for v in enumerate_dyck(j - i):
-                    out.extend(append(alt if alt and v in chosen else group, v, 2 * i))
-        if not chosen:
-            self.memo["steep", j] = out
-        return out
-
-    def full(self, j: int, chosen: frozenset[Bits] | None = None) -> list:
-        if not chosen and ("full", j) in self.memo:
-            return self.memo["full", j]
-        if j == 3:
-            out = [seed(fan()), seed(BRIDGE)]
-        else:
-            out = [
-                *self.steep(j, chosen),
-                *append([seed(BRIDGE)], _alternating(j - 3), 6),
-                *shift(self.flat(j - 1), _TEN),
-                *shift(self.steep(j - 1), _TEN),
-            ]
-        if not chosen:
-            self.memo["full", j] = out
-        return out
+def full(j: int, f: Map, chosen: frozenset[Bits] = frozenset()) -> Iterator[PackedEntry]:
+    """The full tree of order j, each entry wrapped by f; ``chosen`` switches stage 5."""
+    if j == 3:
+        yield leaf(_FAN, f)
+        yield leaf(BRIDGE, f)
+    else:
+        n = 2 * j
+        yield from steep(j, f, chosen)
+        yield leaf(BRIDGE, appended(f, Bits.parse("10" * (j - 3)), n))
+        yield from flat(j - 1, shifted(f, _TEN, n))
+        yield from steep(j - 1, shifted(f, _TEN, n))
 
 
 def full_tree(k: int) -> SpanningTree:
     if k < 3:
         raise ValueError("full tree defined for semilength >= 3")
     # The words come first: enumerating them refuses a k too large for memory.
-    return SpanningTree(enumerate_dyck(k), tuple(_Recursion().full(k)), 2 * k)
+    return SpanningTree(enumerate_dyck(k), tuple(full(k, IDENTITY)), 2 * k)
 
 
 def mask_width(k: int) -> int:
@@ -204,7 +177,7 @@ def counting_tree(k: int, y_mask: int) -> SpanningTree:
     if not 0 <= y_mask < (1 << mask_width(k)):
         raise ValueError(f"mask {y_mask} outside 0..{(1 << mask_width(k)) - 1}")
     chosen = frozenset(w for i, w in enumerate(enumerate_dyck(k - 5)) if y_mask >> i & 1)
-    return SpanningTree(enumerate_dyck(k), tuple(_Recursion().full(k, chosen)), 2 * k)
+    return SpanningTree(enumerate_dyck(k), tuple(full(k, IDENTITY, chosen)), 2 * k)
 
 
 def __getattr__(name: str):

@@ -23,8 +23,8 @@ MAX_LEN = 62
 # Largest semilength served: an odd-graph vertex has 2k+1 <= MAX_LEN bits.
 MAX_K = (MAX_LEN - 1) // 2
 # Peak memory of a run per Dyck word of its semilength: ``gen --k 12`` peaks
-# at 184.2 MB (of 2^20 bytes) for its 208,012 words (Python 3.11, x86-64).
-BYTES_PER_DYCK_WORD = 928
+# at 182.3 MB (of 2^20 bytes) for its 208,012 words (Python 3.11, x86-64).
+BYTES_PER_DYCK_WORD = 919
 
 
 def bitstring(val: int, n: int) -> str:

@@ -1,3 +1,5 @@
+import tracemalloc
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from oddgray.checking import (
     Context,
+    Derivation,
     apply_context,
     canonical_witness,
     derivations,
@@ -22,7 +25,7 @@ from oddgray.checking import (
 )
 from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
 from oddgray.spanning import counting_tree, full_tree, mask_width
-from oddgray.words import Bits, EMPTY, enumerate_dyck
+from oddgray.words import ONE, ZERO, Bits, EMPTY, cat, complement, enumerate_dyck, mirror
 
 B = Bits.parse
 
@@ -146,6 +149,148 @@ def test_packed_entries_match_the_peel_on_random_masks(data):
     mask = data.draw(st.integers(0, (1 << mask_width(k)) - 1))
     tree = counting_tree(k, mask)
     assert tree.packed == peeled(tree)
+
+
+# The list recursion on ``Bits``: the reference for the composed maps. Its
+# three moves are the carry laws of ``flippable``'s docstring, written on
+# whole entries (pattern, witness, ((word, mark), ...)).
+
+
+def ref_seed(p):
+    """The seed's entry in the empty context, its members in seed order."""
+    d, n = Derivation(p), p.word_length
+    members = d.support_vals()[0]
+    witness = tuple(Bits(y, n) for y in d.witness_vals())
+    return p, witness, tuple((Bits(x, n), m) for x, m in members)
+
+
+def ref_shift(entries, p):
+    """p T: witness y -> ~p y, support (x, m) -> (p x, m + |p|)."""
+    return [
+        (pat, tuple(complement(p) + y for y in ws), tuple((p + x, m + p.n) for x, m in ss))
+        for pat, ws, ss in entries
+    ]
+
+
+def ref_wrap(entries):
+    """1 mirror(T) 0: witness y -> 1 mirror(y) 1, support (x, m) -> (1 mirror(x) 0, |x| + 2 - m)."""
+    return [
+        (
+            pat,
+            tuple(cat(ONE, mirror(y), ONE) for y in ws),
+            tuple((cat(ONE, mirror(x), ZERO), x.n + 2 - m) for x, m in ss),
+        )
+        for pat, ws, ss in entries
+    ]
+
+
+def ref_append(entries, v):
+    """T v: witness y -> y v, support (x, m) -> (x v, m)."""
+    return [
+        (pat, tuple(y + v for y in ws), tuple((x + v, m) for x, m in ss)) for pat, ws, ss in entries
+    ]
+
+
+def ref_alternating(j):
+    return B("10" * j)
+
+
+@cache
+def ref_flat(j):
+    if j == 2:
+        return []
+    if j == 3:
+        return [ref_seed(QUAD)]
+    return ref_shift(ref_full(j - 1), B("10"))
+
+
+def ref_alt_flat_4():
+    quad, ten = ref_seed(QUAD), B("10")
+    return [
+        *ref_wrap([quad]),
+        ref_seed(fan(ten)),
+        *ref_append([ref_seed(fan())], ten),
+        *ref_append([ref_seed(BRIDGE)], ten),
+        *ref_shift([quad], ten),
+    ]
+
+
+@cache
+def ref_steep(j, chosen=frozenset()):
+    if j < 4:
+        return []
+    ten = B("10")
+    if j == 4:
+        return [
+            ref_seed(fan(ten)),
+            ref_seed(PATCH),
+            *ref_wrap([ref_seed(BRIDGE)]),
+            *ref_append([ref_seed(fan())], ten),
+        ]
+    out = ref_shift(ref_full(j - 2), B("1100"))
+    for i in range(3, j + 1):
+        for v in enumerate_dyck(j - i):
+            if i == 5 and v in chosen:
+                group = [ref_seed(fan(B("1100"))), *ref_wrap(ref_alt_flat_4())]
+            else:
+                wrapped = ref_wrap([*ref_flat(i - 1), *ref_steep(i - 1)])
+                group = [ref_seed(fan(ref_alternating(i - 3))), *wrapped]
+            out += ref_append(group, v)
+    return out
+
+
+@cache
+def ref_full(j, chosen=frozenset()):
+    if j == 3:
+        return [ref_seed(fan()), ref_seed(BRIDGE)]
+    return [
+        *ref_steep(j, chosen),
+        *ref_append([ref_seed(BRIDGE)], ref_alternating(j - 3)),
+        *ref_shift(ref_flat(j - 1), B("10")),
+        *ref_shift(ref_steep(j - 1), B("10")),
+    ]
+
+
+def packed(entries):
+    return tuple(
+        (pat, tuple(y.val for y in ws), tuple((x.val, m) for x, m in ss)) for pat, ws, ss in entries
+    )
+
+
+def chosen_words(k, mask):
+    return frozenset(w for i, w in enumerate(enumerate_dyck(k - 5)) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_full_tree_matches_the_list_recursion(k):
+    assert full_tree(k).packed == packed(ref_full(k))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_flat_and_steep_trees_match_the_list_recursion(k):
+    assert flat_tree(k).packed == packed(ref_flat(k))
+    assert steep_tree(k).packed == packed(ref_steep(k))
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.data())
+def test_counting_trees_match_the_list_recursion(data):
+    k = data.draw(st.integers(6, 9))
+    mask = data.draw(st.integers(0, (1 << mask_width(k)) - 1))
+    assert counting_tree(k, mask).packed == packed(ref_full(k, chosen_words(k, mask)))
+
+
+def test_full_tree_holds_no_memo_while_building():
+    # The traced peak of the build is what the tree holds, give or take 5 %.
+    enumerate_dyck(10)
+    tracemalloc.start()
+    try:
+        tree = full_tree(10)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tree.packed) > 0
+    assert peak <= 1.05 * held, (peak, held)
 
 
 def test_hand_built_tree_peels_its_derivations():

@@ -12,9 +12,11 @@ the k = 12 file is piped to ``verify --input -``. At both sizes the table
 of flip sequences, built one semilength at a time, must equal
 ``flip_sequence`` word by word. Peak RSS is taken from ``os.wait4``: the
 ``gen --k 12`` child must stay at or below 230 MB, and peaks at about
-184 MB (Python 3.11, x86-64); the ``verify --k 12`` child must stay at or
-below 60 MB, and peaks at about 20 MB. On a 2-vCPU Xeon the tier takes
-about 30 s and peaks at about 184 MB, in ``gen --k 12``. The digests were
+182 MB (Python 3.11, x86-64); the ``verify --k 12`` child must stay at or
+below 60 MB, and peaks at about 20 MB. ``full_tree(11)`` must equal, entry
+by entry and in order, the list recursion kept in ``tests/test_spanning.py``
+as the reference. On a 2-vCPU Xeon the tier takes about 30 s and peaks at
+about 182 MB, in ``gen --k 12``. The digests were
 recorded before the flip-sequence recursion dropped its mirror step. The
 ``middle --k 10`` digest was recorded before the tree build switched to
 packed entries and the splice to direct placement of witness vertices.
@@ -29,7 +31,12 @@ import sys
 import pytest
 
 from oddgray.factor import flip_sequence, flip_sequences
+from oddgray.spanning import full_tree
 from oddgray.words import enumerate_dyck
+
+# The list recursion that ``full_tree`` must reproduce lives with the tier-1 tests.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
+from test_spanning import packed, ref_full  # noqa: E402
 
 GOLDEN = {
     11: "f3a87234ba90ca4f3e7adb3d2f13675072ba8fa90c0eb2ea4673b2474950da18",
@@ -133,3 +140,7 @@ def test_middle_k10_digest(tmp_path):
 @pytest.mark.parametrize("k", [11, 12])
 def test_flip_sequences_table_matches_the_per_word_recursion(k):
     assert flip_sequences(k) == tuple(bytes(flip_sequence(x)) for x in enumerate_dyck(k))
+
+
+def test_full_tree_11_matches_the_list_recursion():
+    assert full_tree(11).packed == packed(ref_full(11))
