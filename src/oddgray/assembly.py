@@ -93,7 +93,8 @@ Targets:
 Certificates are rotated canonically: the numerically smallest packed vertex
 comes first, followed by its smaller neighbour (for odd certificates the
 rotation is inherited from the underlying gplus cycle, whose smallest vertex
-maps to the subset {1..k}).
+maps to the subset {1..k}). They hold the walked values packed, 8 bytes a
+vertex, in a ``words.Vertices`` view that decodes a vertex only when it is read.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ from operator import xor
 from typing import Iterator, NoReturn
 
 from . import spanning
-from .factor import _path_vals, flip_sequences
-from .words import Bits, enumerate_dyck, positions, subset_mapper
+from .factor import flip_sequences
+from .words import Bits, Vertices, enumerate_dyck, positions
 
 TARGET_GPLUS = "gplus"
 TARGET_ODD = "odd"
@@ -131,10 +132,8 @@ class CycleCertificate(namedtuple("CycleCertificate", "k target vertices")):
     __slots__ = ()
 
     def edge_set(self) -> frozenset[frozenset]:
-        n = len(self.vertices)
-        return frozenset(
-            frozenset((self.vertices[i], self.vertices[(i + 1) % n])) for i in range(n)
-        )
+        v = self.vertices
+        return frozenset(map(frozenset, zip(v, v[1:] + v[:1])))
 
 
 def _tree_for(k: int, family_mask: int | None) -> spanning.SpanningTree:
@@ -342,23 +341,9 @@ def _walk_runs(
         forward, j, o = e & 1, e >> 1 & 63, e >> 7
         v = g ^ flip if j & 1 else g  # odd indices have weight k + 1
     if count != total:
-        missed = [o for o, r in enumerate(reached) if not r]
-        where = ""
-        if missed:  # and the tuples whose witnesses meet the first missed path
-            x = dyck[missed[0]]
-            path = set(_path_vals(x.val, seqs[missed[0]]))
-            tuples = [
-                e.tup for e, (_, c, _) in zip(tree.entries, tree.packed) if not path.isdisjoint(c)
-            ]
-            where = f"; the witnesses of {len(tuples)} tuples meet the factor path of {x}: "
-            where += ", ".join(map(str, tuples))
-        raise AssemblyError(
-            f"splice produced more than one cycle: the walk reached {count} of "
-            f"{total} vertices, and no factor path of these {len(missed)} of "
-            f"{len(dyck)} Dyck words: {', '.join(str(dyck[o]) for o in missed[:8])}"
-            + (", ..." if len(missed) > 8 else "")
-            + where
-        )
+        from .checking import walk_failure
+
+        raise AssemblyError(walk_failure(k, tree, reached, count, total))
 
 
 def stream_gplus_vals(
@@ -375,8 +360,7 @@ def stream_gplus_vals(
 
 
 def hamilton_gplus(k: int, tree: spanning.SpanningTree) -> CycleCertificate:
-    vertices = tuple(Bits(v, 2 * k) for v in stream_gplus_vals(k, tree))
-    return CycleCertificate(k, TARGET_GPLUS, vertices)
+    return CycleCertificate(k, TARGET_GPLUS, Vertices(stream_gplus_vals(k, tree), 2 * k, odd=False))
 
 
 def to_odd_vertex(y: Bits) -> tuple[int, ...]:
@@ -403,8 +387,8 @@ def stream_odd_vals(k: int, family_mask: int | None = None) -> Iterator[int]:
 
 def hamilton_odd(k: int, family_mask: int | None = None) -> CycleCertificate:
     """A Hamilton cycle of the odd graph as a cyclic sequence of k-subsets."""
-    subset = subset_mapper(2 * k + 1)
-    return CycleCertificate(k, TARGET_ODD, tuple(map(subset, stream_odd_vals(k, family_mask))))
+    vertices = Vertices(stream_odd_vals(k, family_mask), 2 * k + 1, odd=True)
+    return CycleCertificate(k, TARGET_ODD, vertices)
 
 
 # Fixed middle-levels cycles for the two sizes below the general
@@ -430,5 +414,5 @@ def stream_middle_vals(k: int, family_mask: int | None = None) -> Iterator[int]:
 
 def hamilton_middle_levels(k: int, family_mask: int | None = None) -> CycleCertificate:
     """A Hamilton cycle of the middle-levels graph on (2k+1)-bit strings."""
-    vertices = tuple(Bits(v, 2 * k + 1) for v in stream_middle_vals(k, family_mask))
+    vertices = Vertices(stream_middle_vals(k, family_mask), 2 * k + 1, odd=False)
     return CycleCertificate(k, TARGET_MIDDLE, vertices)

@@ -29,8 +29,8 @@ so a tree entry's derivation gives the canonical witness.
 It also holds the factor's views on ``Bits`` (``path``, ``flip_edge``,
 ``cycle_factor``), the seeds' literal witnesses (``base_witness``), a tree's
 tuples as a set (``tuple_set``), the flat and steep trees on their own, and
-``validate_tree``, whose texts ``assembly._splice_hops`` reports when its own
-check of the tree fails.
+``validate_tree`` and ``walk_failure``, whose texts ``assembly`` reports when
+its own check of the tree fails or its walk misses a factor path.
 """
 
 from __future__ import annotations
@@ -364,51 +364,31 @@ def locate(y: Bits) -> tuple[Bits, int]:
     if y.n % 2:
         raise ValueError(f"{y!r} has odd length")
     k = y.n // 2
-    if k == 0:
-        return y, 0
     if y.weight not in (k, k + 1):
         raise ValueError(f"{y!r} has weight {y.weight}, expected {k} or {k + 1}")
     if is_dyck(y):
         return y, 0
 
-    if y.bit(1) == 1:
-        # y = 1w1v with mirror(w) of weight l-1 or l, v Dyck.
-        found = None
-        for l in range(1, k + 1):
-            if y.bit(2 * l) != 1:
-                continue
-            if not is_dyck(y.slice(2 * l + 1, y.n)):
-                continue
-            if y.slice(2, 2 * l - 1).weight not in (l - 2, l - 1):
-                continue
-            if found is not None:
-                raise RuntimeError(f"ambiguous decomposition of {y!r}")
-            found = l
-        if found is None:
-            raise RuntimeError(f"no decomposition of {y!r}")
-        w = y.slice(2, 2 * found - 1)
-        v = y.slice(2 * found + 1, y.n)
-        inner, j = locate(mirror(w))
-        return cat(ONE, mirror(inner), ZERO, v), j + 1
+    # y = 1w1v with mirror(w) of weight l-1 or l and v Dyck, or y = 0~u1w with
+    # u Dyck and w of weight k-l or k-l+1, for exactly one l.
+    lead = y.bit(1)
 
-    # y = 0~u1w with u Dyck, w of weight k-l or k-l+1.
-    found = None
-    for l in range(1, k + 1):
-        if y.bit(2 * l) != 1:
-            continue
-        if not is_dyck(complement(y.slice(2, 2 * l - 1))):
-            continue
-        if y.slice(2 * l + 1, y.n).weight not in (k - l, k - l + 1):
-            continue
-        if found is not None:
-            raise RuntimeError(f"ambiguous decomposition of {y!r}")
-        found = l
-    if found is None:
-        raise RuntimeError(f"no decomposition of {y!r}")
-    u = complement(y.slice(2, 2 * found - 1))
-    w = y.slice(2 * found + 1, y.n)
-    inner, j = locate(w)
-    return cat(ONE, u, ZERO, inner), 2 * found + j
+    def fits(l: int) -> bool:
+        head, tail = y.slice(2, 2 * l - 1), y.slice(2 * l + 1, y.n)
+        if lead:
+            return is_dyck(tail) and head.weight in (l - 2, l - 1)
+        return is_dyck(complement(head)) and tail.weight in (k - l, k - l + 1)
+
+    found = [l for l in range(1, k + 1) if y.bit(2 * l) == 1 and fits(l)]
+    if len(found) != 1:
+        raise RuntimeError(f"{'ambiguous' if found else 'no'} decomposition of {y!r}")
+    (l,) = found
+    head, tail = y.slice(2, 2 * l - 1), y.slice(2 * l + 1, y.n)
+    if lead:
+        inner, j = locate(mirror(head))
+        return cat(ONE, mirror(inner), ZERO, tail), j + 1
+    inner, j = locate(tail)
+    return cat(ONE, complement(head), ZERO, inner), 2 * l + j
 
 
 def is_witness(t: FlippableTuple, cycle: tuple[Bits, ...]) -> bool:
@@ -419,8 +399,7 @@ def is_witness(t: FlippableTuple, cycle: tuple[Bits, ...]) -> bool:
     are exactly the edges named by t (one per member), the rest connecting
     distinct paths.
     """
-    size = len(t.members)
-    if len(cycle) != 2 * size:
+    if len(cycle) != 2 * len(t.members):
         return False
     n = t.word_length
     k = n // 2
@@ -428,27 +407,20 @@ def is_witness(t: FlippableTuple, cycle: tuple[Bits, ...]) -> bool:
         return False
     if len(set(cycle)) != len(cycle):
         return False
-    edges = []
-    for i, a in enumerate(cycle):
-        b = cycle[(i + 1) % len(cycle)]
-        if (a.val ^ b.val).bit_count() != 1:
-            return False
-        edges.append(frozenset((a, b)))
+    steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+    if any((a.val ^ b.val).bit_count() != 1 for a, b in steps):
+        return False
     named = {flip_edge(m.word, m.mark) for m in t.members}
     on_path = set()
-    for e in edges:
-        a, b = sorted(e)
-        xa, ia = locate(a)
-        xb, ib = locate(b)
+    for a, b in steps:
+        (xa, ia), (xb, ib) = locate(a), locate(b)
         if xa == xb and abs(ia - ib) == 1:
-            on_path.add(e)
+            on_path.add(frozenset((a, b)))
     return on_path == named
 
 
 def enumerate_tuples(k: int) -> list[FlippableTuple]:
     """Every context-wrapped seed tuple on Dyck words of semilength k."""
-    if k < 3:
-        return []
     seen: set[FlippableTuple] = set()
     for j in range(3, k + 1):
         pats = [fan(w) for w in enumerate_dyck(j - 3)]
@@ -521,6 +493,28 @@ def tree_json(tree: SpanningTree) -> dict:
         "base": sorted(str(x) for x in tree.base),
         "tuples": [{**t.to_json(), "derivation": d.to_json()} for t, d in pairs],
     }
+
+
+def walk_failure(k: int, tree: SpanningTree, reached: bytearray, count: int, total: int) -> str:
+    """Why the walk reached ``count`` of ``total`` vertices: the missed paths, the tuples at one."""
+    dyck = enumerate_dyck(k)
+    missed = [o for o, r in enumerate(reached) if not r]
+    where = ""
+    if missed:
+        x = dyck[missed[0]]
+        path = set(_path_vals(x.val, flip_sequences(k)[missed[0]]))
+        tuples = [
+            e.tup for e, (_, c, _) in zip(tree.entries, tree.packed) if not path.isdisjoint(c)
+        ]
+        where = f"; the witnesses of {len(tuples)} tuples meet the factor path of {x}: "
+        where += ", ".join(map(str, tuples))
+    return (
+        f"splice produced more than one cycle: the walk reached {count} of "
+        f"{total} vertices, and no factor path of these {len(missed)} of "
+        f"{len(dyck)} Dyck words: {', '.join(str(dyck[o]) for o in missed[:8])}"
+        + (", ..." if len(missed) > 8 else "")
+        + where
+    )
 
 
 @dataclass(frozen=True)

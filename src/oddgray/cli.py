@@ -138,35 +138,14 @@ def _cmd_verify(args, parser, out: IO[str]) -> int:
     return 0 if report.passed else 1
 
 
-def _iter_selfcheck(max_k: int):
-    """Yield (label, report) pairs for every suite, capped per suite."""
-    from . import verify
-
-    for k in range(1, min(max_k, 11) + 1):
-        yield f"factor k={k}", verify.verify_factor(k)
-        yield f"flip-sequences k={k}", verify.verify_flip_properties(k)
-    for k in range(2, min(max_k, 6) + 1):
-        yield f"tuple-pool k={k}", verify.verify_tuple_closure(k)
-    for k in range(3, min(max_k, 9) + 1):
-        yield f"tree k={k}", verify.verify_tree(k)
-    for k in range(6, min(max_k, 7) + 1):
-        for mask in range(1 << spanning.mask_width(k)):
-            yield f"tree k={k} mask={mask}", verify.verify_tree(k, mask)
-    for k in range(3, min(max_k, 8) + 1):
-        yield f"odd cycle k={k}", verify.verify_certificate(assembly.hamilton_odd(k))
-    for k in range(1, min(max_k, 8) + 1):
-        yield (
-            f"middle cycle k={k}",
-            verify.verify_certificate(assembly.hamilton_middle_levels(k)),
-        )
-
-
 def _cmd_selfcheck(args, parser, out: IO[str]) -> int:
+    from .verify import selfcheck
+
     max_k = min(args.max_k, _ceiling())
     if max_k < 1:
         parser.error("selfcheck needs --max-k >= 1")
     ok = True
-    for label, report in _iter_selfcheck(max_k):
+    for label, report in selfcheck(max_k):
         status = "ok" if report.passed else "FAIL"
         out.write(f"{label}: {status}\n")
         if not report.passed:

@@ -5,10 +5,11 @@ from raw bit arithmetic and checks a claimed cycle of packed vertices in one
 pass, marking each vertex seen in a bitmap of one bit per n-bit value (4 MB
 at k = 12); nothing from the construction modules is consulted (the property
 suites further down do exercise those modules, and import them locally).
-``verify_certificate`` and ``verify_lines``, which ``oddgray verify`` runs,
-pack their vertices for it as it reads them. ``brute_force_hamilton``
-searches small instances exhaustively, which pins down both positive cases
-and the one genuine exception at k = 2.
+``verify_lines``, which ``oddgray verify`` runs, and ``verify_certificate``
+pack their vertices for it as it reads them, but a certificate the library
+built passes its packed values as they are. ``brute_force_hamilton`` searches
+small instances exhaustively, which pins down both positive cases and the one
+genuine exception at k = 2.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from collections import namedtuple
 from itertools import chain, combinations, islice, repeat
 from math import comb
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .words import Bits, bitstring, positions
+from .words import Bits, Vertices, bitstring, enumerate_dyck, positions
 
 BRUTE_FORCE_CAP = 40
 # Lines ``verify_lines`` checks and packs at a time.
@@ -114,24 +115,23 @@ def verify_cycle(k: int, target: str, vals: Iterable[int], show=None) -> Verific
 def verify_certificate(cert) -> VerificationReport:
     """``verify_cycle`` over a certificate's vertices packed, with messages showing them as given.
 
-    An odd vertex, a tuple of k elements of 1..2k+1, packs to the sum of
-    their bits, of weight k exactly when they are distinct; a gplus or middle
-    vertex is a ``Bits`` of the target's length. Anything else packs to a
-    negative value, which no target accepts. Vertices are packed as the check
-    reads them, through C-level ``map``s when every vertex is a k-tuple.
+    A ``Vertices`` view of the target's kind and length is read as its packed
+    values. Any other odd vertex, a tuple of k elements of 1..2k+1, packs to
+    the sum of their bits, of weight k exactly when they are distinct; a gplus
+    or middle vertex, a ``Bits`` of the target's length, to its value; and
+    anything else to a negative value, which no target accepts.
     """
     k, target, vertices = cert.k, cert.target, cert.vertices
-    if target == "odd":
-        bits, miss = {i: 1 << (i - 1) for i in range(1, 2 * k + 2)}, repeat(-1 << (2 * k + 1))
-        if set(map(type, vertices)) <= {tuple} and set(map(len, vertices)) <= {k}:
-            vals = map(sum, map(map, repeat(bits.get), vertices, repeat(miss)))
-        else:
-            vals = (
-                sum(map(bits.get, v, miss)) if isinstance(v, tuple) and len(v) == k else -1
-                for v in vertices
-            )
+    n = 2 * k if target == "gplus" else 2 * k + 1
+    if isinstance(vertices, Vertices) and (vertices.n, vertices.odd) == (n, target == "odd"):
+        vals = vertices.vals
+    elif target == "odd":
+        bits, miss = {i: 1 << (i - 1) for i in range(1, n + 1)}, repeat(-1 << n)
+        vals = (
+            sum(map(bits.get, v, miss)) if isinstance(v, tuple) and len(v) == k else -1
+            for v in vertices
+        )
     else:
-        n = 2 * k if target == "gplus" else 2 * k + 1
         vals = (v.val if isinstance(v, Bits) and v.n == n else -1 for v in vertices)
     return verify_cycle(k, target, vals, lambda i, v: str(vertices[i]))
 
@@ -170,18 +170,16 @@ def _raw_graph(k: int, target: str):
     if target == "odd":
         verts = list(combinations(range(1, 2 * k + 2), k))
         return verts, {v: [w for w in verts if not set(v) & set(w)] for v in verts}
-    if target in ("gplus", "middle"):
-        n = 2 * k if target == "gplus" else 2 * k + 1
-        vals = [v for v in range(1 << n) if v.bit_count() in (k, k + 1)]
-        vset = set(vals)
-        adj = {}
-        for v in vals:
-            nb = [v ^ (1 << i) for i in range(n) if v ^ (1 << i) in vset]
-            if target == "gplus" and v.bit_count() == k:
-                nb.append(v ^ ((1 << n) - 1))  # the closing edge to the complement
-            adj[Bits(v, n)] = [Bits(w, n) for w in nb]
-        return [Bits(v, n) for v in vals], adj
-    raise ValueError(f"unknown target {target!r}")
+    n = 2 * k if target == "gplus" else 2 * k + 1
+    vals = [v for v in range(1 << n) if v.bit_count() in (k, k + 1)]
+    vset = set(vals)
+    adj = {}
+    for v in vals:
+        nb = [v ^ (1 << i) for i in range(n) if v ^ (1 << i) in vset]
+        if target == "gplus" and v.bit_count() == k:
+            nb.append(v ^ ((1 << n) - 1))  # the closing edge to the complement
+        adj[Bits(v, n)] = [Bits(w, n) for w in nb]
+    return [Bits(v, n) for v in vals], adj
 
 
 def brute_force_hamilton(k: int, target: str):
@@ -254,7 +252,6 @@ def verify_flip_properties(k: int) -> VerificationReport:
     semilengths summing to k, for k <= 8.
     """
     from .factor import flip_sequences
-    from .words import enumerate_dyck
 
     failures: list[tuple[str, str]] = []
     sizes = range(k + 1) if k <= 8 else ()
@@ -317,10 +314,29 @@ def verify_tree(k: int, mask: int | None = None) -> VerificationReport:
         cycle = d.witness()
         if k <= 7 and not is_witness(t, cycle):
             failures.append(("witness", str(t)))
-        m = len(cycle)
-        for i in range(m):
-            e = frozenset((cycle[i], cycle[(i + 1) % m]))
+        for e in map(frozenset, zip(cycle, cycle[1:] + cycle[:1])):
             if e in seen_edges:
                 failures.append(("witness-overlap", str(t)))
             seen_edges.add(e)
     return _report(failures)
+
+
+def selfcheck(max_k: int) -> Iterator[tuple[str, VerificationReport]]:
+    """A (label, report) pair for every suite ``oddgray selfcheck`` runs, each capped in k."""
+    from .assembly import hamilton_middle_levels, hamilton_odd
+    from .spanning import mask_width
+
+    for k in range(1, min(max_k, 11) + 1):
+        yield f"factor k={k}", verify_factor(k)
+        yield f"flip-sequences k={k}", verify_flip_properties(k)
+    for k in range(2, min(max_k, 6) + 1):
+        yield f"tuple-pool k={k}", verify_tuple_closure(k)
+    for k in range(3, min(max_k, 9) + 1):
+        yield f"tree k={k}", verify_tree(k)
+    for k in range(6, min(max_k, 7) + 1):
+        for mask in range(1 << mask_width(k)):
+            yield f"tree k={k} mask={mask}", verify_tree(k, mask)
+    for k in range(3, min(max_k, 8) + 1):
+        yield f"odd cycle k={k}", verify_certificate(hamilton_odd(k))
+    for k in range(1, min(max_k, 8) + 1):
+        yield f"middle cycle k={k}", verify_certificate(hamilton_middle_levels(k))

@@ -15,9 +15,11 @@ path picture it reflects the path left-to-right.
 from __future__ import annotations
 
 import os
-from functools import cache, lru_cache, reduce
+from array import array
+from collections.abc import Sequence
+from functools import cache, lru_cache, partial, reduce
 from math import comb
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 MAX_LEN = 62
 # Largest semilength served: an odd-graph vertex has 2k+1 <= MAX_LEN bits.
@@ -74,13 +76,10 @@ class Bits:
 
     @classmethod
     def parse(cls, text: str) -> "Bits":
-        val = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                val |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"invalid bit character {ch!r}")
-        return cls(val, len(text))
+        bad = text.strip("01")  # from the first character other than 0 and 1
+        if bad:
+            raise ValueError(f"invalid bit character {bad[0]!r}")
+        return cls(int(text[::-1] or "0", 2), len(text))
 
     def bit(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -184,42 +183,70 @@ def _position_table(width: int, offset: int) -> list[tuple[int, ...]]:
     return table
 
 
-@cache
-def _byte_positions() -> tuple[list[tuple[int, ...]], ...]:
-    """Per byte offset j, the positions of each byte value's set bits placed at bits 8j..8j+7.
+@lru_cache(maxsize=2)
+def subset_mapper(n: int) -> Callable[[int], tuple[int, ...]]:
+    """A function mapping a packed value of at most n bits to ``positions(val)``.
 
-    Built on first use, so a run that calls no ``positions`` does not pay for it.
+    Up to n = 2 * CHUNK_BITS the value is cut where ``line_renderer`` cuts it,
+    into two parts with a table of positions each, so it costs two lookups and
+    one tuple concatenation; above, into bytes, read until the rest is zero.
+    The mappers of the latest two n are kept, one of them for ``positions``.
     """
-    return tuple(_position_table(8, offset) for offset in range(0, 64, 8))
+    if n <= 2 * CHUNK_BITS:
+        width = -(-n // 2) if n > CHUNK_BITS else n
+        mask = (1 << width) - 1
+        low, high = _position_table(width, 0), _position_table(n - width, width)
+        return lambda val: low[val & mask] + high[val >> width]
+    tables = [_position_table(8, offset) for offset in range(0, n, 8)]
+
+    def subset(val: int) -> tuple[int, ...]:
+        out = ()
+        for table in tables:
+            out += table[val & 255]
+            val >>= 8
+            if not val:
+                return out
+        raise ValueError(f"value wider than {8 * len(tables)} bits")
+
+    return subset
 
 
 def positions(val: int) -> tuple[int, ...]:
-    """The 1-based positions of the set bits of a packed value, in increasing order."""
-    out = ()
-    for table in _byte_positions():
-        out += table[val & 255]
-        val >>= 8
-        if not val:
-            return out
-    raise ValueError("value wider than 64 bits")
+    """The 1-based positions of the set bits of a value of at most 64 bits, in increasing order."""
+    return subset_mapper(64)(val)
 
 
-@lru_cache(maxsize=1)
-def subset_mapper(n: int) -> Callable[[int], tuple[int, ...]]:
-    """A function mapping a packed value of length n to ``positions(val)``.
+class Vertices(Sequence):
+    """A cycle's vertices, held as an ``array('Q')`` of packed n-bit values and decoded on read.
 
-    Up to n = 2 * CHUNK_BITS the value is cut where ``line_renderer`` cuts
-    it, and each part has its own table of positions, so a value costs two
-    lookups and one tuple concatenation; a wider value goes to ``positions``.
-    The mapper is kept for the latest n, so a sweep of cycles of one k
-    builds its tables once.
+    An odd vertex reads as its subset, ``positions(v)``, any other as ``Bits(v, n)``. The view
+    reads as ``tuple(self)`` would: a slice is a tuple; equality, hash and repr are the tuple's.
     """
-    if n > 2 * CHUNK_BITS:
-        return positions
-    width = -(-n // 2) if n > CHUNK_BITS else n
-    mask = (1 << width) - 1
-    low, high = _position_table(width, 0), _position_table(n - width, width)
-    return lambda val: low[val & mask] + high[val >> width]
+
+    def __init__(self, vals: Iterable[int], n: int, odd: bool) -> None:
+        self.vals, self.n, self.odd = array("Q", vals), n, odd
+
+    def _decode(self) -> Callable[[int], tuple[int, ...] | Bits]:
+        return subset_mapper(self.n) if self.odd else partial(Bits, n=self.n)
+
+    def __len__(self) -> int:
+        return len(self.vals)
+
+    def __getitem__(self, i):
+        vals, decode = self.vals[i], self._decode()
+        return tuple(map(decode, vals)) if isinstance(i, slice) else decode(vals)
+
+    def __iter__(self) -> Iterator[tuple[int, ...] | Bits]:
+        return map(self._decode(), self.vals)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, tuple | Vertices) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def is_dyck(x: Bits) -> bool:

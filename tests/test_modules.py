@@ -23,7 +23,7 @@ from oddgray import checking, cli
 
 PACKAGE = Path(oddgray.__file__).parent
 # The lines of the oddgray modules ``gen --k 8`` may load, and of all of them.
-GEN_LINE_BUDGET = 1548
+GEN_LINE_BUDGET = 1538
 SRC_LINE_BUDGET = 2524
 
 RUNS = {

@@ -13,7 +13,11 @@ of flip sequences, built one semilength at a time, must equal
 ``flip_sequence`` word by word. Peak RSS is taken from ``os.wait4``: the
 ``gen --k 12`` child must stay at or below 230 MB, and peaks at about
 182 MB (Python 3.11, x86-64); the ``verify --k 12`` child must stay at or
-below 60 MB, and peaks at about 20 MB. ``full_tree(11)`` must equal, entry
+below 60 MB, and peaks at about 20 MB. A fresh child that builds and
+checks ``hamilton_odd(10, 1234567)`` must peak at or below 45 MB, and one
+for ``hamilton_middle_levels(10)`` at or below 48 MB; they peak at about 33
+and 36 MB, with each certificate held packed, where a tuple of k-tuples and
+one of ``Bits`` peaked at 75 and 90 MB. ``full_tree(11)`` must equal, entry
 by entry and in order, the list recursion kept in ``tests/test_spanning.py``
 as the reference. On a 2-vCPU Xeon the tier takes about 30 s and peaks at
 about 182 MB, in ``gen --k 12``. The digests were
@@ -128,6 +132,21 @@ def test_gen_k12_verifies(gen_k12):
 
 def test_gen_k12_peak_rss(gen_k12_run):
     assert gen_k12_run[1] <= 230
+
+
+@pytest.mark.parametrize(
+    "build, bound_mb", [("hamilton_odd(10, 1234567)", 45), ("hamilton_middle_levels(10)", 48)]
+)
+def test_k10_certificate_peak_rss(build, bound_mb):
+    # The child reads its own peak, VmHWM, which unlike ru_maxrss does not
+    # start at the peak of the process that forks it.
+    code = (
+        "from oddgray import hamilton_middle_levels, hamilton_odd, verify_certificate\n"
+        f"assert verify_certificate({build}).passed\n"
+        "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    assert int(res.stdout) / 1024 <= bound_mb
 
 
 def test_middle_k10_digest(tmp_path):
