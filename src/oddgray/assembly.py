@@ -35,33 +35,35 @@ tree: a union-find over origin numbers, a mark bitmask per word and a
 membership count cover the conditions of ``checking.validate_tree``, which
 runs only to write the text of a failure. It checks that the witness
 vertices at a member's named positions are the two ends of its named edge.
-And it stores each hop at both its ends, in a dict keyed by the end's vertex
-value, as the end the hop lands on packed in one int: that end's Dyck
-origin, its index on its path, whether it is the upper end, and its vertex.
-A vertex that ends two named edges, i - 1 and i of its path, has two hops,
-the second in a small side dict. Each path gets a mask with a bit at the
-index of each of its named edges. Memory thus grows with the witness
-vertices, not with the whole graph.
+It gives each path a mask with a bit at the index of each of its named
+edges, and appends each hop's two ends to two arrays, each end packed in one
+int: its Dyck origin, its index on its path, whether it is the upper end,
+and its vertex. Once the masks are final, each end goes to its slot in one
+flat array, which holds the end its hop lands on: named edge e of path o has
+its lower end at slot offset[o] + 2 * popcount(masks[o] & ((1 << e) - 1))
+and its upper end at the next, where offset[o] counts the named-edge ends of
+the paths before o. A vertex that ends two named edges has a slot for each.
+Memory thus grows with the witness vertices, not with the graph.
 
 The walk goes one run at a time. A run leaves the end a hop lands on along
 its path, away from that end's named edge, and stops at the nearest
-named-edge end: going up from index j, at the lowest bit of the path's mask
-at or above j; going down, above the highest bit below j; and past the
-path's closing step to the other end of the mask if there is none. There
-the walk takes that end's hop. A run of one vertex is a vertex that ends two
-named edges, which leaves by the hop it did not arrive by. A run is an
-interval of the path's flip sequence, emitted by one
+named-edge end: going up from index j, at the lower end of the lowest bit of
+the path's mask at or above j; going down, at the upper end of the highest
+bit below j; and past the path's closing step to the other end of the mask
+if there is none. The same mask arithmetic counts the named edges below that
+end, which names its slot, and the walk takes the hop held there. A run is
+an interval of the path's flip sequence, emitted by one
 ``itertools.accumulate`` over a step table, which alone sets the target's
 coordinates: flipping position p XORs bit(p) in gplus and middle coordinates
 and ALL ^ bit(p) in odd ones (ALL has 2k+1 bits), and the closing edge
 {x, ~x}, from index 2k to index 0, XORs ``full`` in gplus and odd
 coordinates; in middle ones it is the detour below, the top bit, the flip
 sequence and the top bit again. The walk starts at index 0 of path 0, the
-least vertex, toward its smaller neighbour, and the run that comes back
-along path 0 stops there. So the Python work grows with the witness edges,
-not with the vertices, and no vertex is mapped from gplus to its target. The
-walk must return to its start after exactly the target's number of
-vertices.
+least vertex, toward its smaller neighbour, and stops when a run up path 0
+wraps to index 0 or a hop lands on the start, the lower end of named edge 0
+of path 0. So the Python work grows with the witness edges, not with the
+vertices, and no vertex is mapped from gplus to its target. The walk must
+return to its start after exactly the target's number of vertices.
 
 The hops are the toggled graph exactly when every witness position holds an
 end of its member's named edge, every hop joins two paths, and no two
@@ -144,25 +146,22 @@ def _tree_for(k: int, family_mask: int | None) -> spanning.SpanningTree:
 
 def _splice_hops(
     k: int, tree: spanning.SpanningTree, dyck: tuple[Bits, ...], seqs: tuple[bytes, ...]
-) -> tuple[dict[int, int], dict[int, int], array]:
-    """Each witness vertex's hops and each path's named edges.
+) -> tuple[array, array, array]:
+    """Each named-edge end's hop, each path's named edges, and each path's first slot.
 
-    ``hops`` maps each witness vertex to the end its hop lands on, packed as
-    ((origin << 6 | index) << 1 | upper) << 2k | vertex, and ``side`` holds
-    the second hop of a vertex that ends two named edges; ``masks[o]`` has a
-    bit at the index of each named edge on the path of ``dyck[o]``, whose
-    flip sequence is ``seqs[o]``. An invalid tree raises its ``ValueError``,
-    and then a misplaced witness vertex an ``AssemblyError`` naming the first.
+    ``masks[o]`` has a bit at the index of each named edge on the path of
+    ``dyck[o]``, whose flip sequence is ``seqs[o]``. Named edge e of path o
+    has its lower end (upper = 0) and its upper end (upper = 1) at
+    ``slots[offset[o] + 2 * popcount(masks[o] & ((1 << e) - 1)) + upper]``,
+    which holds the end its hop lands on, packed as
+    ((origin << 6 | index) << 1 | upper) << 2k | vertex. An invalid tree
+    raises its ``ValueError``, and then a misplaced witness vertex an
+    ``AssemblyError`` naming the first.
     """
     if not tree.spans_dyck(k):
         _reject(tree)
-    packed = tree.packed
     last = 2 * k
     full = (1 << last) - 1
-    # The keys go in first, so that the dict has its final size before the
-    # arrays of the check below exist.
-    hops = dict.fromkeys(chain.from_iterable(cycle for _, cycle, _ in packed))
-    side: dict[int, int] = {}
     # The check: every member is a Dyck word, no word takes a mark twice, and
     # joining each support's words in a union-find over origin numbers never
     # joins two words already joined. With sum(|support| - 1) == |words| - 1
@@ -171,11 +170,12 @@ def _splice_hops(
     parent = array("l", range(len(dyck)))
     marks = array("Q", bytes(8 * len(dyck)))
     masks = array("Q", bytes(8 * len(dyck)))
+    nears, fars = array("Q"), array("Q")  # each hop's two ends, packed
     count = 0
     bit = _BIT.__getitem__
     # the witness vertices off their named edges, and the first as (entry, origin, index, vertex)
     misplaced, first = 0, ()
-    for idx, (pattern, cycle, support) in enumerate(packed):
+    for idx, (pattern, cycle, support) in enumerate(tree.packed):
         named = pattern.named_edges
         count += len(support) - 1
         placed = readable = len(cycle) == 2 * len(support) == 2 * len(named)
@@ -225,16 +225,8 @@ def _splice_hops(
         # joins the paths of two members, and no earlier witness has it: a
         # tuple with both paths would have joined them in the union-find.
         ends.append(ends[0])
-        for near, far in zip(ends[1::2], ends[2::2]):
-            u, w = near & full, far & full
-            if hops[u] is None:
-                hops[u] = far
-            else:
-                side[u] = far
-            if hops[w] is None:
-                hops[w] = near
-            else:
-                side[w] = near
+        nears.extend(ends[1::2])
+        fars.extend(ends[2::2])
     if count != len(dyck) - 1:
         _reject(tree)
     if first:
@@ -244,7 +236,17 @@ def _splice_hops(
             f"{Bits(v, last)!r}: tuple {tree.entries[idx].tup} names the edge from index {i} "
             f"to {i + 1} on the factor path of {dyck[o]}"
         )
-    return hops, side, masks
+    # The masks are final, so each end goes to its slot: 2 * popcount(masks[o]
+    # & ((1 << j) - 1)) counts the slots of path o before the end at index j,
+    # and its own too if it is an upper end.
+    offset = array("Q", accumulate((2 * m.bit_count() for m in masks), initial=0))
+    slots = array("Q", bytes(8 * offset[-1]))
+    for p, q in zip(chain(nears, fars), chain(fars, nears)):
+        key = p >> last  # (origin << 6 | index) << 1 | upper
+        o = key >> 7
+        below = masks[o] & (1 << (key >> 1 & 63)) - 1
+        slots[offset[o] + 2 * below.bit_count() - (key & 1)] = q
+    return slots, masks, offset
 
 
 def _reject(tree: spanning.SpanningTree) -> NoReturn:
@@ -259,9 +261,9 @@ def _reject(tree: spanning.SpanningTree) -> NoReturn:
 
 def _walk_runs(
     k: int,
-    hops: dict[int, int],
-    side: dict[int, int],
+    slots: array,
     masks: array,
+    offset: array,
     tree: spanning.SpanningTree,
     target: str,
 ) -> Iterator[list[int]]:
@@ -269,10 +271,10 @@ def _walk_runs(
 
     Each run is one stretch of a factor path in ``target``'s coordinates,
     from the end a hop lands on to the nearest named-edge end away from that
-    end's named edge, where the walk takes the next hop (see the module
-    docstring). The walk is cut after the target's number of vertices, so a
-    broken hop map cannot make it loop forever. The tree is read only to
-    name the tuples at a path the walk missed.
+    end's named edge, where the walk takes the hop in that end's slot (see
+    ``_splice_hops``). The walk is cut after the target's number of
+    vertices, so a broken slot map cannot make it loop forever. The tree is
+    read only to name the tuples at a path the walk missed.
     """
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
     last = 2 * k
@@ -281,62 +283,55 @@ def _walk_runs(
     # per target: a path's laps (a middle detour is the second) and what weight k + 1 XORs in
     laps, flip = {TARGET_GPLUS: (1, 0), TARGET_ODD: (1, top | full), TARGET_MIDDLE: (2, 0)}[target]
     detour, total = laps == 2, laps * comb(span, k)
-    # bit[p] and step[p] flip position p, in gplus and in the walk's coordinates; p = 0 closes
-    bit = (full, *_BIT[1:span])
-    step = (top if detour else full, *(flip ^ b for b in bit[1:])).__getitem__
+    # step[p] flips position p in the walk's coordinates; p = 0 closes
+    step = (top if detour else full, *(flip ^ b for b in _BIT[1:span])).__getitem__
     reached = bytearray(len(dyck))  # the paths the walk ran along
-    start = g = v = (1 << k) - 1  # dyck[0] = 1^k 0^k, at index 0 of its own path
-    # The start can end only named edge 0, so ahead of it lies its hop or the
-    # next vertex of its path; the walk leaves toward the smaller neighbour,
-    # as a run from index 0 of path 0. It goes back by the closing step only
-    # when it ends named edge 0 (start ^ bit(2k), its next vertex, is less
-    # than start ^ full), and then it returns by its hop, so only a run up
-    # path 0 can come back to the start, and it stops there.
-    ahead = hops.get(start)
-    ahead = start ^ bit[seqs[0][0]] if ahead is None else ahead & full
-    forward = ahead < start ^ full
+    start = v = (1 << k) - 1  # dyck[0] = 1^k 0^k, at index 0 of its own path
+    # The start can end only named edge 0, so ahead of it lies its hop, in
+    # slot 0, or its next vertex start ^ bit(2k), which is less than
+    # start ^ full. The walk leaves toward the smaller neighbour, as a run
+    # from index 0 of path 0, and comes back by the other: by a run up path 0
+    # that wraps to index 0, or by the hop into the lower end of named edge 0
+    # of path 0, which is packed as start itself.
+    forward = not masks[0] & 1 or slots[0] & full < start ^ full
     o = j = count = 0
-    prev = -1
     while True:
-        # v, not yet emitted, is g at index j of path o in the walk's coordinates
+        # v, not yet emitted, is at index j of path o in the walk's coordinates
         reached[o] = 1
         seq, m = seqs[o], masks[o]
-        if forward:  # up to the lowest named edge at or above j
+        if forward:  # up to the lower end of the lowest named edge at or above j
             a = m >> j
             if a:
                 steps = seq[j : j + (a & -a).bit_length() - 1]
-            else:  # past the closing step, or detour
+                s = offset[o + 1] - 2 * a.bit_count()  # a holds it and those above
+            else:  # past the closing step, or detour; path 0 stops at the start
                 t = (m & -m).bit_length() - 1 if o else 0
                 steps = b"\0".join((seq[j:], seq, seq[:t]) if detour else (seq[j:], seq[:t]))
+                s = offset[o] if o else -1
         else:  # down to the upper end of the highest named edge below j
             a = m & (1 << j) - 1
             if a:
                 steps = seq[a.bit_length() : j][::-1]
+                s = offset[o] + 2 * a.bit_count() - 1  # a holds it and those below
             else:  # past the closing step, or detour
                 t = m.bit_length()
                 steps = b"\0".join((seq[t:], seq, seq[:j]) if detour else (seq[t:], seq[:j]))
                 steps = steps[::-1]
+                s = offset[o + 1] - 1
         run = list(accumulate(map(step, steps), xor, initial=v))
-        if steps:
-            v = run[-1]
-            g = v ^ flip if v > full else v
-            if g == start:  # the walk is back: its last run ends before the start
-                run.pop()
+        if s < 0:  # the walk is back: its last run ends before the start
+            run.pop()
         count += len(run)
         if count > total:
             yield run[: len(run) - count + total]
             raise AssemblyError(f"the walk did not return to its start after {total} vertices")
         yield run
-        if steps and g == start:
+        if s < 0:
             break
-        # g ends the named edge the run stopped at, and leaves by its hop; a
-        # run of g alone means g ends two, and it leaves by the other hop
-        e = hops[g]
-        if not steps and e & full == prev:
-            e = side[g]
-        prev, g = g, e & full
-        if g == start:
+        e = slots[s]
+        if e == start:  # the hop into the lower end of named edge 0 of path 0
             break
+        g = e & full
         e >>= last
         forward, j, o = e & 1, e >> 1 & 63, e >> 7
         v = g ^ flip if j & 1 else g  # odd indices have weight k + 1

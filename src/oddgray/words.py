@@ -24,8 +24,9 @@ from typing import Callable, Iterable, Iterator
 MAX_LEN = 62
 # Largest semilength served: an odd-graph vertex has 2k+1 <= MAX_LEN bits.
 MAX_K = (MAX_LEN - 1) // 2
-# Peak memory of a run per Dyck word of its semilength: ``gen --k 12`` peaks
-# at 182.3 MB (of 2^20 bytes) for its 208,012 words (Python 3.11, x86-64).
+# Peak memory of a run per Dyck word of its semilength: ``gen --k 12`` peaked at 182.3 MB
+# (of 2^20 bytes) for its 208,012 words (Python 3.11, x86-64) before the slot splice cut
+# it to about 154 MB; the older figure keeps the refusal conservative.
 BYTES_PER_DYCK_WORD = 919
 
 

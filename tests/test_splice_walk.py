@@ -22,7 +22,8 @@ adjacency shows on random masks.
 
 import re
 from array import array
-from itertools import chain
+from functools import partial
+from itertools import accumulate, chain
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,7 @@ from oddgray.assembly import (
     odd_val,
     stream_gplus_vals,
 )
-from oddgray.checking import Context, Derivation, hand_tree, locate, validate_tree
+from oddgray.checking import Context, Derivation, hand_tree, locate, validate_tree, walk_failure
 from oddgray.factor import _path_vals, flip_sequence, flip_sequences
 from oddgray.spanning import SpanningTree, counting_tree, full_tree, mask_width
 from oddgray.words import Bits, enumerate_dyck
@@ -161,15 +162,30 @@ def test_middle_walk_matches_the_detours_on_random_masks(data):
     assert list(stream_gplus_vals(k, tree, TARGET_MIDDLE)) == reference_middle(k, tree)
 
 
-def hop_invariants(k, tree):
-    """Check the hop splice of a valid tree against the tree's own supports and witnesses."""
+def slot_addresses(masks):
+    """Each slot's (origin, named edge, upper), in slot order: path by path, edge by edge."""
+    return [
+        (o, e, up) for o, m in enumerate(masks) for e in range(m.bit_length()) if m >> e & 1
+        for up in (0, 1)
+    ]
+
+
+def end_address(k, e):
+    """The slot address (origin, named edge, upper) of a packed end."""
+    up = e >> 2 * k & 1
+    return e >> 2 * k + 7, (e >> 2 * k + 1 & 63) - up, up
+
+
+def packed_end(k, o, j, up, value):
+    """A hop's far end as a slot holds it: origin o, index j, upper or not, and its vertex."""
+    return ((o << 6 | j) << 1 | up) << 2 * k | value
+
+
+def slot_invariants(k, tree):
+    """Check the slot splice of a valid tree against the tree's own supports and witnesses."""
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
-    hops, side, masks = _splice_hops(k, tree, dyck, seqs)
+    slots, masks, offset = _splice_hops(k, tree, dyck, seqs)
     full = (1 << 2 * k) - 1
-    # two ends per member, and every witness vertex ends one named edge or two
-    assert len(hops) + len(side) == 2 * sum(len(s) for _, _, s in tree.packed)
-    assert set(hops) == {v for _, cycle, _ in tree.packed for v in cycle}
-    assert set(side) <= set(hops)
     # each path's mask holds the index of each of its marks
     origin = {x.val: o for o, x in enumerate(dyck)}
     expected = [0] * len(dyck)
@@ -177,25 +193,35 @@ def hop_invariants(k, tree):
         for x, mark in support:
             expected[origin[x]] |= 1 << seqs[origin[x]].index(mark)
     assert list(masks) == expected
-    # a hop lands on an end of a named edge, on another path, whose hop comes back
-    for u, e in [*hops.items(), *side.items()]:
-        w, upper, j, o = e & full, e >> 2 * k & 1, e >> 2 * k + 1 & 63, e >> 2 * k + 7
-        assert _path_vals(dyck[o].val, seqs[o])[j] == w
-        assert masks[o] >> (j - upper) & 1  # the named edge from j - 1 or from j
-        (back,) = [h for h in (hops[w], side.get(w)) if h is not None and h & full == u]
-        assert back >> 2 * k + 7 != o
+    # two slots per member, each path's from its offset on, and every one
+    # filled: a packed end is never 0, as its vertex is not
+    addresses = slot_addresses(masks)
+    assert len(slots) == len(addresses) == 2 * sum(len(s) for _, _, s in tree.packed)
+    assert all(slots)
+    assert list(offset) == [0, *accumulate(2 * m.bit_count() for m in masks)]
+    slot_of = {address: s for s, address in enumerate(addresses)}
+    paths = [_path_vals(x.val, seqs[o]) for o, x in enumerate(dyck)]
+    # every witness vertex ends one named edge or two
+    near = [paths[o][e + up] for o, e, up in addresses]
+    assert set(near) == {v for _, cycle, _ in tree.packed for v in cycle}
+    for s, (o, e, up) in enumerate(addresses):
+        # the far end is its path's vertex at a named-edge end, on another path
+        o2, e2, up2 = end_address(k, slots[s])
+        assert paths[o2][e2 + up2] == slots[s] & full and masks[o2] >> e2 & 1 and o2 != o
+        # and its slot points back
+        assert slots[slot_of[o2, e2, up2]] == packed_end(k, o, e + up, up, near[s])
 
 
 @pytest.mark.parametrize("k", range(3, 10))
 def test_hop_splice_invariants_on_full_tree(k):
-    hop_invariants(k, full_tree(k))
+    slot_invariants(k, full_tree(k))
 
 
 @settings(deadline=None, max_examples=10)
 @given(st.data())
 def test_hop_splice_invariants_on_random_masks(data):
     k = data.draw(st.integers(6, 9))
-    hop_invariants(k, counting_tree(k, data.draw(st.integers(0, (1 << mask_width(k)) - 1))))
+    slot_invariants(k, counting_tree(k, data.draw(st.integers(0, (1 << mask_width(k)) - 1))))
 
 
 def first_misplaced(k, tree):
@@ -278,22 +304,65 @@ def test_accepted_trees_leave_every_vertex_of_degree_2(data):
     assert all(len(nb) == 2 for nb in reference_adjacency(k, tree).values())
 
 
-def test_walk_is_cut_after_the_vertex_count():
-    # The start 15 ends named edge 0 of path 0 and hops to 1, at index 1 of
-    # path 1, which ends named edges 0 and 1 there; 1 and 2 hop to each
-    # other from both ends, so the walk goes back and forth between them and
-    # never returns; it stops after binomial(9, 4) = 126 vertices.
-    def end(o, j, up, value):
-        return ((o << 6 | j) << 1 | up) << 8 | value
+def slot_map(masks, hops):
+    """``_walk_runs``'s slots, masks and offsets: each slot 0, but those in ``hops``."""
+    masks = array("Q", masks)
+    offset = array("Q", accumulate((2 * m.bit_count() for m in masks), initial=0))
+    slots = array("Q", bytes(8 * offset[-1]))
+    for s, far in hops.items():
+        slots[s] = far
+    return slots, masks, offset
 
-    hops = {15: end(1, 1, 1, 1), 1: end(2, 1, 1, 2), 2: end(1, 1, 1, 1)}
-    side = {1: end(2, 1, 0, 2), 2: end(1, 1, 0, 1)}
-    masks = array("Q", [0b1, 0b11, 0b11] + [0] * 11)
+
+def test_walk_is_cut_after_the_vertex_count():
+    # The start 15 ends named edge 0 of path 0, and its hop, in slot 0, lands
+    # on 1 at index 1 of path 1, the upper end of named edge 0 and the lower
+    # end of named edge 1 there. So the walk stops at once, at slot 4, the
+    # lower end of edge 1, which hops to 2 at index 1 of path 2; that stops
+    # at once too, at slot 8, which hops back to 1. The walk goes back and
+    # forth between them and never returns; it stops after binomial(9, 4) =
+    # 126 vertices.
+    end = partial(packed_end, 4)
+    slots, masks, offset = slot_map(
+        [0b1, 0b11, 0b11] + [0] * 11, {0: end(1, 1, 1, 1), 4: end(2, 1, 1, 2), 8: end(1, 1, 1, 1)}
+    )
     out = []
     with pytest.raises(AssemblyError, match="did not return to its start after 126 vertices"):
-        runs = _walk_runs(4, hops, side, masks, full_tree(4), TARGET_GPLUS)
+        runs = _walk_runs(4, slots, masks, offset, full_tree(4), TARGET_GPLUS)
         out.extend(chain.from_iterable(runs))
     assert out[:5] == [15, 1, 2, 1, 2] and len(out) == 126
+
+
+def test_start_leaves_by_its_closing_step():
+    # Path 0 of k = 4 runs 15, 143, ..., 241, 240 and path 3 runs
+    # 71, ..., 248, 184. Named edge 0 of path 0, from 15 to 143, and named
+    # edge 7 of path 3, from 248 to 184, give way to the hops 15-248 and
+    # 143-184. The start hops to 248, above 15 ^ 255 = 240, so the walk
+    # leaves by the closing step, down path 0 to 143, which hops to 184.
+    # From there it runs up path 3 past its closing step to 248, whose hop
+    # lands on the start, the lower end of named edge 0 of path 0: the walk
+    # stops, having run along two factor cycles.
+    k, tree = 4, full_tree(4)
+    end = partial(packed_end, k)
+    slots, masks, offset = slot_map(
+        [0b1, 0, 0, 1 << 7] + [0] * 10,
+        {0: end(3, 7, 0, 248), 1: end(3, 8, 1, 184), 2: end(0, 0, 0, 15), 3: end(0, 1, 1, 143)},
+    )
+    out = []
+    with pytest.raises(AssemblyError) as err:
+        out.extend(chain.from_iterable(_walk_runs(k, slots, masks, offset, tree, TARGET_GPLUS)))
+    assert out == [
+        15, 240, 241, 177, 181, 165, 173, 141, 143,
+        184, 71, 103, 101, 109, 105, 121, 120, 248,
+    ]
+    reached = bytearray(14)
+    reached[0] = reached[3] = 1
+    assert str(err.value) == walk_failure(k, tree, reached, 18, 126)
+    assert str(err.value).startswith(
+        "splice produced more than one cycle: the walk reached 18 of 126 vertices, and no "
+        "factor path of these 12 of 14 Dyck words: 11101000, 11100100, 11011000, 11010100, "
+        "11010010, 11001100, 11001010, 10111000, ...; the witnesses of "
+    )
 
 
 def test_rerouted_hops_fail_the_count_check():
@@ -305,22 +374,26 @@ def test_rerouted_hops_fail_the_count_check():
     k = 5
     tree = full_tree(k)
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
-    hops, side, masks = _splice_hops(k, tree, dyck, seqs)
+    slots, masks, offset = _splice_hops(k, tree, dyck, seqs)
     full = (1 << 2 * k) - 1
-    # hop edges between two vertices that end one named edge each
-    pairs = sorted((u, e & full) for u, e in hops.items())
-    edges = [(u, w) for u, w in pairs if u < w and u not in side and w not in side]
+    addresses = slot_addresses(masks)
+    slot_of = {address: s for s, address in enumerate(addresses)}
+    paths = [_path_vals(x.val, seqs[o]) for o, x in enumerate(dyck)]
+    near = [paths[o][e + up] for o, e, up in addresses]
+    # hop edges as pairs of slots, in the order of their vertices
+    far = [slot_of[end_address(k, e)] for e in slots]
+    pairs = sorted((near[s], near[t], s, t) for s, t in enumerate(far) if near[s] < near[t])
+    edges = [(s, t) for _, _, s, t in pairs]
 
-    def component(hop_of):
+    def component(hops):
         adj = {}
-        for o, x in enumerate(dyck):
-            vals = _path_vals(x.val, seqs[o])
+        for o, vals in enumerate(paths):
             for i, (a, b) in enumerate(zip(vals, vals[1:] + vals[:1])):
                 if not (i < 2 * k and masks[o] >> i & 1):
                     adj.setdefault(a, []).append(b)
                     adj.setdefault(b, []).append(a)
-        for u, es in hop_of.items():
-            adj.setdefault(u, []).extend(e & full for e in es)
+        for s, e in enumerate(hops):
+            adj.setdefault(near[s], []).append(e & full)
         seen, todo = set(), [(1 << k) - 1]
         while todo:
             v = todo.pop()
@@ -330,19 +403,18 @@ def test_rerouted_hops_fail_the_count_check():
         return seen
 
     for (u1, w1), (u2, w2) in zip(edges, edges[1:]):
-        rerouted = dict(hops)
+        rerouted = array("Q", slots)
         rerouted[u1], rerouted[w2], rerouted[u2], rerouted[w1] = (
-            hops[u2], hops[w1], hops[u1], hops[w2]
+            slots[u2], slots[w1], slots[u1], slots[w2]
         )
-        hop_of = {u: [e] + ([side[u]] if u in side else []) for u, e in rerouted.items()}
-        seen = component(hop_of)
-        missed = [x for o, x in enumerate(dyck) if seen.isdisjoint(_path_vals(x.val, seqs[o]))]
+        seen = component(rerouted)
+        missed = [x for x, vals in zip(dyck, paths) if seen.isdisjoint(vals)]
         if missed:
             break
     else:
         pytest.fail("no rerouting left a factor path out")
     with pytest.raises(AssemblyError) as err:
-        list(chain.from_iterable(_walk_runs(k, rerouted, side, masks, tree, TARGET_GPLUS)))
+        list(chain.from_iterable(_walk_runs(k, rerouted, masks, offset, tree, TARGET_GPLUS)))
     msg = str(err.value)
     assert msg.startswith(
         f"splice produced more than one cycle: the walk reached {len(seen)} of 462 vertices, "
@@ -350,7 +422,7 @@ def test_rerouted_hops_fail_the_count_check():
         + ", ".join(map(str, missed[:8]))
     )
     o = dyck.index(missed[0])
-    on_path = set(_path_vals(missed[0].val, seqs[o]))
+    on_path = set(paths[o])
     named = [str(e.tup) for e, (_, c, _) in zip(tree.entries, tree.packed) if on_path & set(c)]
     assert msg.endswith(f"meet the factor path of {missed[0]}: {', '.join(named)}")
 

@@ -11,8 +11,8 @@ marks the vertices seen in a bitmap of one bit per value (4 MB at k = 12);
 the k = 12 file is piped to ``verify --input -``. At both sizes the table
 of flip sequences, built one semilength at a time, must equal
 ``flip_sequence`` word by word. Peak RSS is taken from ``os.wait4``: the
-``gen --k 12`` child must stay at or below 230 MB, and peaks at about
-182 MB (Python 3.11, x86-64); the ``verify --k 12`` child must stay at or
+``gen --k 12`` child must stay at or below 175 MB, and peaks at about
+154 MB (Python 3.11, x86-64); the ``verify --k 12`` child must stay at or
 below 60 MB, and peaks at about 20 MB. A fresh child that builds and
 checks ``hamilton_odd(10, 1234567)`` must peak at or below 45 MB, and one
 for ``hamilton_middle_levels(10)`` at or below 48 MB; they peak at about 33
@@ -20,7 +20,7 @@ and 36 MB, with each certificate held packed, where a tuple of k-tuples and
 one of ``Bits`` peaked at 75 and 90 MB. ``full_tree(11)`` must equal, entry
 by entry and in order, the list recursion kept in ``tests/test_spanning.py``
 as the reference. On a 2-vCPU Xeon the tier takes about 30 s and peaks at
-about 182 MB, in ``gen --k 12``. The digests were
+about 154 MB, in ``gen --k 12``. The digests were
 recorded before the flip-sequence recursion dropped its mirror step. The
 ``middle --k 10`` digest was recorded before the tree build switched to
 packed entries and the splice to direct placement of witness vertices.
@@ -131,7 +131,7 @@ def test_gen_k12_verifies(gen_k12):
 
 
 def test_gen_k12_peak_rss(gen_k12_run):
-    assert gen_k12_run[1] <= 230
+    assert gen_k12_run[1] <= 175
 
 
 @pytest.mark.parametrize(
