@@ -74,8 +74,9 @@ with a degree other than 2. A tree thus fails in one of three ways, in this
 order: an invalid tree raises the ``ValueError`` of ``validate_tree``; a
 witness of the wrong length, or a position off its member's named edge,
 raises an ``AssemblyError`` naming the tuple, the Dyck origin, the index and
-the vertex; and a walk cut after the target's number of vertices, or back
-too early, raises one naming the paths it missed and the tuples at the first.
+the vertex, if the witness is not empty; and a walk cut after the target's
+number of vertices, or back too early, raises one naming the paths it missed
+and the tuples at the first.
 
 Targets:
 
@@ -174,6 +175,7 @@ def _splice_hops(
     count = 0
     bit = _BIT.__getitem__
     # the witness vertices off their named edges, and the first as (entry, origin, index, vertex)
+    # with the vertex in a 1-tuple, () for an empty witness
     misplaced, first = 0, ()
     for idx, (pattern, cycle, support) in enumerate(tree.packed):
         named = pattern.named_edges
@@ -200,7 +202,7 @@ def _splice_hops(
             else:
                 parent[r] = root
             if not readable:
-                first = first or cycle and (idx, o, seqs[o].index(mark), cycle[0])
+                first = first or (idx, o, seqs[o].index(mark), cycle[:1])
                 continue
             # The named edge joins index i, after the first i flips of seq
             # (or all flips but the last 2k - i), to index i + 1.
@@ -213,7 +215,7 @@ def _splice_hops(
             if cycle[a] != low or cycle[b] != high:
                 off = [y for y in (cycle[b], cycle[a]) if y != low and y != high] or [cycle[b]]
                 misplaced += len(off)
-                first = first or (idx, o, i, off[0])
+                first = first or (idx, o, i, off[:1])
                 placed = False
                 continue
             masks[o] |= 1 << i
@@ -231,9 +233,12 @@ def _splice_hops(
         _reject(tree)
     if first:
         idx, o, i, v = first
+        what = "a witness is empty" if not v else (
+            f"{misplaced} witness vertices lie on no factor path at a named edge, "
+            f"e.g. {Bits(v[0], last)!r}"
+        )
         raise AssemblyError(
-            f"{misplaced} witness vertices lie on no factor path at a named edge, e.g. "
-            f"{Bits(v, last)!r}: tuple {tree.entries[idx].tup} names the edge from index {i} "
+            f"{what}: tuple {tree.entries[idx].tup} names the edge from index {i} "
             f"to {i + 1} on the factor path of {dyck[o]}"
         )
     # The masks are final, so each end goes to its slot: 2 * popcount(masks[o]
@@ -346,10 +351,12 @@ def stream_gplus_vals(
 ) -> Iterator[int]:
     """The Hamilton cycle of ``target``'s graph as packed vertices, in canonical rotation.
 
-    The splice is built at the call, so a bad tree raises there.
+    The splice is built at the call, so a bad tree or target raises there.
     """
     if k < 3:
         raise ValueError(PETERSEN_NOTE if k == 2 else "assembly needs k >= 3")
+    if target not in (TARGET_GPLUS, TARGET_ODD, TARGET_MIDDLE):
+        raise ValueError(f"unknown target {target!r}: expected gplus, odd or middle")
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
     return chain.from_iterable(_walk_runs(k, *_splice_hops(k, tree, dyck, seqs), tree, target))
 

@@ -32,7 +32,7 @@ from typing import IO, Iterable, Iterator
 
 from . import assembly, spanning
 from .factor import _path_vals, flip_sequences
-from .words import MAX_K, enumerate_dyck, line_renderer, subset_mapper
+from .words import MAX_K, enumerate_dyck, line_renderer, subset_line_renderer
 
 # Lines joined into one string per ``out.write``.
 BLOCK_LINES = 4096
@@ -72,13 +72,8 @@ def _cmd_gen(args, parser, out: IO[str]) -> int:
         parser.error(f"gen needs 3 <= k <= {_ceiling()}")
     odd = assembly.stream_odd_vals(k, args.family)
     n = 2 * k + 1
-    if args.format == "bits":
-        lines = map(line_renderer(n), odd)
-    elif args.format == "subsets":
-        subset = subset_mapper(n)
-        lines = ("{" + ",".join(map(str, subset(val))) + "}\n" for val in odd)
-    else:
-        lines = _delta_lines(odd, n)
+    render = {"bits": line_renderer, "subsets": subset_line_renderer}.get(args.format)
+    lines = map(render(n), odd) if render else _delta_lines(odd, n)
     _write_blocks(out, lines)
     return 0
 

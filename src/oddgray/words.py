@@ -35,31 +35,37 @@ def bitstring(val: int, n: int) -> str:
     return f"{val:0{n}b}"[::-1] if n else ""
 
 
-# Widest chunk a line renderer looks up in one table (2^13 entries).
+# Widest chunk a renderer looks up in one table (2^13 entries).
 CHUNK_BITS = 13
 
 
-def line_renderer(n: int, end: str = "\n") -> Callable[[int], str]:
-    """A function mapping a packed value of length n to ``bitstring(val, n) + end``.
+def _chunked(n: int, table: Callable, end: str | tuple) -> Callable[[int], object]:
+    """A function adding up the table entries of a packed value of n bits, chunk by chunk.
 
-    The value is cut, from position 1 on, into chunks of equal width (at
-    most CHUNK_BITS) and a shorter or equal last chunk. One table of
-    ``bitstring`` renderings serves every chunk but the last, and a second
-    one, whose entries end in ``end``, serves the last; so a line costs one
-    lookup per chunk, two up to n = 26.
+    The value is cut, from position 1 on, into chunks of equal width (at most
+    CHUNK_BITS) and a shorter or equal last chunk, whose entries end in ``end``;
+    ``table(width, offset)`` lists the entries of a chunk at bit ``offset``. A
+    value costs one lookup per chunk: two and one ``+`` up to n = 2 * CHUNK_BITS.
     """
     count = max(1, -(-n // CHUNK_BITS))
     width = -(-n // count)
     top = (count - 1) * width
-    last = [bitstring(i, n - top) + end for i in range(1 << (n - top))]
-    if count == 1:
-        return last.__getitem__
+    last = [entry + end for entry in table(n - top, top)]
     mask = (1 << width) - 1
-    head = [bitstring(i, width) for i in range(1 << width)]
-    if count == 2:
-        return lambda val: head[val & mask] + last[val >> width]
-    shifts = range(0, top, width)
-    return lambda val: "".join([head[val >> s & mask] for s in shifts]) + last[val >> top]
+
+    def chunks(offset: int) -> Callable[[int], object]:  # the chunks from bit offset on
+        head = table(width, offset)
+        if offset + width == top:
+            return lambda val: head[val & mask] + last[val >> width]
+        rest = chunks(offset + width)
+        return lambda val: head[val & mask] + rest(val >> width)
+
+    return chunks(0) if count > 1 else last.__getitem__
+
+
+def line_renderer(n: int, end: str = "\n") -> Callable[[int], str]:
+    """A function mapping a packed value of length n to ``bitstring(val, n) + end``."""
+    return _chunked(n, lambda width, _: [bitstring(i, width) for i in range(1 << width)], end)
 
 
 class Bits:
@@ -186,35 +192,26 @@ def _position_table(width: int, offset: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=2)
 def subset_mapper(n: int) -> Callable[[int], tuple[int, ...]]:
-    """A function mapping a packed value of at most n bits to ``positions(val)``.
+    """A function mapping a packed value of n bits to ``positions(val)``, by chunk tables.
 
-    Up to n = 2 * CHUNK_BITS the value is cut where ``line_renderer`` cuts it,
-    into two parts with a table of positions each, so it costs two lookups and
-    one tuple concatenation; above, into bytes, read until the rest is zero.
-    The mappers of the latest two n are kept, one of them for ``positions``.
+    ``Vertices`` asks for a mapper per read, so those of the latest two n are kept.
     """
-    if n <= 2 * CHUNK_BITS:
-        width = -(-n // 2) if n > CHUNK_BITS else n
-        mask = (1 << width) - 1
-        low, high = _position_table(width, 0), _position_table(n - width, width)
-        return lambda val: low[val & mask] + high[val >> width]
-    tables = [_position_table(8, offset) for offset in range(0, n, 8)]
+    return _chunked(n, _position_table, ())
 
-    def subset(val: int) -> tuple[int, ...]:
-        out = ()
-        for table in tables:
-            out += table[val & 255]
-            val >>= 8
-            if not val:
-                return out
-        raise ValueError(f"value wider than {8 * len(tables)} bits")
 
-    return subset
+def subset_line_renderer(n: int) -> Callable[[int], str]:
+    """A function mapping a nonzero packed value of n bits to its line, e.g. ``{1,3,4}\\n``.
+
+    Each chunk's entry renders a position p as ``,p``; the line drops the first comma.
+    """
+    commas = lambda *at: ["".join(f",{p}" for p in t) for t in _position_table(*at)]
+    render = _chunked(n, commas, "}\n")
+    return lambda val: "{" + render(val)[1:]
 
 
 def positions(val: int) -> tuple[int, ...]:
-    """The 1-based positions of the set bits of a value of at most 64 bits, in increasing order."""
-    return subset_mapper(64)(val)
+    """The 1-based positions of the set bits of a value, in increasing order."""
+    return tuple(i + 1 for i in range(val.bit_length()) if val >> i & 1)
 
 
 class Vertices(Sequence):

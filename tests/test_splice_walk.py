@@ -11,8 +11,9 @@ coordinates it must give the gplus cycle mapped vertex by vertex with
 ``assembly._splice_hops`` is the only splice, and a tree fails it in one of
 three ways, each tried here on broken trees: an invalid tree raises
 ``validate_tree``'s ``ValueError``; a witness position that does not hold an
-end of its member's named edge raises an ``AssemblyError`` naming the tuple,
-the Dyck origin, the index and the vertex; and a walk that does not return
+end of its member's named edge, or an empty witness, raises an
+``AssemblyError`` naming the tuple, the Dyck origin, the index and the vertex
+(if any); and a walk that does not return
 after the target's number of vertices, or returns early, raises an
 ``AssemblyError`` naming the Dyck origins it missed and the tuples whose
 witnesses meet the first of them. Once every witness sits at its named
@@ -520,3 +521,24 @@ def test_bad_tree_raises_at_call_time():
     tree = full_tree(4)
     with pytest.raises(ValueError, match="invalid spanning tree"):
         stream_gplus_vals(4, hand_tree(tree.base, [e.derivation for e in tree.entries[1:]]))
+
+
+def test_empty_witness_names_its_tuple():
+    # An empty witness holds no vertex off its named edges, but it must still
+    # fail at placement, naming its tuple, rather than in the walk.
+    k, idx = 5, 7
+    tree = full_tree(k)
+    x, mark = tree.packed[idx][2][0]
+    w = Bits(x, 2 * k)
+    i = flip_sequence(w).index(mark)
+    with pytest.raises(AssemblyError) as err:
+        stream_gplus_vals(k, with_witness(tree, idx, ()))
+    assert str(err.value) == (
+        f"a witness is empty: tuple {tree.entries[idx].tup} names the edge from index {i} "
+        f"to {i + 1} on the factor path of {w}"
+    )
+
+
+def test_unknown_target_raises_at_call_time():
+    with pytest.raises(ValueError, match="unknown target 'bogus': expected gplus, odd or middle"):
+        stream_gplus_vals(4, full_tree(4), "bogus")

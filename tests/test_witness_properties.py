@@ -8,8 +8,9 @@ below as the reference; and against the three wrapping moves the peel is
 built from. The packed support ``validate_tree`` checks is compared with the
 wrapped tuple on ``Bits``, and ``Derivation.of_support`` must read each
 derivation back from it. The table-driven renderers of packed values,
-``line_renderer``, ``positions`` and ``subset_mapper``, are compared with
-``bitstring`` and with the bit-by-bit loop kept below as the reference.
+``line_renderer``, ``subset_mapper`` and ``subset_line_renderer``, and the bit
+loop ``positions`` are compared with ``bitstring`` and with the peel kept below
+as the reference.
 """
 
 from functools import cache
@@ -40,6 +41,7 @@ from oddgray.words import (
     line_renderer,
     mirror,
     positions,
+    subset_line_renderer,
     subset_mapper,
 )
 
@@ -175,6 +177,32 @@ def packed_values(draw, max_n=61):
     return draw(st.integers(0, (1 << n) - 1)), n
 
 
+@st.composite
+def odd_vertices(draw):
+    """A k-subset of [2k+1] for k = 3..30, packed, and its width 2k + 1."""
+    k = draw(st.integers(3, 30))
+    members = draw(st.lists(st.integers(0, 2 * k), min_size=k, max_size=k, unique=True))
+    return sum(1 << p for p in members), 2 * k + 1
+
+
+def edge_values(n):
+    """Values of n bits every renderer is tried on at width n.
+
+    They are 0, 1, all n bits, the top bit, every second bit, and three
+    values of weight k = n // 2: the lowest k bits, the highest k bits and
+    positions 2, 4, ..., 2k.
+    """
+    low = (1 << n // 2) - 1
+    alternate = 0xAAAAAAAAAAAAAAAA & (1 << 2 * (n // 2)) - 1
+    every_second = 0x5555555555555555 >> (64 - n)
+    return (0, 1, (1 << n) - 1, 1 << (n - 1), every_second, low, low << (n - n // 2), alternate)
+
+
+def subset_line(val):
+    """The subset line of a packed value, joined position by position: the reference."""
+    return "{" + ",".join(map(str, reference_positions(val))) + "}\n"
+
+
 @relaxed
 @given(packed_values())
 def test_line_renderer_matches_bitstring(case):
@@ -185,7 +213,7 @@ def test_line_renderer_matches_bitstring(case):
 def test_line_renderer_covers_every_width():
     for n in range(1, 62):
         render = line_renderer(n)
-        for val in (0, 1, (1 << n) - 1, 1 << (n - 1), 0x5555555555555555 >> (64 - n)):
+        for val in edge_values(n):
             assert render(val) == bitstring(val, n) + "\n"
 
 
@@ -197,6 +225,7 @@ def test_positions_match_reference(case):
 
 
 cached_subset_mapper = cache(subset_mapper)
+cached_subset_line_renderer = cache(subset_line_renderer)
 
 
 @relaxed
@@ -206,11 +235,21 @@ def test_subset_mapper_matches_reference(case):
     assert cached_subset_mapper(n)(val) == reference_positions(val)
 
 
+@relaxed
+@given(odd_vertices())
+def test_subset_line_renderer_matches_reference(case):
+    val, n = case
+    assert cached_subset_line_renderer(n)(val) == subset_line(val)
+
+
 def test_subset_mapper_covers_every_width():
+    # and the subset line renderer, at every odd width 2k + 1, k = 3..30, among them
     for n in range(1, 62):
-        subset = subset_mapper(n)
-        for val in (0, 1, (1 << n) - 1, 1 << (n - 1), 0x5555555555555555 >> (64 - n)):
+        subset, line = subset_mapper(n), subset_line_renderer(n)
+        for val in edge_values(n):
             assert subset(val) == reference_positions(val)
+            if val:
+                assert line(val) == subset_line(val)
 
 
 def test_positions_cover_every_byte_at_every_offset():

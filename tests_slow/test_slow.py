@@ -24,6 +24,9 @@ about 154 MB, in ``gen --k 12``. The digests were
 recorded before the flip-sequence recursion dropped its mirror step. The
 ``middle --k 10`` digest was recorded before the tree build switched to
 packed entries and the splice to direct placement of witness vertices.
+The ``gen --k 11 --format subsets`` digest was recorded while each subset
+line was still joined position by position, before it was built from
+per-chunk tables.
 """
 
 import hashlib
@@ -47,6 +50,7 @@ GOLDEN = {
     12: "ed59f67810fa273293e4aa9c843cceff614e80ede01dda4b23a9a26d6c2469a6",
 }
 MIDDLE_K10 = "42c5715fbaee4e39020a5a57384833564bf461f140dc4ad320f296abfd0af795"
+SUBSETS_K11 = "ce7006d6acd126b06428fd7a4c2908f57b6c7dccd724164fb26e9b108a2811a9"
 
 
 def oddgray(*args, **kw):
@@ -154,6 +158,13 @@ def test_middle_k10_digest(tmp_path):
     with open(path, "wb") as fh:
         oddgray("middle", "--k", "10", stdout=fh)
     assert sha256_of(path) == MIDDLE_K10
+
+
+def test_gen_k11_subsets_digest(tmp_path):
+    path = tmp_path / "subsets11.txt"
+    with open(path, "wb") as fh:
+        oddgray("gen", "--k", "11", "--format", "subsets", stdout=fh)
+    assert sha256_of(path) == SUBSETS_K11
 
 
 @pytest.mark.parametrize("k", [11, 12])
