@@ -1,22 +1,15 @@
 """Hamilton-cycle assembly.
 
 The Hamilton cycle is the cycle factor with one witness cycle per
-spanning-tree tuple XOR-ed in. Because the tree is conflict-free and spans
-every Dyck word, the splices join all factor cycles into one. The splice
-and the walk read one shared table of flip sequences per k
-(``factor.flip_sequences``).
-
-The splice reads the tree's packed entries, whose witnesses and supports
-the spanning recursion carries (``spanning.SpanningTree.packed``), so
-generation runs no derivation search, peels no context and never loads
-``checking``, where ``verify.verify_tree`` checks that each entry's
-derivation is its tuple's only one and peels to its packed entry. The
-failure messages below read the tuples there (``SpanningTree.entries``).
+spanning-tree tuple XOR-ed in; as the tree is conflict-free and spans every
+Dyck word, the splices join all factor cycles into one. The splice reads the
+tree's packed entries (``spanning.SpanningTree.packed``) and the shared flip
+sequences (``factor.flip_sequences``), so generation searches no derivation
+and never loads ``checking``; failure messages read the tuples there.
 
 A witness of a t-tuple has 2t vertices and meets each member's path in
-exactly its named edge. In every family that edge sits at witness positions
-{2r, 2r + 1} (``flippable.Pattern.named_edges``, in the table of seed
-literals that fixes them), in the support's member order:
+exactly its named edge, at witness positions {2r, 2r + 1} in the support's
+member order (``flippable.Pattern.named_edges``):
 
   fan     (3, 2), (4, 5), (0, 1)
   bridge  (5, 4), (2, 3), (0, 1)
@@ -25,79 +18,49 @@ literals that fixes them), in the support's member order:
 
 So every witness vertex ends a named edge, and its other witness edge, from
 2r + 1 to 2r + 2 or from 2r to 2r - 1 (mod 2t), is its hop: toggling the
-witness takes the named edges out of the factor and puts the hops in. The
-named edge of member (x, m) flips m at index i = seq.index(m) of the path of
-x, so it joins x ^ (the first i flips of seq), its lower end, to that vertex
-with m flipped, its upper end, at index i + 1.
+witness swaps the named edges for the hops. The named edge of member (x, m)
+flips m at index i = seq.index(m) of the path of x, from its lower end at
+index i to its upper end at i + 1.
 
-The splice is one pass over the members (``_splice_hops``). It checks the
-tree: a union-find over origin numbers, a mark bitmask per word and a
-membership count cover the conditions of ``checking.validate_tree``, which
-runs only to write the text of a failure. It checks that the witness
-vertices at a member's named positions are the two ends of its named edge.
-It gives each path a mask with a bit at the index of each of its named
-edges, and appends each hop's two ends to two arrays, each end packed in one
-int: its Dyck origin, its index on its path, whether it is the upper end,
-and its vertex. Once the masks are final, each end goes to its slot in one
-flat array, which holds the end its hop lands on: named edge e of path o has
-its lower end at slot offset[o] + 2 * popcount(masks[o] & ((1 << e) - 1))
-and its upper end at the next, where offset[o] counts the named-edge ends of
-the paths before o. A vertex that ends two named edges has a slot for each.
-Memory thus grows with the witness vertices, not with the graph.
+The splice (``_splice_hops``) is one pass over the members. It checks the
+tree by a union-find over origin numbers, a mark bitmask per word and a
+membership count, that each named position holds its end of the named edge,
+and that each hop flips one bit, at position p. Each hop end then goes to a
+slot of one flat array, addressed by its path's mask of named edges, which
+holds the far end's address and p. So a tree fails in one of three ways, in
+this order: an invalid tree raises the ``ValueError`` of ``validate_tree``;
+a witness of the wrong length or off its named edges, or a hop flipping
+other than one bit, raises an ``AssemblyError`` naming the tuple, the Dyck
+origin and the vertices; and a walk cut after the target's number of
+vertices, or back too early, raises one naming the paths it missed and the
+tuples at the first. Once the splice passes, every vertex has degree 2: two
+tuples whose witnesses share a hop would share the words of both its paths.
 
-The walk goes one run at a time. A run leaves the end a hop lands on along
-its path, away from that end's named edge, and stops at the nearest
-named-edge end: going up from index j, at the lower end of the lowest bit of
-the path's mask at or above j; going down, at the upper end of the highest
-bit below j; and past the path's closing step to the other end of the mask
-if there is none. The same mask arithmetic counts the named edges below that
-end, which names its slot, and the walk takes the hop held there. A run is
-an interval of the path's flip sequence, emitted by one
-``itertools.accumulate`` over a step table, which alone sets the target's
-coordinates: flipping position p XORs bit(p) in gplus and middle coordinates
-and ALL ^ bit(p) in odd ones (ALL has 2k+1 bits), and the closing edge
-{x, ~x}, from index 2k to index 0, XORs ``full`` in gplus and odd
-coordinates; in middle ones it is the detour below, the top bit, the flip
-sequence and the top bit again. The walk starts at index 0 of path 0, the
-least vertex, toward its smaller neighbour, and stops when a run up path 0
-wraps to index 0 or a hop lands on the start, the lower end of named edge 0
-of path 0. So the Python work grows with the witness edges, not with the
-vertices, and no vertex is mapped from gplus to its target. The walk must
-return to its start after exactly the target's number of vertices.
-
-The hops are the toggled graph exactly when every witness position holds an
-end of its member's named edge, every hop joins two paths, and no two
-witnesses share a hop edge. The union-find ensures the last two: a tuple's
-words are distinct, and two tuples whose witnesses share a hop share the
-words of both its paths. The splice checks the first, so no vertex is left
-with a degree other than 2. A tree thus fails in one of three ways, in this
-order: an invalid tree raises the ``ValueError`` of ``validate_tree``; a
-witness of the wrong length, or a position off its member's named edge,
-raises an ``AssemblyError`` naming the tuple, the Dyck origin, the index and
-the vertex, if the witness is not empty; and a walk cut after the target's
-number of vertices, or back too early, raises one naming the paths it missed
-and the tuples at the first.
+The walk (``_walk_runs``) emits the cycle as the position each edge flips, 0
+for a closing step, and no vertex. From the end a hop lands on, a run goes
+along the path, away from that end's named edge, to the nearest named-edge
+end, past the closing step (in middle coordinates the detour 0, seq, 0) if
+need be: a slice of the flip sequence, then the hop's p. It starts at the
+least vertex (1 << k) - 1, index 0 of path 0, toward its smaller neighbour,
+its hop or index 1 (both below its complement), and ends when a run up path
+0 wraps to index 0. A step table (``_steps``) gives what each position XORs
+in the target's coordinates: vertex streams run one ``accumulate`` over it
+per block, and ``words.column_lines`` renders bit lines a column at a time.
 
 Targets:
 
-  gplus   bitstrings of length 2k and weight k or k+1; edges are single-bit
-          flips plus the complement pairs at weight k (the closing edges).
-  odd     k-subsets of [2k+1], edges joining disjoint subsets. The bijection
-          appends 0 to a weight-k string and 1 to the complement of a
-          weight-(k+1) string, then reads characteristic vectors.
-          ``gen`` and ``hamilton_odd`` both read ``stream_odd_vals``, which
-          walks with the odd step table; ``odd_val`` maps single vertices.
-  middle  bitstrings of length 2k+1 and weight k or k+1, edges joining
-          strings one bit apart (nested subsets). The cycle is obtained from
-          the gplus cycle with 0 appended by replacing every closing edge
-          {x0, ~x0} by the detour ~x0, ~x1, ..., x1, x0 along the
-          complemented factor path of x.
+  gplus   bitstrings of length 2k and weight k or k+1, joined by single-bit
+          flips and by the closing edges, the complement pairs at weight k.
+  odd     k-subsets of [2k+1], joined when disjoint, as characteristic vectors:
+          0 appended to a weight-k string, 1 to the complement of a weight-(k+1)
+          one (``odd_val``).
+  middle  bitstrings of length 2k+1 and weight k or k+1 one bit apart: the gplus
+          cycle with 0 appended and each closing edge {x0, ~x0} replaced by the
+          detour ~x0, ~x1, ..., x1, x0 along the complemented path of x.
 
-Certificates are rotated canonically: the numerically smallest packed vertex
-comes first, followed by its smaller neighbour (for odd certificates the
-rotation is inherited from the underlying gplus cycle, whose smallest vertex
-maps to the subset {1..k}). They hold the walked values packed, 8 bytes a
-vertex, in a ``words.Vertices`` view that decodes a vertex only when it is read.
+Certificates start at the numerically smallest packed vertex, then its
+smaller neighbour (an odd one inherits the gplus rotation, whose least vertex
+maps to {1..k}), and hold the values packed in a ``words.Vertices`` view.
 """
 
 from __future__ import annotations
@@ -106,7 +69,7 @@ from array import array
 from collections import namedtuple
 from itertools import accumulate, chain
 from math import comb
-from operator import xor
+from operator import or_, xor
 from typing import Iterator, NoReturn
 
 from . import spanning
@@ -125,6 +88,10 @@ PETERSEN_NOTE = (
 
 # _BIT[a] flips position a: one shared int per position, for every path.
 _BIT = (0, *(1 << j for j in range(62)))
+# Flip positions per block of a walk, but for the last.
+BLOCK_FLIPS = 4096
+# A cycle as a walk: its start vertex, what each flip position XORs in, and its position blocks.
+Walk = tuple[int, tuple[int, ...], Iterator[bytes]]
 
 
 class AssemblyError(RuntimeError):
@@ -154,10 +121,9 @@ def _splice_hops(
     ``dyck[o]``, whose flip sequence is ``seqs[o]``. Named edge e of path o
     has its lower end (upper = 0) and its upper end (upper = 1) at
     ``slots[offset[o] + 2 * popcount(masks[o] & ((1 << e) - 1)) + upper]``,
-    which holds the end its hop lands on, packed as
-    ((origin << 6 | index) << 1 | upper) << 2k | vertex. An invalid tree
-    raises its ``ValueError``, and then a misplaced witness vertex an
-    ``AssemblyError`` naming the first.
+    which holds the end its hop lands on and the position p the hop flips,
+    packed as ((origin << 6 | index) << 1 | upper) << 6 | p. A bad tree fails
+    as the module docstring says.
     """
     if not tree.spans_dyck(k):
         _reject(tree)
@@ -177,6 +143,7 @@ def _splice_hops(
     # the witness vertices off their named edges, and the first as (entry, origin, index, vertex)
     # with the vertex in a 1-tuple, () for an empty witness
     misplaced, first = 0, ()
+    wide = ()  # the first hop that flips other than one bit, as (entry, origin, its two vertices)
     for idx, (pattern, cycle, support) in enumerate(tree.packed):
         named = pattern.named_edges
         count += len(support) - 1
@@ -219,15 +186,22 @@ def _splice_hops(
                 placed = False
                 continue
             masks[o] |= 1 << i
-            ends[a] = (o << 6 | i) << last + 1 | low
-            ends[b] = ((o << 6 | i + 1) << 1 | 1) << last | high
+            ends[a] = (o << 6 | i) << 7
+            ends[b] = ((o << 6 | i + 1) << 1 | 1) << 6
         if not placed:
             continue
         # Position 2r + 1 hops to 2r + 2, and the last position to 0. A hop
         # joins the paths of two members, and no earlier witness has it: a
-        # tuple with both paths would have joined them in the union-find.
+        # tuple with both paths would have joined them in the union-find. So
+        # its ends differ, each in at least one bit.
+        hops = list(map(xor, cycle[1::2], cycle[2::2] + cycle[:1]))
+        if sum(map(int.bit_count, hops)) != len(hops):
+            r = next(r for r, h in enumerate(hops) if h.bit_count() != 1)
+            u = cycle[2 * r + 1]
+            wide = wide or (idx, ends[2 * r + 1] >> 13, u, u ^ hops[r])
+            continue
         ends.append(ends[0])
-        nears.extend(ends[1::2])
+        nears.extend(map(or_, ends[1::2], map(int.bit_length, hops)))  # with p; fars without
         fars.extend(ends[2::2])
     if count != len(dyck) - 1:
         _reject(tree)
@@ -241,16 +215,22 @@ def _splice_hops(
             f"{what}: tuple {tree.entries[idx].tup} names the edge from index {i} "
             f"to {i + 1} on the factor path of {dyck[o]}"
         )
-    # The masks are final, so each end goes to its slot: 2 * popcount(masks[o]
-    # & ((1 << j) - 1)) counts the slots of path o before the end at index j,
-    # and its own too if it is an upper end.
+    if wide:
+        idx, o, u, w = wide
+        raise AssemblyError(
+            f"a hop flips {(u ^ w).bit_count()} bits: tuple {tree.entries[idx].tup} hops from "
+            f"{Bits(u, last)!r} on the factor path of {dyck[o]} to {Bits(w, last)!r}"
+        )
+    # The masks are final, so each end goes to its slot: 2 * popcount(masks[o] & ((1 << j) - 1))
+    # counts the slots of path o before the end at index j, and its own too if it is an upper
+    # end. Only the near end holds p, so q | p & 63 gives both slots the far end and p.
     offset = array("Q", accumulate((2 * m.bit_count() for m in masks), initial=0))
     slots = array("Q", bytes(8 * offset[-1]))
     for p, q in zip(chain(nears, fars), chain(fars, nears)):
-        key = p >> last  # (origin << 6 | index) << 1 | upper
+        key = p >> 6  # (origin << 6 | index) << 1 | upper
         o = key >> 7
         below = masks[o] & (1 << (key >> 1 & 63)) - 1
-        slots[offset[o] + 2 * below.bit_count() - (key & 1)] = q
+        slots[offset[o] + 2 * below.bit_count() - (key & 1)] = q | p & 63
     return slots, masks, offset
 
 
@@ -265,100 +245,93 @@ def _reject(tree: spanning.SpanningTree) -> NoReturn:
 
 
 def _walk_runs(
-    k: int,
-    slots: array,
-    masks: array,
-    offset: array,
-    tree: spanning.SpanningTree,
-    target: str,
-) -> Iterator[list[int]]:
-    """The spliced cycle from the least vertex (1 << k) - 1, toward its smaller neighbour, in runs.
+    k: int, slots: array, masks: array, offset: array, tree: spanning.SpanningTree, target: str
+) -> Iterator[bytes]:
+    """The spliced cycle's flip positions from (1 << k) - 1, in blocks of BLOCK_FLIPS or more.
 
-    Each run is one stretch of a factor path in ``target``'s coordinates,
-    from the end a hop lands on to the nearest named-edge end away from that
-    end's named edge, where the walk takes the hop in that end's slot (see
-    ``_splice_hops``). The walk is cut after the target's number of
-    vertices, so a broken slot map cannot make it loop forever. The tree is
-    read only to name the tuples at a path the walk missed.
+    The walk is cut after the target's number of vertices, so a broken slot map cannot make it
+    loop forever; the last block may be shorter. The tree only names the tuples at a missed path.
     """
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
-    last = 2 * k
-    span = last + 1  # the vertices, and the edges, of one factor cycle
-    full, top = (1 << last) - 1, 1 << last
-    # per target: a path's laps (a middle detour is the second) and what weight k + 1 XORs in
-    laps, flip = {TARGET_GPLUS: (1, 0), TARGET_ODD: (1, top | full), TARGET_MIDDLE: (2, 0)}[target]
-    detour, total = laps == 2, laps * comb(span, k)
-    # step[p] flips position p in the walk's coordinates; p = 0 closes
-    step = (top if detour else full, *(flip ^ b for b in _BIT[1:span])).__getitem__
+    detour = target == TARGET_MIDDLE  # a path's second lap, complemented with the top bit set
+    total = (1 + detour) * comb(2 * k + 1, k)
     reached = bytearray(len(dyck))  # the paths the walk ran along
-    start = v = (1 << k) - 1  # dyck[0] = 1^k 0^k, at index 0 of its own path
-    # The start can end only named edge 0, so ahead of it lies its hop, in
-    # slot 0, or its next vertex start ^ bit(2k), which is less than
-    # start ^ full. The walk leaves toward the smaller neighbour, as a run
-    # from index 0 of path 0, and comes back by the other: by a run up path 0
-    # that wraps to index 0, or by the hop into the lower end of named edge 0
-    # of path 0, which is packed as start itself.
-    forward = not masks[0] & 1 or slots[0] & full < start ^ full
-    o = j = count = 0
-    while True:
-        # v, not yet emitted, is at index j of path o in the walk's coordinates
+    block = bytearray()
+    forward, o, j, count, s = 1, 0, 0, 0, 0
+    while s >= 0:
+        # the walk is at index j of path o, with its positions so far in the block
         reached[o] = 1
         seq, m = seqs[o], masks[o]
         if forward:  # up to the lower end of the lowest named edge at or above j
             a = m >> j
             if a:
-                steps = seq[j : j + (a & -a).bit_length() - 1]
+                block += seq[j : j + (a & -a).bit_length() - 1]
                 s = offset[o + 1] - 2 * a.bit_count()  # a holds it and those above
             else:  # past the closing step, or detour; path 0 stops at the start
                 t = (m & -m).bit_length() - 1 if o else 0
-                steps = b"\0".join((seq[j:], seq, seq[:t]) if detour else (seq[j:], seq[:t]))
+                block += b"\0".join((seq[j:], *[seq] * detour, seq[:t]))
                 s = offset[o] if o else -1
         else:  # down to the upper end of the highest named edge below j
             a = m & (1 << j) - 1
             if a:
-                steps = seq[a.bit_length() : j][::-1]
+                block += seq[a.bit_length() : j][::-1]
                 s = offset[o] + 2 * a.bit_count() - 1  # a holds it and those below
             else:  # past the closing step, or detour
                 t = m.bit_length()
-                steps = b"\0".join((seq[t:], seq, seq[:j]) if detour else (seq[t:], seq[:j]))
-                steps = steps[::-1]
+                block += b"\0".join((seq[t:], *[seq] * detour, seq[:j]))[::-1]
                 s = offset[o + 1] - 1
-        run = list(accumulate(map(step, steps), xor, initial=v))
-        if s < 0:  # the walk is back: its last run ends before the start
-            run.pop()
-        count += len(run)
-        if count > total:
-            yield run[: len(run) - count + total]
-            raise AssemblyError(f"the walk did not return to its start after {total} vertices")
-        yield run
-        if s < 0:
-            break
-        e = slots[s]
-        if e == start:  # the hop into the lower end of named edge 0 of path 0
-            break
-        g = e & full
-        e >>= last
-        forward, j, o = e & 1, e >> 1 & 63, e >> 7
-        v = g ^ flip if j & 1 else g  # odd indices have weight k + 1
+        if s >= 0:  # the hop; s < 0 when the last run wrapped to the start
+            e = slots[s]
+            block.append(e & 63)
+            forward, j, o = e >> 6 & 1, e >> 7 & 63, e >> 13
+        if s < 0 or len(block) >= BLOCK_FLIPS:
+            count += len(block)
+            if count > total:
+                yield bytes(block[: len(block) - count + total])
+                raise AssemblyError(f"the walk did not return to its start after {total} vertices")
+            yield bytes(block)
+            block.clear()
     if count != total:
         from .checking import walk_failure
 
         raise AssemblyError(walk_failure(k, tree, reached, count, total))
 
 
-def stream_gplus_vals(
-    k: int, tree: spanning.SpanningTree, target: str = TARGET_GPLUS
-) -> Iterator[int]:
-    """The Hamilton cycle of ``target``'s graph as packed vertices, in canonical rotation.
+def _steps(k: int, target: str) -> tuple[int, ...]:
+    """What flip position p XORs into a vertex in ``target``'s coordinates; p = 0 closes a path."""
+    full, top = (1 << 2 * k) - 1, 1 << 2 * k
+    flip = top | full if target == TARGET_ODD else 0  # what weight k + 1 XORs in
+    return (top if target == TARGET_MIDDLE else full, *(flip ^ b for b in _BIT[1 : 2 * k + 1]))
 
-    The splice is built at the call, so a bad tree or target raises there.
-    """
+
+def cycle_walk(k: int, tree: spanning.SpanningTree, target: str = TARGET_GPLUS) -> Walk:
+    """``target``'s Hamilton cycle as a walk, spliced at the call, so bad input raises there."""
     if k < 3:
         raise ValueError(PETERSEN_NOTE if k == 2 else "assembly needs k >= 3")
     if target not in (TARGET_GPLUS, TARGET_ODD, TARGET_MIDDLE):
         raise ValueError(f"unknown target {target!r}: expected gplus, odd or middle")
-    dyck, seqs = enumerate_dyck(k), flip_sequences(k)
-    return chain.from_iterable(_walk_runs(k, *_splice_hops(k, tree, dyck, seqs), tree, target))
+    splice = _splice_hops(k, tree, enumerate_dyck(k), flip_sequences(k))
+    return (1 << k) - 1, _steps(k, target), _walk_runs(k, *splice, tree, target)
+
+
+def walk_vals(walk: Walk) -> Iterator[int]:
+    """The packed vertices of a walk: one ``accumulate`` per block, the block lists chained."""
+    start, steps, blocks = walk
+
+    def runs(v: int) -> Iterator[list[int]]:
+        for block in blocks:
+            run = list(accumulate(map(steps.__getitem__, block), xor, initial=v))
+            v = run.pop()
+            yield run
+
+    return chain.from_iterable(runs(start))
+
+
+def stream_gplus_vals(
+    k: int, tree: spanning.SpanningTree, target: str = TARGET_GPLUS
+) -> Iterator[int]:
+    """``cycle_walk`` as packed vertices, in canonical rotation; bad input raises at the call."""
+    return walk_vals(cycle_walk(k, tree, target))
 
 
 def hamilton_gplus(k: int, tree: spanning.SpanningTree) -> CycleCertificate:
@@ -380,11 +353,16 @@ def odd_val(v: int, k: int) -> int:
     return (v ^ ((1 << (2 * k)) - 1)) | (1 << (2 * k))
 
 
-def stream_odd_vals(k: int, family_mask: int | None = None) -> Iterator[int]:
-    """Packed (2k+1)-bit vectors of the odd-graph cycle; a bad k or mask raises at the call."""
+def odd_walk(k: int, family_mask: int | None = None) -> Walk:
+    """The odd-graph cycle as a ``cycle_walk``; a bad k or mask raises at the call."""
     if k < 3:
         raise ValueError(PETERSEN_NOTE if k == 2 else "odd-graph generation needs k >= 3")
-    return stream_gplus_vals(k, _tree_for(k, family_mask), TARGET_ODD)
+    return cycle_walk(k, _tree_for(k, family_mask), TARGET_ODD)
+
+
+def stream_odd_vals(k: int, family_mask: int | None = None) -> Iterator[int]:
+    """Packed (2k+1)-bit vectors of the odd-graph cycle; a bad k or mask raises at the call."""
+    return walk_vals(odd_walk(k, family_mask))
 
 
 def hamilton_odd(k: int, family_mask: int | None = None) -> CycleCertificate:
@@ -393,25 +371,29 @@ def hamilton_odd(k: int, family_mask: int | None = None) -> CycleCertificate:
     return CycleCertificate(k, TARGET_ODD, vertices)
 
 
-# Fixed middle-levels cycles for the two sizes below the general
-# construction; cross-checked against brute-force search in the test suite.
-_MIDDLE_K1 = ("100", "110", "010", "011", "001", "101")
-_MIDDLE_K2 = (
-    "11000", "11100", "01100", "01110", "00110", "10110", "10100",
-    "10101", "10001", "10011", "10010", "11010", "01010", "01011",
-    "00011", "00111", "00101", "01101", "01001", "11001",
-)
+# Middle-levels cycles below the general construction as start vertex and flip positions, 0 the
+# top bit (k = 1: 100, 110, 010, 011, 001, 101); the tests check them by brute-force search.
+_MIDDLE_SMALL = {
+    1: (0b001, bytes((2, 1, 0, 2, 1, 0))),
+    2: (0b00011, bytes((3, 1, 4, 2, 1, 4, 0, 3, 4, 0, 2, 1, 0, 2, 3, 4, 2, 3, 1, 0))),
+}
+
+
+def middle_walk(k: int, family_mask: int | None = None) -> Walk:
+    """The middle-levels cycle as a ``cycle_walk``; a bad k or mask raises at the call."""
+    if k < 1:
+        raise ValueError("middle-levels generation needs k >= 1")
+    if k > 2:
+        return cycle_walk(k, _tree_for(k, family_mask), TARGET_MIDDLE)
+    if family_mask is not None:
+        raise ValueError("cycle families need k >= 6")
+    start, flips = _MIDDLE_SMALL[k]
+    return start, _steps(k, TARGET_MIDDLE), iter([flips])
 
 
 def stream_middle_vals(k: int, family_mask: int | None = None) -> Iterator[int]:
-    """Packed (2k+1)-bit vertices of the middle-levels cycle; a bad k or mask raises at the call."""
-    if k < 1:
-        raise ValueError("middle-levels generation needs k >= 1")
-    if k <= 2:
-        if family_mask is not None:
-            raise ValueError("cycle families need k >= 6")
-        return iter([Bits.parse(s).val for s in (_MIDDLE_K1 if k == 1 else _MIDDLE_K2)])
-    return stream_gplus_vals(k, _tree_for(k, family_mask), TARGET_MIDDLE)
+    """Packed (2k+1)-bit vertices of the middle-levels cycle; bad input raises at the call."""
+    return walk_vals(middle_walk(k, family_mask))
 
 
 def hamilton_middle_levels(k: int, family_mask: int | None = None) -> CycleCertificate:

@@ -3,17 +3,18 @@
 Subcommands: ``gen`` (odd-graph Hamilton cycle), ``middle`` (middle-levels
 cycle), ``factor`` (the underlying cycle factor), ``tree`` (spanning tree as
 JSON), ``verify`` (check a cycle file), ``selfcheck`` (run the
-verification suites), ``bench`` (generation throughput). ``gen``, ``middle``
-and ``factor`` stream their lines in blocks of BLOCK_LINES, one ``write`` per
-block; identical invocations produce byte-identical output. ``gen`` renders
-``assembly.stream_odd_vals``, which refuses k = 2 (the Petersen graph), k < 3
-and bad masks before a line is written. ``verify`` reads a file, or stdin
-with ``--input -`` (so ``oddgray gen --k 9 | oddgray verify --k 9 --target
-odd --input -`` needs no file) through ``verify.verify_lines``, which packs
-the lines a block at a time as it reads them, stops at the first malformed
-one, and marks the vertices seen in a bitmap of one bit per value (k = 11:
-1.2-1.5 s and 17 MB on a 2-vCPU Xeon; a k whose bitmap exceeds physical
-memory exits 2 before a line is read).
+verification suites), ``bench`` (generation throughput). Output goes in
+blocks of lines, one ``write`` of a ``str`` per block: ``gen`` and ``middle``
+render each block of a walk's flip positions (``assembly.odd_walk`` and
+``middle_walk``, which refuse k = 2, the Petersen graph, k < 3 and bad masks
+before a line is written), and ``factor`` and ``gen --format subsets`` join
+BLOCK_LINES lines. Identical invocations produce byte-identical output.
+``verify`` reads a file, or stdin with ``--input -`` (so ``oddgray gen --k 9
+| oddgray verify --k 9 --target odd --input -`` needs no file) through
+``verify.verify_lines``, which packs the lines a block at a time, stops at
+the first malformed one, and marks the vertices seen in a bitmap of one bit
+per value (k = 11: 1.2-1.5 s and 17 MB on a 2-vCPU Xeon; a k whose bitmap
+exceeds physical memory exits 2 before a line is read).
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments. The
 environment variable ODDGRAY_MAX_K lowers the accepted k ceiling (default
@@ -28,11 +29,11 @@ import sys
 import time
 from itertools import islice
 from math import comb
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 from . import assembly, spanning
 from .factor import _path_vals, flip_sequences
-from .words import MAX_K, enumerate_dyck, line_renderer, subset_line_renderer
+from .words import MAX_K, column_lines, enumerate_dyck, line_renderer, subset_line_renderer
 
 # Lines joined into one string per ``out.write``.
 BLOCK_LINES = 4096
@@ -55,26 +56,19 @@ def _write_blocks(out: IO[str], lines: Iterable[str]) -> None:
         out.write(block)
 
 
-def _delta_lines(odd: Iterator[int], n: int) -> Iterator[str]:
-    """Per step of the cycle, and for the closing step, the one position left unflipped."""
-    full = (1 << n) - 1
-    labels = [f"{i}\n" for i in range(n + 1)]
-    first = prev = next(odd)
-    for ov in odd:
-        yield labels[(full ^ (prev | ov)).bit_length()]
-        prev = ov
-    yield labels[(full ^ (prev | first)).bit_length()]
-
-
 def _cmd_gen(args, parser, out: IO[str]) -> int:
     k = args.k
     if k > _ceiling():
         parser.error(f"gen needs 3 <= k <= {_ceiling()}")
-    odd = assembly.stream_odd_vals(k, args.family)
+    walk = assembly.odd_walk(k, args.family)
     n = 2 * k + 1
-    render = {"bits": line_renderer, "subsets": subset_line_renderer}.get(args.format)
-    lines = map(render(n), odd) if render else _delta_lines(odd, n)
-    _write_blocks(out, lines)
+    if args.format == "subsets":
+        _write_blocks(out, map(subset_line_renderer(n), assembly.walk_vals(walk)))
+        return 0
+    labels = [f"{p or n}\n" for p in range(n)]  # per step, the one position left unflipped
+    delta = ("".join(map(labels.__getitem__, block)) for block in walk[2])
+    for lines in delta if args.format == "delta" else column_lines(n, *walk):
+        out.write(lines)
     return 0
 
 
@@ -82,8 +76,8 @@ def _cmd_middle(args, parser, out: IO[str]) -> int:
     k = args.k
     if not 1 <= k <= _ceiling():
         parser.error(f"middle needs 1 <= k <= {_ceiling()}")
-    render = line_renderer(2 * k + 1)
-    _write_blocks(out, map(render, assembly.stream_middle_vals(k, args.family)))
+    for lines in column_lines(2 * k + 1, *assembly.middle_walk(k, args.family)):
+        out.write(lines)
     return 0
 
 

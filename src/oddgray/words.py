@@ -68,6 +68,30 @@ def line_renderer(n: int, end: str = "\n") -> Callable[[int], str]:
     return _chunked(n, lambda width, _: [bitstring(i, width) for i in range(1 << width)], end)
 
 
+def column_lines(n: int, start: int, steps: Sequence[int], blocks: Iterable[bytes]) -> Iterator[str]:
+    """Per nonempty block of flip positions, the ``line_renderer(n)`` lines of the values it leaves.
+
+    From ``start``, position p XORs in ``steps[p]``, and each leaves the value before it. A column
+    is built at once: the bits the block's steps flip there, read as one base-2 int (exempt from
+    the digit limit), prefix-XORed by doubling shifts, written into every (n + 1)-th byte.
+    """
+    tables = [bytes(48 + (s >> c & 1) for s in steps).ljust(256, b"0") for c in range(n)]
+    v = start
+    for block in blocks:
+        if not (size := len(block)):
+            continue
+        lines, ones = bytearray(b"\n") * (size * (n + 1)), (1 << size) - 1
+        for c, table in enumerate(tables):
+            x, shift = int(block.translate(table), 2), 1
+            while shift < size:
+                x ^= x >> shift
+                shift <<= 1
+            # bit size - i of x flips column c from the first value to the i-th
+            lines[c :: n + 1] = format(x >> 1 ^ (ones if v >> c & 1 else 0), f"0{size}b").encode()
+            v ^= (x & 1) << c
+        yield lines.decode()
+
+
 class Bits:
     """Immutable bitstring of length 0..62."""
 

@@ -340,7 +340,7 @@ def test_bench_rejects_repeats_below_one():
 
 
 class CountingSink:
-    """A text stream with only ``write``, counting the calls."""
+    """A text stream with only ``write``, keeping each chunk, as the traced benchmark passes."""
 
     def __init__(self):
         self.chunks = []
@@ -356,6 +356,8 @@ class CountingSink:
         "gen --k 8 --format subsets",
         "gen --k 8 --format delta",
         "middle --k 8",
+        "middle --k 1",
+        "middle --k 2",
         "factor --k 7",
     ],
 )
@@ -364,4 +366,4 @@ def test_output_is_written_in_blocks(argv):
     assert cli.main(argv.split(), out=sink) == 0
     lines = "".join(sink.chunks).count("\n")
     assert len(sink.chunks) <= ceil(lines / cli.BLOCK_LINES) + 1
-    assert all(chunk.endswith("\n") for chunk in sink.chunks)
+    assert all(type(chunk) is str and chunk.endswith("\n") for chunk in sink.chunks)

@@ -3,7 +3,8 @@
 ``reference_cycle`` below is the earliest assembly: the cycle factor loaded
 into a dict of neighbour lists over every vertex, each witness edge toggled
 in, and the result traversed from its least vertex toward the smaller
-neighbour. The walker must give the same sequence. In odd and middle
+neighbour. The walker, whose flip positions a step table turns into vertices, must
+give the same sequence. In odd and middle
 coordinates it must give the gplus cycle mapped vertex by vertex with
 ``odd_val``, and with each closing edge replaced by its detour
 (``reference_middle``, the earlier middle-levels stream).
@@ -13,7 +14,8 @@ three ways, each tried here on broken trees: an invalid tree raises
 ``validate_tree``'s ``ValueError``; a witness position that does not hold an
 end of its member's named edge, or an empty witness, raises an
 ``AssemblyError`` naming the tuple, the Dyck origin, the index and the vertex
-(if any); and a walk that does not return
+(if any), as does a hop that flips other than one bit, naming its two
+vertices; and a walk that does not return
 after the target's number of vertices, or returns early, raises an
 ``AssemblyError`` naming the Dyck origins it missed and the tuples whose
 witnesses meet the first of them. Once every witness sits at its named
@@ -23,8 +25,7 @@ adjacency shows on random masks.
 
 import re
 from array import array
-from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -36,9 +37,11 @@ from oddgray.assembly import (
     TARGET_ODD,
     AssemblyError,
     _splice_hops,
+    _steps,
     _walk_runs,
     odd_val,
     stream_gplus_vals,
+    walk_vals,
 )
 from oddgray.checking import Context, Derivation, hand_tree, locate, validate_tree, walk_failure
 from oddgray.factor import _path_vals, flip_sequence, flip_sequences
@@ -171,22 +174,30 @@ def slot_addresses(masks):
     ]
 
 
-def end_address(k, e):
+def end_address(e):
     """The slot address (origin, named edge, upper) of a packed end."""
-    up = e >> 2 * k & 1
-    return e >> 2 * k + 7, (e >> 2 * k + 1 & 63) - up, up
+    up = e >> 6 & 1
+    return e >> 13, (e >> 7 & 63) - up, up
 
 
-def packed_end(k, o, j, up, value):
-    """A hop's far end as a slot holds it: origin o, index j, upper or not, and its vertex."""
-    return ((o << 6 | j) << 1 | up) << 2 * k | value
+def packed_end(o, j, up, p):
+    """A hop's far end as a slot holds it: origin o, index j, upper or not, and the hop's position."""
+    return ((o << 6 | j) << 1 | up) << 6 | p
+
+
+def witness_hops(tree):
+    """Each witness's hop edges, from position 2r + 1 to 2r + 2 and from the last to 0."""
+    return {
+        frozenset((a, b))
+        for _, cycle, _ in tree.packed
+        for a, b in zip(cycle[1::2], cycle[2::2] + cycle[:1])
+    }
 
 
 def slot_invariants(k, tree):
     """Check the slot splice of a valid tree against the tree's own supports and witnesses."""
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
     slots, masks, offset = _splice_hops(k, tree, dyck, seqs)
-    full = (1 << 2 * k) - 1
     # each path's mask holds the index of each of its marks
     origin = {x.val: o for o, x in enumerate(dyck)}
     expected = [0] * len(dyck)
@@ -195,7 +206,7 @@ def slot_invariants(k, tree):
             expected[origin[x]] |= 1 << seqs[origin[x]].index(mark)
     assert list(masks) == expected
     # two slots per member, each path's from its offset on, and every one
-    # filled: a packed end is never 0, as its vertex is not
+    # filled: a packed end is never 0, as its position is not
     addresses = slot_addresses(masks)
     assert len(slots) == len(addresses) == 2 * sum(len(s) for _, _, s in tree.packed)
     assert all(slots)
@@ -205,12 +216,20 @@ def slot_invariants(k, tree):
     # every witness vertex ends one named edge or two
     near = [paths[o][e + up] for o, e, up in addresses]
     assert set(near) == {v for _, cycle, _ in tree.packed for v in cycle}
+    hops = set()
     for s, (o, e, up) in enumerate(addresses):
-        # the far end is its path's vertex at a named-edge end, on another path
-        o2, e2, up2 = end_address(k, slots[s])
-        assert paths[o2][e2 + up2] == slots[s] & full and masks[o2] >> e2 & 1 and o2 != o
-        # and its slot points back
-        assert slots[slot_of[o2, e2, up2]] == packed_end(k, o, e + up, up, near[s])
+        # the far end is a named-edge end on another path
+        o2, e2, up2 = end_address(slots[s])
+        assert masks[o2] >> e2 & 1 and o2 != o
+        # its slot points back, with the same position
+        p = slots[s] & 63
+        assert slots[slot_of[o2, e2, up2]] == packed_end(o, e + up, up, p)
+        # and the two vertices, read off the paths, differ exactly in bit p
+        far = paths[o2][e2 + up2]
+        assert near[s] ^ far == 1 << p - 1
+        hops.add(frozenset((near[s], far)))
+    # the hop edges are the witnesses' own
+    assert hops == witness_hops(tree)
 
 
 @pytest.mark.parametrize("k", range(3, 10))
@@ -247,8 +266,9 @@ def test_hop_splice_fails_as_the_reference_fails(data):
     # re-marked, or one witness rotated, reversed or taken from another
     # entry of its length (or its own): an invalid tree raises
     # ``validate_tree``'s text, a valid one with a witness off its named
-    # edges names that witness's tuple, and any other gives the reference
-    # cycle, or fails the count exactly when the reference is not one cycle.
+    # edges names that witness's tuple, one with a hop of more than one bit
+    # says so, and any other gives the reference cycle, or fails the count
+    # exactly when the reference is not one cycle.
     k = data.draw(st.integers(4, 7))
     packed = list(full_tree(k).packed)
     i = data.draw(st.integers(0, len(packed) - 1))
@@ -283,6 +303,10 @@ def test_hop_splice_fails_as_the_reference_fails(data):
             stream_gplus_vals(k, tree)
         assert f": tuple {tree.entries[idx].tup} names the edge from index " in str(err.value)
         return
+    if any(len(hop) != 2 or (min(hop) ^ max(hop)).bit_count() != 1 for hop in witness_hops(tree)):
+        with pytest.raises(AssemblyError, match="a hop flips"):
+            stream_gplus_vals(k, tree)
+        return
     adj = reference_adjacency(k, tree)
     assert all(len(nb) == 2 for nb in adj.values())
     if len(component_of_start(k, tree)) == len(adj):
@@ -315,54 +339,72 @@ def slot_map(masks, hops):
     return slots, masks, offset
 
 
+def walked(k, slots, masks, offset, tree):
+    """The gplus vertices ``_walk_runs`` leaves over these slots, from the start (1 << k) - 1."""
+    blocks = _walk_runs(k, slots, masks, offset, tree, TARGET_GPLUS)
+    return walk_vals(((1 << k) - 1, _steps(k, TARGET_GPLUS), blocks))
+
+
 def test_walk_is_cut_after_the_vertex_count():
-    # The start 15 ends named edge 0 of path 0, and its hop, in slot 0, lands
-    # on 1 at index 1 of path 1, the upper end of named edge 0 and the lower
-    # end of named edge 1 there. So the walk stops at once, at slot 4, the
-    # lower end of edge 1, which hops to 2 at index 1 of path 2; that stops
-    # at once too, at slot 8, which hops back to 1. The walk goes back and
-    # forth between them and never returns; it stops after binomial(9, 4) =
-    # 126 vertices.
-    end = partial(packed_end, 4)
+    # The start 15 ends named edge 0 of path 0, and its hop, in slot 0, flips
+    # position 5 and lands at index 1 of path 1, the upper end of named edge 0
+    # and the lower end of named edge 1 there. So the walk stops at once, at
+    # slot 4, the lower end of edge 1, which flips 6 and lands at index 1 of
+    # path 2; that stops at once too, at slot 8, which flips 7 and lands back.
+    # The walk goes back and forth between them and never returns; it stops
+    # after binomial(9, 4) = 126 positions, each leaving one vertex.
+    end = packed_end
     slots, masks, offset = slot_map(
-        [0b1, 0b11, 0b11] + [0] * 11, {0: end(1, 1, 1, 1), 4: end(2, 1, 1, 2), 8: end(1, 1, 1, 1)}
+        [0b1, 0b11, 0b11] + [0] * 11, {0: end(1, 1, 1, 5), 4: end(2, 1, 1, 6), 8: end(1, 1, 1, 7)}
     )
-    out = []
+    blocks, out = [], []
     with pytest.raises(AssemblyError, match="did not return to its start after 126 vertices"):
-        runs = _walk_runs(4, slots, masks, offset, full_tree(4), TARGET_GPLUS)
-        out.extend(chain.from_iterable(runs))
-    assert out[:5] == [15, 1, 2, 1, 2] and len(out) == 126
+        blocks.extend(_walk_runs(4, slots, masks, offset, full_tree(4), TARGET_GPLUS))
+    assert b"".join(blocks) == bytes((5, *(6, 7) * 62, 6))
+    with pytest.raises(AssemblyError, match="did not return to its start after 126 vertices"):
+        out.extend(walked(4, slots, masks, offset, full_tree(4)))
+    assert out[:5] == [15, 31, 63, 127, 95] and len(out) == 126
 
 
-def test_start_leaves_by_its_closing_step():
-    # Path 0 of k = 4 runs 15, 143, ..., 241, 240 and path 3 runs
-    # 71, ..., 248, 184. Named edge 0 of path 0, from 15 to 143, and named
-    # edge 7 of path 3, from 248 to 184, give way to the hops 15-248 and
-    # 143-184. The start hops to 248, above 15 ^ 255 = 240, so the walk
-    # leaves by the closing step, down path 0 to 143, which hops to 184.
-    # From there it runs up path 3 past its closing step to 248, whose hop
-    # lands on the start, the lower end of named edge 0 of path 0: the walk
-    # stops, having run along two factor cycles.
+def test_walk_leaves_up_path_0_and_returns_by_its_closing_step():
+    # Path 0 of k = 4 runs 15, 143, 141, ..., 240, path 2 runs 39, ..., 205,
+    # 201, 217, 216, and path 5 runs 43, 171, 139, 203, ..., 212. The bridge
+    # of the k = 4 tree names the edges 143-141, 205-201 and 139-203, and
+    # its hops 141-205, 201-203 and 139-143 flip positions 7, 2 and 3. With
+    # only those, the walk leaves the start up path 0 to 143, hops to 139,
+    # runs down path 5 past its closing step to 203, hops to 201, runs up
+    # path 2 past its closing step to 205, hops to 141 and runs up path 0,
+    # whose closing step brings it back to the start: it ran along three
+    # factor cycles.
     k, tree = 4, full_tree(4)
-    end = partial(packed_end, k)
+    end = packed_end
     slots, masks, offset = slot_map(
-        [0b1, 0, 0, 1 << 7] + [0] * 10,
-        {0: end(3, 7, 0, 248), 1: end(3, 8, 1, 184), 2: end(0, 0, 0, 15), 3: end(0, 1, 1, 143)},
+        [0b10, 0, 1 << 5, 0, 0, 1 << 2] + [0] * 8,
+        {
+            0: end(5, 2, 0, 3), 1: end(2, 5, 0, 7), 2: end(0, 2, 1, 7),
+            3: end(5, 3, 1, 2), 4: end(0, 1, 0, 3), 5: end(2, 6, 1, 2),
+        },
     )
-    out = []
+    blocks, out = [], []
     with pytest.raises(AssemblyError) as err:
-        out.extend(chain.from_iterable(_walk_runs(k, slots, masks, offset, tree, TARGET_GPLUS)))
+        blocks.extend(_walk_runs(k, slots, masks, offset, tree, TARGET_GPLUS))
+    assert b"".join(blocks) == bytes(
+        (8, 3, 6, 8, 0, 1, 3, 2, 5, 4, 2, 5, 1, 0, 8, 6, 7, 2, 4, 7, 6, 4, 5, 3, 7, 1, 0)
+    )
+    with pytest.raises(AssemblyError):
+        out.extend(walked(k, slots, masks, offset, tree))
     assert out == [
-        15, 240, 241, 177, 181, 165, 173, 141, 143,
-        184, 71, 103, 101, 109, 105, 121, 120, 248,
+        15, 143, 139, 171, 43, 212, 213, 209, 211, 195, 203,
+        201, 217, 216, 39, 167, 135, 199, 197, 205,
+        141, 173, 165, 181, 177, 241, 240,
     ]
     reached = bytearray(14)
-    reached[0] = reached[3] = 1
-    assert str(err.value) == walk_failure(k, tree, reached, 18, 126)
+    reached[0] = reached[2] = reached[5] = 1
+    assert str(err.value) == walk_failure(k, tree, reached, 27, 126)
     assert str(err.value).startswith(
-        "splice produced more than one cycle: the walk reached 18 of 126 vertices, and no "
-        "factor path of these 12 of 14 Dyck words: 11101000, 11100100, 11011000, 11010100, "
-        "11010010, 11001100, 11001010, 10111000, ...; the witnesses of "
+        "splice produced more than one cycle: the walk reached 27 of 126 vertices, and no "
+        "factor path of these 11 of 14 Dyck words: 11101000, 11100010, 11011000, 11010010, "
+        "11001100, 11001010, 10111000, 10110100, ...; the witnesses of "
     )
 
 
@@ -376,13 +418,12 @@ def test_rerouted_hops_fail_the_count_check():
     tree = full_tree(k)
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
     slots, masks, offset = _splice_hops(k, tree, dyck, seqs)
-    full = (1 << 2 * k) - 1
     addresses = slot_addresses(masks)
     slot_of = {address: s for s, address in enumerate(addresses)}
     paths = [_path_vals(x.val, seqs[o]) for o, x in enumerate(dyck)]
     near = [paths[o][e + up] for o, e, up in addresses]
     # hop edges as pairs of slots, in the order of their vertices
-    far = [slot_of[end_address(k, e)] for e in slots]
+    far = [slot_of[end_address(e)] for e in slots]
     pairs = sorted((near[s], near[t], s, t) for s, t in enumerate(far) if near[s] < near[t])
     edges = [(s, t) for _, _, s, t in pairs]
 
@@ -394,7 +435,7 @@ def test_rerouted_hops_fail_the_count_check():
                     adj.setdefault(a, []).append(b)
                     adj.setdefault(b, []).append(a)
         for s, e in enumerate(hops):
-            adj.setdefault(near[s], []).append(e & full)
+            adj.setdefault(near[s], []).append(near[slot_of[end_address(e)]])
         seen, todo = set(), [(1 << k) - 1]
         while todo:
             v = todo.pop()
@@ -415,7 +456,7 @@ def test_rerouted_hops_fail_the_count_check():
     else:
         pytest.fail("no rerouting left a factor path out")
     with pytest.raises(AssemblyError) as err:
-        list(chain.from_iterable(_walk_runs(k, rerouted, masks, offset, tree, TARGET_GPLUS)))
+        list(_walk_runs(k, rerouted, masks, offset, tree, TARGET_GPLUS))
     msg = str(err.value)
     assert msg.startswith(
         f"splice produced more than one cycle: the walk reached {len(seen)} of 462 vertices, "
@@ -480,6 +521,27 @@ def test_rewrapped_derivation_fails_placement():
     assert tree.packed[idx][0].named_edges[0] == (5, 4) and witness[5] == v.val
     assert flip_sequence(x).index(tup.mark_of(x)) == 2
     assert locate(v) not in {(x, 2), (x, 3)}
+
+
+def test_hop_that_flips_two_bits_fails_the_splice():
+    # The bridge of the k = 4 tree, (143, 141, 205, 201, 203, 139), with
+    # positions 2 and 3 swapped: every position still holds an end of its
+    # member's named edge, but the hops 141-201 and 205-203 each flip two
+    # bits. Without the hop check the walk streamed all 126 vertices with
+    # 201 next to 141 and 205 next to 203.
+    k = 4
+    tree = full_tree(k)
+    idx = next(i for i, (pattern, _, _) in enumerate(tree.packed) if pattern.family == "bridge")
+    cycle = tree.packed[idx][1]
+    assert cycle == (143, 141, 205, 201, 203, 139)
+    broken = with_witness(tree, idx, (143, 141, 201, 205, 203, 139))
+    with pytest.raises(AssemblyError) as err:
+        stream_gplus_vals(k, broken)
+    assert str(err.value) == (
+        "a hop flips 2 bits: tuple {110101[0]0, 11[1]00100, 1[1]110000} hops from "
+        "Bits('10110001') on the factor path of 11110000 to Bits('10010011')"
+    )
+    assert Bits.parse("10110001").val == 141 and Bits.parse("10010011").val == 201
 
 
 def test_witness_vertex_off_the_factor_fails():

@@ -10,10 +10,14 @@ wrapped tuple on ``Bits``, and ``Derivation.of_support`` must read each
 derivation back from it. The table-driven renderers of packed values,
 ``line_renderer``, ``subset_mapper`` and ``subset_line_renderer``, and the bit
 loop ``positions`` are compared with ``bitstring`` and with the peel kept below
-as the reference.
+as the reference, and ``column_lines``, which renders the values a walk of
+flip positions leaves a column at a time, with ``line_renderer`` over them.
 """
 
+import random
 from functools import cache
+from itertools import accumulate
+from operator import xor
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,6 +39,7 @@ from oddgray.words import (
     ZERO,
     bitstring,
     cat,
+    column_lines,
     complement,
     enumerate_dyck,
     first_return,
@@ -215,6 +220,49 @@ def test_line_renderer_covers_every_width():
         render = line_renderer(n)
         for val in edge_values(n):
             assert render(val) == bitstring(val, n) + "\n"
+
+
+# Block lengths for column_lines: empty, one position, one 64-bit word, past a 4,096 block.
+BLOCK_SIZES = (0, 1, 64, 4097)
+
+
+def walked_lines(n, steps, start, blocks):
+    """``line_renderer(n)`` over the values the blocks leave, one ``accumulate`` over all."""
+    flips = b"".join(blocks)
+    vals = list(accumulate(map(steps.__getitem__, flips), xor, initial=start))[:-1]
+    return "".join(map(line_renderer(n), vals))
+
+
+def check_column_lines(n, steps, start, blocks):
+    out = list(column_lines(n, start, steps, blocks))
+    assert all(type(text) is str for text in out)
+    assert [len(text) for text in out] == [len(b) * (n + 1) for b in blocks if b]
+    assert "".join(out) == walked_lines(n, steps, start, blocks)
+
+
+@st.composite
+def walks(draw):
+    """A width n, a step table of n-bit values, a start value and blocks of positions into it."""
+    n = draw(st.integers(1, 61))
+    value = st.integers(0, (1 << n) - 1)
+    steps = draw(st.lists(value, min_size=1, max_size=64))
+    rng = draw(st.randoms(use_true_random=False))
+    sizes = draw(st.lists(st.sampled_from(BLOCK_SIZES), max_size=3))
+    return n, steps, draw(value), [bytes(rng.choices(range(len(steps)), k=s)) for s in sizes]
+
+
+@relaxed
+@given(walks())
+def test_column_lines_match_line_renderer(case):
+    check_column_lines(*case)
+
+
+def test_column_lines_cover_every_width():
+    rng = random.Random(2017)
+    for n in range(1, 62):
+        steps = [rng.getrandbits(n) for _ in range(2 * n + 1)]
+        blocks = [bytes(rng.choices(range(len(steps)), k=s)) for s in BLOCK_SIZES]
+        check_column_lines(n, steps, rng.getrandbits(n), blocks)
 
 
 @relaxed

@@ -26,7 +26,9 @@ recorded before the flip-sequence recursion dropped its mirror step. The
 packed entries and the splice to direct placement of witness vertices.
 The ``gen --k 11 --format subsets`` digest was recorded while each subset
 line was still joined position by position, before it was built from
-per-chunk tables.
+per-chunk tables. The ``gen --k 11 --format delta`` digest was recorded while
+each label was still read off two consecutive vertices, before the walk
+emitted flip positions and the labels were read off them.
 """
 
 import hashlib
@@ -51,6 +53,7 @@ GOLDEN = {
 }
 MIDDLE_K10 = "42c5715fbaee4e39020a5a57384833564bf461f140dc4ad320f296abfd0af795"
 SUBSETS_K11 = "ce7006d6acd126b06428fd7a4c2908f57b6c7dccd724164fb26e9b108a2811a9"
+DELTA_K11 = "c95919cf3207434a5f251e44f29d8b3ea5343b160a497d64d5b62dba69c25e6f"
 
 
 def oddgray(*args, **kw):
@@ -165,6 +168,13 @@ def test_gen_k11_subsets_digest(tmp_path):
     with open(path, "wb") as fh:
         oddgray("gen", "--k", "11", "--format", "subsets", stdout=fh)
     assert sha256_of(path) == SUBSETS_K11
+
+
+def test_gen_k11_delta_digest(tmp_path):
+    path = tmp_path / "delta11.txt"
+    with open(path, "wb") as fh:
+        oddgray("gen", "--k", "11", "--format", "delta", stdout=fh)
+    assert sha256_of(path) == DELTA_K11
 
 
 @pytest.mark.parametrize("k", [11, 12])
