@@ -23,18 +23,19 @@ flips m at index i = seq.index(m) of the path of x, from its lower end at
 index i to its upper end at i + 1.
 
 The splice (``_splice_hops``) is one pass over the members. It checks the
-tree by a union-find over origin numbers, a mark bitmask per word and a
-membership count, that each named position holds its end of the named edge,
-and that each hop flips one bit, at position p. Each hop end then goes to a
-slot of one flat array, addressed by its path's mask of named edges, which
-holds the far end's address and p. So a tree fails in one of three ways, in
-this order: an invalid tree raises the ``ValueError`` of ``validate_tree``;
-a witness of the wrong length or off its named edges, or a hop flipping
-other than one bit, raises an ``AssemblyError`` naming the tuple, the Dyck
-origin and the vertices; and a walk cut after the target's number of
-vertices, or back too early, raises one naming the paths it missed and the
-tuples at the first. Once the splice passes, every vertex has degree 2: two
-tuples whose witnesses share a hop would share the words of both its paths.
+tree by a union-find over origin numbers, a mask of named edges per path, in
+which member (x, m) sets bit seq.index(m) once, and a membership count; that
+each named position holds its end of the named edge; and that each hop flips
+one bit, at position p. Each hop end then goes to a slot of one flat array,
+addressed by the masks, which holds the far end's address and p. So a tree
+fails in one of three ways, in this order: an invalid tree raises the
+``ValueError`` of ``validate_tree``; a witness of the wrong length or off
+its named edges, or a hop flipping other than one bit, raises an
+``AssemblyError`` naming the tuple, the Dyck origin and the vertices; and a
+walk cut after the target's number of vertices, or back too early, raises
+one naming the paths it missed and the tuples at the first. Once the splice
+passes, every vertex has degree 2: two tuples whose witnesses share a hop
+would share the words of both its paths.
 
 The walk (``_walk_runs``) emits the cycle as the position each edge flips, 0
 for a closing step, and no vertex. From the end a hop lands on, a run goes
@@ -112,30 +113,29 @@ def _tree_for(k: int, family_mask: int | None) -> spanning.SpanningTree:
     return spanning.counting_tree(k, family_mask)
 
 
-def _splice_hops(
-    k: int, tree: spanning.SpanningTree, dyck: tuple[Bits, ...], seqs: tuple[bytes, ...]
-) -> tuple[array, array, array]:
+def _splice_hops(k: int, tree: spanning.SpanningTree) -> tuple[array, array, array]:
     """Each named-edge end's hop, each path's named edges, and each path's first slot.
 
     ``masks[o]`` has a bit at the index of each named edge on the path of
-    ``dyck[o]``, whose flip sequence is ``seqs[o]``. Named edge e of path o
-    has its lower end (upper = 0) and its upper end (upper = 1) at
-    ``slots[offset[o] + 2 * popcount(masks[o] & ((1 << e) - 1)) + upper]``,
+    ``enumerate_dyck(k)[o]``, whose flip sequence is ``flip_sequences(k)[o]``.
+    Named edge e of path o has its lower end (upper = 0) and its upper end
+    (upper = 1) at ``slots[offset[o] + 2 * popcount(masks[o] & ((1 << e) - 1)) + upper]``,
     which holds the end its hop lands on and the position p the hop flips,
     packed as ((origin << 6 | index) << 1 | upper) << 6 | p. A bad tree fails
     as the module docstring says.
     """
     if not tree.spans_dyck(k):
         _reject(tree)
+    dyck, seqs = enumerate_dyck(k), flip_sequences(k)
     last = 2 * k
     full = (1 << last) - 1
-    # The check: every member is a Dyck word, no word takes a mark twice, and
-    # joining each support's words in a union-find over origin numbers never
-    # joins two words already joined. With sum(|support| - 1) == |words| - 1
-    # that is all of ``validate_tree``'s conditions.
+    # The check: every member is a Dyck word with a mark in 1..2k, no path has
+    # an edge named twice (a flip sequence is a permutation of 1..2k, so no word
+    # is marked twice), and joining each support's words in a union-find over
+    # origin numbers never joins two words already joined. With
+    # sum(|support| - 1) == |words| - 1 that is all of ``validate_tree``'s conditions.
     origin_of = {x.val: o for o, x in enumerate(dyck)}
     parent = array("l", range(len(dyck)))
-    marks = array("Q", bytes(8 * len(dyck)))
     masks = array("Q", bytes(8 * len(dyck)))
     nears, fars = array("Q"), array("Q")  # each hop's two ends, packed
     count = 0
@@ -155,9 +155,13 @@ def _splice_hops(
         ends = [0] * len(cycle)  # per witness position, its packed end
         for (x, mark), (a, b) in zip(support, named):
             o = origin_of.get(x)
-            if o is None or marks[o] & _BIT[mark]:
+            if o is None or not 0 < mark <= last:
                 _reject(tree)
-            marks[o] |= _BIT[mark]
+            seq = seqs[o]
+            i = seq.index(mark)
+            if masks[o] >> i & 1:
+                _reject(tree)
+            masks[o] |= 1 << i
             r = o  # o's root, halving the path on the way
             while (p := parent[r]) != r:
                 parent[r] = parent[p]
@@ -169,12 +173,10 @@ def _splice_hops(
             else:
                 parent[r] = root
             if not readable:
-                first = first or (idx, o, seqs[o].index(mark), cycle[:1])
+                first = first or (idx, o, i, cycle[:1])
                 continue
             # The named edge joins index i, after the first i flips of seq
             # (or all flips but the last 2k - i), to index i + 1.
-            seq = seqs[o]
-            i = seq.index(mark)
             low = x ^ sum(map(bit, seq[:i])) if i <= k else x ^ full ^ sum(map(bit, seq[i:]))
             high = low ^ _BIT[mark]
             if cycle[a] != low:
@@ -185,7 +187,6 @@ def _splice_hops(
                 first = first or (idx, o, i, off[:1])
                 placed = False
                 continue
-            masks[o] |= 1 << i
             ends[a] = (o << 6 | i) << 7
             ends[b] = ((o << 6 | i + 1) << 1 | 1) << 6
         if not placed:
@@ -310,8 +311,7 @@ def cycle_walk(k: int, tree: spanning.SpanningTree, target: str = TARGET_GPLUS) 
         raise ValueError(PETERSEN_NOTE if k == 2 else "assembly needs k >= 3")
     if target not in (TARGET_GPLUS, TARGET_ODD, TARGET_MIDDLE):
         raise ValueError(f"unknown target {target!r}: expected gplus, odd or middle")
-    splice = _splice_hops(k, tree, enumerate_dyck(k), flip_sequences(k))
-    return (1 << k) - 1, _steps(k, target), _walk_runs(k, *splice, tree, target)
+    return (1 << k) - 1, _steps(k, target), _walk_runs(k, *_splice_hops(k, tree), tree, target)
 
 
 def walk_vals(walk: Walk) -> Iterator[int]:
@@ -360,14 +360,9 @@ def odd_walk(k: int, family_mask: int | None = None) -> Walk:
     return cycle_walk(k, _tree_for(k, family_mask), TARGET_ODD)
 
 
-def stream_odd_vals(k: int, family_mask: int | None = None) -> Iterator[int]:
-    """Packed (2k+1)-bit vectors of the odd-graph cycle; a bad k or mask raises at the call."""
-    return walk_vals(odd_walk(k, family_mask))
-
-
 def hamilton_odd(k: int, family_mask: int | None = None) -> CycleCertificate:
     """A Hamilton cycle of the odd graph as a cyclic sequence of k-subsets."""
-    vertices = Vertices(stream_odd_vals(k, family_mask), 2 * k + 1, odd=True)
+    vertices = Vertices(walk_vals(odd_walk(k, family_mask)), 2 * k + 1, odd=True)
     return CycleCertificate(k, TARGET_ODD, vertices)
 
 

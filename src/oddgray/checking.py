@@ -567,9 +567,10 @@ def validate_tree(t: SpanningTree) -> TreeReport:
 
     (1) supports inside the base set, (2) pairwise support intersections of
     size at most one, (3) sum(|support| - 1) == |base| - 1, (4) connected
-    incidence structure, (5) distinct marks on shared words. Given (3), the
-    incidence structure (words plus tuples, joined by membership) has exactly
-    |base| + #tuples - 1 edges, so (3) and (4) make it a tree; that both
+    incidence structure, (5) distinct marks on shared words, (6) every mark
+    in 1..n, so that it names an edge of its word's factor path. Given (3),
+    the incidence structure (words plus tuples, joined by membership) has
+    exactly |base| + #tuples - 1 edges, so (3) and (4) make it a tree; that both
     implies (2) and matches the recursive block-splitting definition of a
     spanning hypertree, since removing any tuple from a tree of incidences
     leaves one component per support word.
@@ -593,8 +594,9 @@ def validate_tree(t: SpanningTree) -> TreeReport:
             x = parent[x]
         return x
 
-    # One pass makes check (1), counts for (3), gathers the marked words of
-    # (2) and (5), and joins the words of (4).
+    # One pass makes checks (1) and (6), counts for (3), gathers the marked
+    # words of (2) and (5), and joins the words of (4). (6) names no tuple,
+    # whose derivation would read its first two marks.
     failures: list[str] = []
     by_word: dict[int, list[tuple[int, int]]] = {}
     count = 0
@@ -606,6 +608,8 @@ def validate_tree(t: SpanningTree) -> TreeReport:
         for val, mark in members:
             w = val | stop
             by_word.setdefault(w, []).append((idx, mark))
+            if not 0 < mark <= t.n:
+                failures.append(f"mark {mark} of {word(w)} outside 1..{t.n}")
             if w not in parent:
                 outside.append(w)
             elif root is None:

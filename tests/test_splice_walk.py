@@ -197,7 +197,7 @@ def witness_hops(tree):
 def slot_invariants(k, tree):
     """Check the slot splice of a valid tree against the tree's own supports and witnesses."""
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
-    slots, masks, offset = _splice_hops(k, tree, dyck, seqs)
+    slots, masks, offset = _splice_hops(k, tree)
     # each path's mask holds the index of each of its marks
     origin = {x.val: o for o, x in enumerate(dyck)}
     expected = [0] * len(dyck)
@@ -325,7 +325,7 @@ def test_accepted_trees_leave_every_vertex_of_degree_2(data):
     # and the union-find keeps hop edges distinct.
     k = data.draw(st.integers(6, 9))
     tree = counting_tree(k, data.draw(st.integers(0, (1 << mask_width(k)) - 1)))
-    _splice_hops(k, tree, enumerate_dyck(k), flip_sequences(k))
+    _splice_hops(k, tree)
     assert all(len(nb) == 2 for nb in reference_adjacency(k, tree).values())
 
 
@@ -417,7 +417,7 @@ def test_rerouted_hops_fail_the_count_check():
     k = 5
     tree = full_tree(k)
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
-    slots, masks, offset = _splice_hops(k, tree, dyck, seqs)
+    slots, masks, offset = _splice_hops(k, tree)
     addresses = slot_addresses(masks)
     slot_of = {address: s for s, address in enumerate(addresses)}
     paths = [_path_vals(x.val, seqs[o]) for o, x in enumerate(dyck)]

@@ -6,7 +6,8 @@ from ``stream_gplus_vals`` before that check moved into the placement pass:
 one broken tree per failure kind of ``validate_tree``, one whose words close
 a cycle with no mark repeated (which only the union-find catches), a tree
 that does not span, and one that is both invalid and too small, whose
-invalidity is reported first. A hypothesis property then mutates built
+invalidity is reported first. A mark outside 1..2k, a failure kind added
+later, has a test of its own. A hypothesis property then mutates built
 trees, and ``assembly._splice_hops`` must reject exactly the mutants that
 ``validate_tree`` rejects, with its text, also those whose witnesses are
 misplaced too; a mutant it accepts may still fail placement with an
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 
 from oddgray.assembly import AssemblyError, _splice_hops, stream_gplus_vals
 from oddgray.checking import hand_tree, validate_tree
-from oddgray.factor import flip_sequences
 from oddgray.spanning import SpanningTree, full_tree
 from oddgray.words import enumerate_dyck
 
@@ -156,6 +156,20 @@ def test_failure_texts_are_unchanged(k, name):
     assert str(err.value) == RECORDED[k][name]
 
 
+@pytest.mark.parametrize("mark", [0, 9, 63, -1])
+def test_a_mark_outside_1_to_2k_is_an_invalid_tree(mark):
+    # Entry 0's member at position 2 is 11011000 under mark 7. A mark that
+    # names no edge of its path is rejected with ``validate_tree``'s text,
+    # which renders it from the word alone.
+    k = 4
+    packed = list(built_packed(k))
+    x, _ = packed[0][2][2]
+    tree = packed_tree(k, [with_member(packed[0], 2, (x, mark)), *packed[1:]])
+    with pytest.raises(ValueError) as err:
+        stream_gplus_vals(k, tree)
+    assert str(err.value) == f"{INVALID}mark {mark} of 11011000 outside 1..8"
+
+
 @lru_cache(maxsize=None)
 def built_packed(k):
     return full_tree(k).packed
@@ -164,8 +178,9 @@ def built_packed(k):
 @st.composite
 def mutants(draw):
     """(k, packed entries) of ``full_tree(k)`` with one or two mutations: an
-    entry dropped or duplicated, a member re-marked or moved to another
-    word, or a witness rotated or taken from another entry of its length."""
+    entry dropped or duplicated, a member re-marked (also outside 1..2k) or
+    moved to another word, or a witness rotated or taken from another entry
+    of its length."""
     k = draw(st.integers(4, 8))
     packed = list(built_packed(k))
     kinds = ["drop", "duplicate", "mark", "word", "rotate", "swap"]
@@ -199,6 +214,8 @@ def mutate(draw, k, packed, kind):
         others = sorted({mo for _, _, s in packed for xo, mo in s if xo == x} - {m})
         if kind == "word" or not (others and draw(st.booleans())):
             others = [a for a in range(1, 2 * k + 1) if a != m and a not in others]
+            if kind == "mark":  # or a mark that names no edge of x's path
+                others += [0, 2 * k + 1, 63, -1]
         packed[i] = with_member(packed[i], pos, (x, draw(st.sampled_from(others))))
 
 
@@ -209,7 +226,7 @@ def test_splice_rejects_exactly_the_trees_validate_tree_rejects(mutant):
     tree = packed_tree(k, packed)
     report = validate_tree(tree)
     try:
-        _splice_hops(k, tree, enumerate_dyck(k), flip_sequences(k))
+        _splice_hops(k, tree)
     except ValueError as err:
         assert not report.passed
         assert str(err) == INVALID + "; ".join(report.failures)

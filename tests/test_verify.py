@@ -85,12 +85,12 @@ def test_verify_certificate_malformed_vertices_are_shown_as_given_and_not_repeat
 
 
 def test_verify_cycle_reads_a_one_shot_iterator():
-    from oddgray.assembly import stream_middle_vals, stream_odd_vals
+    from oddgray.assembly import odd_walk, stream_middle_vals, walk_vals
 
     def show(i, v):
         return f"{i}:{v}"
 
-    assert verify_cycle(5, "odd", stream_odd_vals(5), show).passed
+    assert verify_cycle(5, "odd", walk_vals(odd_walk(5)), show).passed
     assert verify_cycle(4, "middle", stream_middle_vals(4), show).passed
     short = verify_cycle(5, "odd", iter([7, 7]), show)
     assert short.failures == (
@@ -253,10 +253,10 @@ def set_verify_cycle(k, target, vals, show=None):
 @cache
 def base_cycle(target, k):
     """The target's cycle at k, or its vertices in increasing order where it has none."""
-    from oddgray.assembly import stream_middle_vals, stream_odd_vals
+    from oddgray.assembly import odd_walk, stream_middle_vals, walk_vals
 
     if target == "odd" and k >= 3:
-        return tuple(stream_odd_vals(k))
+        return tuple(walk_vals(odd_walk(k)))
     if target == "middle":
         return tuple(stream_middle_vals(k))
     if target == "gplus" and k >= 3:
@@ -407,9 +407,9 @@ def test_verify_lines_matches_the_per_line_reference(data):
 def test_verify_cycle_holds_no_set_of_the_vertices():
     # The bitmap of k = 10 takes 256 KB of an anonymous mapping, which
     # tracemalloc does not see; a set of the 352,716 vertices would take 16 MB.
-    from oddgray.assembly import stream_odd_vals
+    from oddgray.assembly import odd_walk, walk_vals
 
-    vals = list(stream_odd_vals(10))
+    vals = list(walk_vals(odd_walk(10)))
     tracemalloc.start()
     try:
         assert verify_cycle(10, "odd", iter(vals)).passed
