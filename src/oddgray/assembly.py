@@ -27,11 +27,12 @@ tree by a union-find over origin numbers, a mask of named edges per path, in
 which member (x, m) sets bit seq.index(m) once, and a membership count; that
 each named position holds its end of the named edge; and that each hop flips
 one bit, at position p. Each hop end then goes to a slot of one flat array,
-addressed by the masks, which holds the far end's address and p. So a tree
-fails in one of three ways, in this order: an invalid tree raises the
-``ValueError`` of ``validate_tree``; a witness of the wrong length or off
-its named edges, or a hop flipping other than one bit, raises an
-``AssemblyError`` naming the tuple, the Dyck origin and the vertices; and a
+addressed by the masks, which holds the far end's address and p. The pass
+stops at the first bad entry, and ``_reject`` reports it: an invalid tree,
+wherever its defect lies, raises the ``ValueError`` of ``validate_tree``;
+else that entry's witness of the wrong length or off its named edges (the
+count is the entry's), or then its hop flipping other than one bit, raises
+an ``AssemblyError`` naming the tuple, the Dyck origin and the vertices. A
 walk cut after the target's number of vertices, or back too early, raises
 one naming the paths it missed and the tuples at the first. Once the splice
 passes, every vertex has degree 2: two tuples whose witnesses share a hop
@@ -140,18 +141,13 @@ def _splice_hops(k: int, tree: spanning.SpanningTree) -> tuple[array, array, arr
     nears, fars = array("Q"), array("Q")  # each hop's two ends, packed
     count = 0
     bit = _BIT.__getitem__
-    # the witness vertices off their named edges, and the first as (entry, origin, index, vertex)
-    # with the vertex in a 1-tuple, () for an empty witness
-    misplaced, first = 0, ()
-    wide = ()  # the first hop that flips other than one bit, as (entry, origin, its two vertices)
     for idx, (pattern, cycle, support) in enumerate(tree.packed):
         named = pattern.named_edges
         count += len(support) - 1
-        placed = readable = len(cycle) == 2 * len(support) == 2 * len(named)
-        if not readable:  # every vertex counts, and the first stands for them
-            misplaced += len(cycle)
-            named = ((0, 0),) * len(support)
-        root = None
+        readable = len(cycle) == 2 * len(support) == 2 * len(named)
+        # the entry's vertices off their named edges; the first member's with one, as (origin,
+        # index, (that vertex,)), () for an empty witness; and the root of its words
+        misplaced, first, root = 0, None, None
         ends = [0] * len(cycle)  # per witness position, its packed end
         for (x, mark), (a, b) in zip(support, named):
             o = origin_of.get(x)
@@ -172,9 +168,9 @@ def _splice_hops(k: int, tree: spanning.SpanningTree) -> tuple[array, array, arr
                 _reject(tree)
             else:
                 parent[r] = root
-            if not readable:
-                first = first or (idx, o, i, cycle[:1])
-                continue
+            if not readable:  # the first member stands for every vertex
+                misplaced, first = len(cycle), (o, i, cycle[:1])
+                break
             # The named edge joins index i, after the first i flips of seq
             # (or all flips but the last 2k - i), to index i + 1.
             low = x ^ sum(map(bit, seq[:i])) if i <= k else x ^ full ^ sum(map(bit, seq[i:]))
@@ -184,13 +180,18 @@ def _splice_hops(k: int, tree: spanning.SpanningTree) -> tuple[array, array, arr
             if cycle[a] != low or cycle[b] != high:
                 off = [y for y in (cycle[b], cycle[a]) if y != low and y != high] or [cycle[b]]
                 misplaced += len(off)
-                first = first or (idx, o, i, off[:1])
-                placed = False
+                first = first or (o, i, off[:1])
                 continue
             ends[a] = (o << 6 | i) << 7
             ends[b] = ((o << 6 | i + 1) << 1 | 1) << 6
-        if not placed:
-            continue
+        if first:
+            o, i, v = first
+            what = f"{misplaced} witness vertices lie on no factor path at a named edge, e.g. "
+            what = f"{what}{Bits(v[0], last)!r}" if v else "a witness is empty"
+            where = f"names the edge from index {i} to {i + 1} on the factor path of {dyck[o]}"
+            _reject(tree, idx, what, where)
+        if not readable:  # no member, so no tuple: the tree check fails
+            _reject(tree)
         # Position 2r + 1 hops to 2r + 2, and the last position to 0. A hop
         # joins the paths of two members, and no earlier witness has it: a
         # tuple with both paths would have joined them in the union-find. So
@@ -198,30 +199,14 @@ def _splice_hops(k: int, tree: spanning.SpanningTree) -> tuple[array, array, arr
         hops = list(map(xor, cycle[1::2], cycle[2::2] + cycle[:1]))
         if sum(map(int.bit_count, hops)) != len(hops):
             r = next(r for r, h in enumerate(hops) if h.bit_count() != 1)
-            u = cycle[2 * r + 1]
-            wide = wide or (idx, ends[2 * r + 1] >> 13, u, u ^ hops[r])
-            continue
+            u, w = Bits(cycle[2 * r + 1], last), Bits(cycle[2 * r + 1] ^ hops[r], last)
+            where = f"hops from {u!r} on the factor path of {dyck[ends[2 * r + 1] >> 13]} to {w!r}"
+            _reject(tree, idx, f"a hop flips {hops[r].bit_count()} bits", where)
         ends.append(ends[0])
         nears.extend(map(or_, ends[1::2], map(int.bit_length, hops)))  # with p; fars without
         fars.extend(ends[2::2])
     if count != len(dyck) - 1:
         _reject(tree)
-    if first:
-        idx, o, i, v = first
-        what = "a witness is empty" if not v else (
-            f"{misplaced} witness vertices lie on no factor path at a named edge, "
-            f"e.g. {Bits(v[0], last)!r}"
-        )
-        raise AssemblyError(
-            f"{what}: tuple {tree.entries[idx].tup} names the edge from index {i} "
-            f"to {i + 1} on the factor path of {dyck[o]}"
-        )
-    if wide:
-        idx, o, u, w = wide
-        raise AssemblyError(
-            f"a hop flips {(u ^ w).bit_count()} bits: tuple {tree.entries[idx].tup} hops from "
-            f"{Bits(u, last)!r} on the factor path of {dyck[o]} to {Bits(w, last)!r}"
-        )
     # The masks are final, so each end goes to its slot: 2 * popcount(masks[o] & ((1 << j) - 1))
     # counts the slots of path o before the end at index j, and its own too if it is an upper
     # end. Only the near end holds p, so q | p & 63 gives both slots the far end and p.
@@ -235,13 +220,16 @@ def _splice_hops(k: int, tree: spanning.SpanningTree) -> tuple[array, array, arr
     return slots, masks, offset
 
 
-def _reject(tree: spanning.SpanningTree) -> NoReturn:
-    """Raise the ``ValueError`` for a tree the splice cannot use, invalidity first."""
-    from .checking import validate_tree
+def _reject(tree: spanning.SpanningTree, idx: int = 0, what: str = "", where: str = "") -> NoReturn:
+    """The splice's one failure exit: ``validate_tree``'s text if the tree is invalid, else
+    "{what}: tuple {entry idx's tuple} {where}", or the does-not-span text if what is empty."""
+    from .checking import tuple_text, validate_tree
 
     report = validate_tree(tree)
     if not report.passed:
         raise ValueError("invalid spanning tree: " + "; ".join(report.failures))
+    if what:
+        raise AssemblyError(f"{what}: tuple {tuple_text(tree, idx)} {where}")
     raise ValueError("tree does not span the Dyck words of this semilength")
 
 

@@ -13,8 +13,8 @@ which reduces an arbitrary context to the moves of ``flippable`` by
 repeatedly resolving where the prefix's leading 1 closes (the total context
 length shrinks each round, so the peel terminates); ``Derivation.of_support``
 reads a derivation back from a packed support. ``SpanningTree.entries``
-holds each tree tuple as a ``TreeEntry``, and ``hand_tree`` makes a tree by
-hand by peeling derivations.
+holds each tree tuple as a ``TreeEntry``, a failure text reads back only
+the entries it names (``tuple_text``), and ``hand_tree`` peels derivations.
 
 The searches find instead of deriving: ``derivations`` finds every (pattern,
 context) pair reproducing a tuple, ``canonical_witness`` takes the witness
@@ -482,6 +482,16 @@ def hand_tree(base: Iterable[Bits], derivations: Iterable[Derivation]) -> Spanni
     return SpanningTree(frozenset(base), tuple(e for e, _ in peeled), n)
 
 
+def tuple_text(tree: SpanningTree, idx: int) -> str:
+    """Entry idx's tuple as failure texts name it, read back from its first two marks alone,
+    or, if those fit no context of its pattern, its packed members as word:mark."""
+    pattern, _, support = tree.packed[idx]
+    try:
+        return str(Derivation.of_support(pattern, support, tree.n).tuple())
+    except ValueError:
+        return "{" + ", ".join(f"{x:0{tree.n}b}"[::-1] + f":{m}" for x, m in support) + "}"
+
+
 def tuple_set(tree: SpanningTree) -> frozenset[FlippableTuple]:
     return frozenset(e.tup for e in tree.entries)
 
@@ -504,10 +514,10 @@ def walk_failure(k: int, tree: SpanningTree, reached: bytearray, count: int, tot
         x = dyck[missed[0]]
         path = set(_path_vals(x.val, flip_sequences(k)[missed[0]]))
         tuples = [
-            e.tup for e, (_, c, _) in zip(tree.entries, tree.packed) if not path.isdisjoint(c)
+            tuple_text(tree, i) for i, (_, c, _) in enumerate(tree.packed) if not path.isdisjoint(c)
         ]
         where = f"; the witnesses of {len(tuples)} tuples meet the factor path of {x}: "
-        where += ", ".join(map(str, tuples))
+        where += ", ".join(tuples)
     return (
         f"splice produced more than one cycle: the walk reached {count} of "
         f"{total} vertices, and no factor path of these {len(missed)} of "
@@ -578,7 +588,7 @@ def validate_tree(t: SpanningTree) -> TreeReport:
     The checks run on each entry's packed support; a word is keyed by its
     packed value with a stop bit above its last position, so words of
     different lengths never collide. Tuples and words are rendered only for
-    a failure message, so a tree makes its derivations only when it fails.
+    a failure message, each from its own entry (``tuple_text``).
     """
 
     def word(key: int) -> Bits:
@@ -595,8 +605,8 @@ def validate_tree(t: SpanningTree) -> TreeReport:
         return x
 
     # One pass makes checks (1) and (6), counts for (3), gathers the marked
-    # words of (2) and (5), and joins the words of (4). (6) names no tuple,
-    # whose derivation would read its first two marks.
+    # words of (2) and (5), and joins the words of (4). (6) names only the
+    # word and the mark.
     failures: list[str] = []
     by_word: dict[int, list[tuple[int, int]]] = {}
     count = 0
@@ -618,7 +628,7 @@ def validate_tree(t: SpanningTree) -> TreeReport:
                 parent[find(w)] = root
         if outside:
             failures.append(
-                f"support of {t.entries[idx].tup} leaves the base set: {sorted(map(word, outside))}"
+                f"support of {tuple_text(t, idx)} leaves the base set: {sorted(map(word, outside))}"
             )
 
     pair_shared: dict[tuple[int, int], list[tuple[int, bool]]] = {}
@@ -630,7 +640,7 @@ def validate_tree(t: SpanningTree) -> TreeReport:
     failing = [p for p, shared in pair_shared.items() if len(shared) > 1 or shared[0][1]]
     for a, b in sorted(failing):
         shared = pair_shared[a, b]
-        pair = f"tuples {t.entries[a].tup} and {t.entries[b].tup}"
+        pair = f"tuples {tuple_text(t, a)} and {tuple_text(t, b)}"
         if len(shared) > 1:
             failures.append(f"{pair} share {len(shared)} words")
         else:

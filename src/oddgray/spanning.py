@@ -43,12 +43,12 @@ steep trees on their own and ``validate_tree`` serve the checks, in
 ``checking``.
 
 A tree is its words, its packed entries and its word length, however it
-was made. Its derivations (``SpanningTree.entries``, which the ``tree``
-command, the verifiers, the splice's failure messages and perfbench read)
-are read back from the packed supports by ``checking``, which generation
-never loads; reading them runs no recursion, and the tests check that
-peeling each one gives its packed entry back. ``checking.hand_tree`` makes
-a tree by hand from derivations by peeling them.
+was made. Its derivations are read back from the packed supports by
+``checking``, which generation never loads: all at once as
+``SpanningTree.entries`` for the ``tree`` command, the verifiers and
+perfbench, and for a failure text only the entries it names. Reading them
+runs no recursion, and the tests check that peeling each one gives its
+packed entry back. ``checking.hand_tree`` makes a tree by hand by peeling.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class SpanningTree:
 
     @cached_property
     def entries(self) -> tuple:
-        """Each entry as a ``checking.TreeEntry``, its derivation read from its packed support."""
+        """Every entry as a ``checking.TreeEntry``; a failure text reads one (``tuple_text``)."""
         from .checking import Derivation, TreeEntry
 
         return tuple(TreeEntry(Derivation.of_support(p, s, self.n)) for p, _, s in self.packed)

@@ -24,9 +24,9 @@ from oddgray import checking, cli
 PACKAGE = Path(oddgray.__file__).parent
 # The lines of the oddgray modules ``gen --k 8`` may load, and of all of them.
 # With no cached bytecode, every cold ``gen`` child compiles each line it
-# loads: about 16 ms for these 1,528 (Python 3.11, 2.1-GHz Xeon).
-GEN_LINE_BUDGET = 1528
-SRC_LINE_BUDGET = 2518
+# loads: about 16 ms for these 1,516 (Python 3.11, 2.1-GHz Xeon).
+GEN_LINE_BUDGET = 1516
+SRC_LINE_BUDGET = 2516
 
 RUNS = {
     "gen": ("-m", "oddgray", "gen", "--k", "8"),

@@ -11,11 +11,12 @@ coordinates it must give the gplus cycle mapped vertex by vertex with
 
 ``assembly._splice_hops`` is the only splice, and a tree fails it in one of
 three ways, each tried here on broken trees: an invalid tree raises
-``validate_tree``'s ``ValueError``; a witness position that does not hold an
-end of its member's named edge, or an empty witness, raises an
-``AssemblyError`` naming the tuple, the Dyck origin, the index and the vertex
-(if any), as does a hop that flips other than one bit, naming its two
-vertices; and a walk that does not return
+``validate_tree``'s ``ValueError``, wherever its defect lies; else the first
+bad entry in tree order raises an ``AssemblyError`` naming its tuple: if a
+witness position does not hold an end of its member's named edge, or the
+witness is empty, with the Dyck origin, the index, the entry's own count of
+such vertices and the first (if any); else, if a hop flips other than one
+bit, with its two vertices; and a walk that does not return
 after the target's number of vertices, or returns early, raises an
 ``AssemblyError`` naming the Dyck origins it missed and the tuples whose
 witnesses meet the first of them. Once every witness sits at its named
@@ -244,52 +245,67 @@ def test_hop_splice_invariants_on_random_masks(data):
     slot_invariants(k, counting_tree(k, data.draw(st.integers(0, (1 << mask_width(k)) - 1))))
 
 
-def first_misplaced(k, tree):
-    """The first entry whose witness is the wrong length or, at a member's named
-    positions, holds a vertex off that member's named edge, found with ``locate``."""
+def first_bad_entry(k, tree):
+    """The first entry, in tree order, whose witness is misplaced or has a hop of other than one
+    bit, found with ``locate``: (its index, its vertices off their named edges, or None for a
+    wide hop), or None. A witness of the wrong length has every vertex off; at a member's two
+    named positions, each vertex off the member's named edge counts, and two on one end count
+    once."""
     for idx, (pattern, cycle, support) in enumerate(tree.packed):
         if len(cycle) != 2 * len(support):
-            return idx
+            return idx, len(cycle)
+        off = 0
         for (x, mark), (a, b) in zip(support, pattern.named_edges):
             w = Bits(x, 2 * k)
             i = flip_sequence(w).index(mark)
-            held = {locate(Bits(cycle[a], 2 * k)), locate(Bits(cycle[b], 2 * k))}
-            if held != {(w, i), (w, i + 1)}:
-                return idx
+            held = [locate(Bits(cycle[a], 2 * k)), locate(Bits(cycle[b], 2 * k))]
+            off += sum(h not in {(w, i), (w, i + 1)} for h in held) or held[0] == held[1]
+        if off:
+            return idx, off
+        if any((u ^ v).bit_count() != 1 for u, v in zip(cycle[1::2], cycle[2::2] + cycle[:1])):
+            return idx, None
     return None
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.data())
-def test_hop_splice_fails_as_the_reference_fails(data):
-    # A built tree with one entry dropped or duplicated, one member
-    # re-marked, or one witness rotated, reversed or taken from another
-    # entry of its length (or its own): an invalid tree raises
-    # ``validate_tree``'s text, a valid one with a witness off its named
-    # edges names that witness's tuple, one with a hop of more than one bit
-    # says so, and any other gives the reference cycle, or fails the count
-    # exactly when the reference is not one cycle.
-    k = data.draw(st.integers(4, 7))
-    packed = list(full_tree(k).packed)
-    i = data.draw(st.integers(0, len(packed) - 1))
+def mutate(draw, k, packed, kind):
+    """Apply one mutation of ``kind`` to a random entry of ``packed``, in place."""
+    i = draw(st.integers(0, len(packed) - 1))
     pattern, cycle, support = packed[i]
-    kind = data.draw(st.sampled_from(["drop", "duplicate", "mark", "rotate", "reverse", "swap"]))
     if kind == "drop":
         del packed[i]
     elif kind == "duplicate":
         packed.insert(i, packed[i])
     elif kind == "mark":
-        pos = data.draw(st.integers(2, len(support) - 1))
+        pos = draw(st.integers(2, len(support) - 1))
         x, m = support[pos]
-        m = data.draw(st.sampled_from([a for a in range(1, 2 * k + 1) if a != m]))
+        m = draw(st.sampled_from([a for a in range(1, 2 * k + 1) if a != m]))
         packed[i] = pattern, cycle, (*support[:pos], (x, m), *support[pos + 1 :])
     elif kind == "rotate":
         packed[i] = pattern, (*cycle[1:], cycle[0]), support
     elif kind == "reverse":
         packed[i] = pattern, cycle[::-1], support
     else:
-        j = data.draw(st.sampled_from([j for j, e in enumerate(packed) if len(e[1]) == len(cycle)]))
+        j = draw(st.sampled_from([j for j, e in enumerate(packed) if len(e[1]) == len(cycle)]))
         packed[i] = pattern, packed[j][1], support
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_hop_splice_fails_as_the_reference_fails(data):
+    # A built tree with one or two mutations: an entry dropped or
+    # duplicated, a member re-marked, or a witness rotated, reversed or
+    # taken from another entry of its length (or its own). An invalid tree
+    # raises ``validate_tree``'s text. In a valid one, the first entry in
+    # tree order with a witness off its named edges or a hop of more than
+    # one bit is named, with that entry's count of misplaced vertices, or
+    # the hop; placement comes before the hop within an entry. Any other
+    # gives the reference cycle, or fails the count exactly when the
+    # reference is not one cycle.
+    k = data.draw(st.integers(4, 7))
+    packed = list(full_tree(k).packed)
+    kinds = ["drop", "duplicate", "mark", "rotate", "reverse", "swap"]
+    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2)):
+        mutate(data.draw, k, packed, kind)
     tree = SpanningTree(enumerate_dyck(k), tuple(packed), 2 * k)
     report = validate_tree(tree)
     if not report.passed:
@@ -297,15 +313,14 @@ def test_hop_splice_fails_as_the_reference_fails(data):
             stream_gplus_vals(k, tree)
         assert str(err.value) == "invalid spanning tree: " + "; ".join(report.failures)
         return
-    idx = first_misplaced(k, tree)
-    if idx is not None:
-        with pytest.raises(AssemblyError, match="lie on no factor path at a named edge") as err:
+    bad = first_bad_entry(k, tree)
+    if bad is not None:
+        idx, off = bad
+        with pytest.raises(AssemblyError) as err:
             stream_gplus_vals(k, tree)
-        assert f": tuple {tree.entries[idx].tup} names the edge from index " in str(err.value)
-        return
-    if any(len(hop) != 2 or (min(hop) ^ max(hop)).bit_count() != 1 for hop in witness_hops(tree)):
-        with pytest.raises(AssemblyError, match="a hop flips"):
-            stream_gplus_vals(k, tree)
+        what = "a hop flips" if off is None else f"{off} witness vertices lie on no factor path "
+        assert str(err.value).startswith(what)
+        assert f": tuple {tree.entries[idx].tup} " in str(err.value)
         return
     adj = reference_adjacency(k, tree)
     assert all(len(nb) == 2 for nb in adj.values())
@@ -490,6 +505,56 @@ def test_duplicated_derivation_fails_placement():
     assert tree.packed[0][0].named_edges[0] == (3, 2) and witness[3] == v.val
     assert flip_sequence(x).index(tup.mark_of(x)) == 1
     assert locate(v) not in {(x, 1), (x, 2)}
+
+
+def test_only_the_first_misplaced_entry_is_counted():
+    # Entry 0 splices entry 1's witness, as above, and entry 3 its own
+    # witness rotated: the splice stops at entry 0, and the count covers
+    # entry 0's six vertices only.
+    k = 4
+    tree = full_tree(k)
+    cycle = tree.packed[3][1]
+    broken = with_witness(with_witness(tree, 0, tree.packed[1][1]), 3, (*cycle[1:], cycle[0]))
+    assert first_bad_entry(k, broken) == (0, 6)
+    with pytest.raises(AssemblyError) as err:
+        stream_gplus_vals(k, broken)
+    assert str(err.value) == (
+        "6 witness vertices lie on no factor path at a named edge, e.g. Bits('10011001'): "
+        "tuple {110[1]0010, 1101010[0], 110110[0]0} names the edge from index 1 to 2 "
+        "on the factor path of 11010010"
+    )
+
+
+def test_a_wide_hop_before_a_misplaced_entry_is_reported():
+    # Entry 2, the bridge, has its positions 2 and 3 swapped, so two of its
+    # hops flip two bits (see below), and entry 3 splices its own witness
+    # rotated, off its named edges: the earlier entry is reported.
+    k = 4
+    tree = full_tree(k)
+    cycle = tree.packed[3][1]
+    broken = with_witness(tree, 2, (143, 141, 201, 205, 203, 139))
+    broken = with_witness(broken, 3, (*cycle[1:], cycle[0]))
+    assert first_bad_entry(k, broken) == (2, None)
+    with pytest.raises(AssemblyError) as err:
+        stream_gplus_vals(k, broken)
+    assert str(err.value) == (
+        "a hop flips 2 bits: tuple {110101[0]0, 11[1]00100, 1[1]110000} hops from "
+        "Bits('10110001') on the factor path of 11110000 to Bits('10010011')"
+    )
+
+
+def test_an_invalid_tree_is_reported_before_a_misplaced_entry():
+    # Entry 0 splices entry 1's witness and entry 4 is dropped: the splice
+    # stops at entry 0, before the entry is missed, but the tree is invalid,
+    # so ``validate_tree``'s text is raised.
+    k = 4
+    packed = with_witness(full_tree(k), 0, full_tree(k).packed[1][1]).packed
+    broken = SpanningTree(enumerate_dyck(k), packed[:4] + packed[5:], 2 * k)
+    report = validate_tree(broken)
+    assert not report.passed
+    with pytest.raises(ValueError) as err:
+        stream_gplus_vals(k, broken)
+    assert str(err.value) == "invalid spanning tree: " + "; ".join(report.failures)
 
 
 def test_rewrapped_derivation_fails_placement():

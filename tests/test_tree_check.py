@@ -170,6 +170,46 @@ def test_a_mark_outside_1_to_2k_is_an_invalid_tree(mark):
     assert str(err.value) == f"{INVALID}mark {mark} of 11011000 outside 1..8"
 
 
+@pytest.mark.parametrize(
+    "mark, copies, text",
+    [
+        (
+            3,
+            1,
+            "2 witness vertices lie on no factor path at a named edge, e.g. Bits('11010110'): "
+            "tuple {11010010:3, 11010100:8, 11011000:7} names the edge from index 4 to 5 "
+            "on the factor path of 11010010",
+        ),
+        *(
+            (
+                m,
+                2,
+                f"{INVALID}mark {m} of 11010010 outside 1..8; mark {m} of 11010010 outside 1..8; "
+                f"tuples {{11010010:{m}, 11010100:8, 11011000:7}} and "
+                f"{{11010010:{m}, 11010100:8, 11011000:7}} share 3 words; "
+                "tuple-size accounting: sum(size - 1) = 15, expected 13",
+            )
+            for m in (0, 9)
+        ),
+    ],
+    ids=["first-mark-3", "first-mark-0-twice", "first-mark-9-twice"],
+)
+def test_a_tuple_whose_first_marks_fit_no_context_is_shown_packed(mark, copies, text):
+    # Entry 0, the fan {110[1]0010, 1101010[0], 110110[0]0}, reads its
+    # context from its first two marks. With the first mark 3, which names
+    # another edge of 11010010, placement fails; with 0 or 9, on two copies
+    # of the entry, the tree is invalid. No context of the fan fits either,
+    # so the failure names the tuple by its packed members, as word:mark.
+    k = 4
+    packed = list(built_packed(k))
+    x, _ = packed[0][2][0]
+    entry = with_member(packed[0], 0, (x, mark))
+    with pytest.raises((ValueError, AssemblyError)) as err:
+        stream_gplus_vals(k, packed_tree(k, [entry] * copies + packed[1:]))
+    assert err.type is (AssemblyError if copies == 1 else ValueError)
+    assert str(err.value) == text
+
+
 @lru_cache(maxsize=None)
 def built_packed(k):
     return full_tree(k).packed
