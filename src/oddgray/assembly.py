@@ -125,16 +125,19 @@ def _splice_hops(k: int, tree: spanning.SpanningTree) -> tuple[array, array, arr
     packed as ((origin << 6 | index) << 1 | upper) << 6 | p. A bad tree fails
     as the module docstring says.
     """
-    if not tree.spans_dyck(k):
-        _reject(tree)
     dyck, seqs = enumerate_dyck(k), flip_sequences(k)
+    if not (tree.words is dyck or tree.base == frozenset(dyck)):
+        _reject(tree)
     last = 2 * k
     full = (1 << last) - 1
     # The check: every member is a Dyck word with a mark in 1..2k, no path has
     # an edge named twice (a flip sequence is a permutation of 1..2k, so no word
-    # is marked twice), and joining each support's words in a union-find over
-    # origin numbers never joins two words already joined. With
-    # sum(|support| - 1) == |words| - 1 that is all of ``validate_tree``'s conditions.
+    # is marked twice), joining each support's words in a union-find over
+    # origin numbers never joins two words already joined, and each support
+    # has one member per named edge: an unreadable entry with members fails
+    # at its first, and one with none joins nothing, so the count falls short.
+    # With sum(|support| - 1) == |words| - 1 that is all seven of
+    # ``validate_tree``'s conditions.
     origin_of = {x.val: o for o, x in enumerate(dyck)}
     parent = array("l", range(len(dyck)))
     masks = array("Q", bytes(8 * len(dyck)))
@@ -190,8 +193,6 @@ def _splice_hops(k: int, tree: spanning.SpanningTree) -> tuple[array, array, arr
             what = f"{what}{Bits(v[0], last)!r}" if v else "a witness is empty"
             where = f"names the edge from index {i} to {i + 1} on the factor path of {dyck[o]}"
             _reject(tree, idx, what, where)
-        if not readable:  # no member, so no tuple: the tree check fails
-            _reject(tree)
         # Position 2r + 1 hops to 2r + 2, and the last position to 0. A hop
         # joins the paths of two members, and no earlier witness has it: a
         # tuple with both paths would have joined them in the union-find. So
@@ -202,7 +203,7 @@ def _splice_hops(k: int, tree: spanning.SpanningTree) -> tuple[array, array, arr
             u, w = Bits(cycle[2 * r + 1], last), Bits(cycle[2 * r + 1] ^ hops[r], last)
             where = f"hops from {u!r} on the factor path of {dyck[ends[2 * r + 1] >> 13]} to {w!r}"
             _reject(tree, idx, f"a hop flips {hops[r].bit_count()} bits", where)
-        ends.append(ends[0])
+        ends += ends[:1]  # none for an empty witness
         nears.extend(map(or_, ends[1::2], map(int.bit_length, hops)))  # with p; fars without
         fars.extend(ends[2::2])
     if count != len(dyck) - 1:
@@ -369,7 +370,7 @@ def middle_walk(k: int, family_mask: int | None = None) -> Walk:
     if k > 2:
         return cycle_walk(k, _tree_for(k, family_mask), TARGET_MIDDLE)
     if family_mask is not None:
-        raise ValueError("cycle families need k >= 6")
+        spanning.mask_width(k)  # refuses k < 6
     start, flips = _MIDDLE_SMALL[k]
     return start, _steps(k, TARGET_MIDDLE), iter([flips])
 

@@ -27,8 +27,7 @@ at different positions, so all their witnesses can be applied at once
 so a tree entry's derivation gives the canonical witness.
 
 It also holds the factor's views on ``Bits`` (``path``, ``flip_edge``,
-``cycle_factor``), the seeds' literal witnesses (``base_witness``), a tree's
-tuples as a set (``tuple_set``), the flat and steep trees on their own, and
+``cycle_factor``), the flat and steep trees on their own, and
 ``validate_tree`` and ``walk_failure``, whose texts ``assembly`` reports when
 its own check of the tree fails or its walk misses a factor path.
 """
@@ -49,6 +48,7 @@ from .words import (
     EMPTY,
     ONE,
     ZERO,
+    bitstring,
     cat,
     complement,
     enumerate_dyck,
@@ -163,12 +163,6 @@ def seed_tuple(pattern: Pattern) -> FlippableTuple:
     """``pattern.tuple()``: the seed's packed members as marked words."""
     n = pattern.word_length
     return FlippableTuple.of(MarkedWord(Bits(x, n), m) for x, m in leaf(pattern, IDENTITY)[2])
-
-
-def base_witness(pattern: Pattern) -> tuple[Bits, ...]:
-    """The seed's witness cycle, as the table of seed literals in ``flippable`` lists it."""
-    n = pattern.word_length
-    return tuple(Bits(y, n) for y in leaf(pattern, IDENTITY)[1])
 
 
 def _peel(pattern: Pattern, ctx: Context) -> tuple[PackedEntry, int]:
@@ -484,16 +478,15 @@ def hand_tree(base: Iterable[Bits], derivations: Iterable[Derivation]) -> Spanni
 
 def tuple_text(tree: SpanningTree, idx: int) -> str:
     """Entry idx's tuple as failure texts name it, read back from its first two marks alone,
-    or, if those fit no context of its pattern, its packed members as word:mark."""
+    or, if it has not one member per named edge of its pattern or its marks fit no context
+    of the pattern, its packed members as word:mark."""
     pattern, _, support = tree.packed[idx]
-    try:
-        return str(Derivation.of_support(pattern, support, tree.n).tuple())
-    except ValueError:
-        return "{" + ", ".join(f"{x:0{tree.n}b}"[::-1] + f":{m}" for x, m in support) + "}"
-
-
-def tuple_set(tree: SpanningTree) -> frozenset[FlippableTuple]:
-    return frozenset(e.tup for e in tree.entries)
+    if len(support) == len(pattern.named_edges):
+        try:
+            return str(Derivation.of_support(pattern, support, tree.n).tuple())
+        except ValueError:
+            pass
+    return "{" + ", ".join(f"{bitstring(x, tree.n)}:{m}" for x, m in support) + "}"
 
 
 def tree_json(tree: SpanningTree) -> dict:
@@ -549,14 +542,10 @@ def partition(k: int) -> Partition:
 
 
 def flat_tree(k: int) -> SpanningTree:
-    if k < 2:
-        raise ValueError("flat tree defined for semilength >= 2")
     return SpanningTree(partition(k).flat, tuple(flat(k, IDENTITY)), 2 * k)
 
 
 def steep_tree(k: int) -> SpanningTree:
-    if k < 2:
-        raise ValueError("steep tree defined for semilength >= 2")
     return SpanningTree(partition(k).steep, tuple(steep(k, IDENTITY)), 2 * k)
 
 
@@ -578,7 +567,8 @@ def validate_tree(t: SpanningTree) -> TreeReport:
     (1) supports inside the base set, (2) pairwise support intersections of
     size at most one, (3) sum(|support| - 1) == |base| - 1, (4) connected
     incidence structure, (5) distinct marks on shared words, (6) every mark
-    in 1..n, so that it names an edge of its word's factor path. Given (3),
+    in 1..n, so that it names an edge of its word's factor path, (7) as many
+    members in each support as its pattern names edges. Given (3),
     the incidence structure (words plus tuples, joined by membership) has
     exactly |base| + #tuples - 1 edges, so (3) and (4) make it a tree; that both
     implies (2) and matches the recursive block-splitting definition of a
@@ -604,15 +594,20 @@ def validate_tree(t: SpanningTree) -> TreeReport:
             x = parent[x]
         return x
 
-    # One pass makes checks (1) and (6), counts for (3), gathers the marked
-    # words of (2) and (5), and joins the words of (4). (6) names only the
-    # word and the mark.
+    # One pass makes checks (7), (1) and (6), counts for (3), gathers the
+    # marked words of (2) and (5), and joins the words of (4). (6) names only
+    # the word and the mark.
     failures: list[str] = []
     by_word: dict[int, list[tuple[int, int]]] = {}
     count = 0
     stop = 1 << t.n
-    for idx, (_, _, members) in enumerate(t.packed):
+    for idx, (pattern, _, members) in enumerate(t.packed):
         count += len(members) - 1
+        if len(members) != len(pattern.named_edges):
+            failures.append(
+                f"{tuple_text(t, idx)} has {len(members)} members; "
+                f"{pattern} names {len(pattern.named_edges)}"
+            )
         outside = []
         root = None
         for val, mark in members:

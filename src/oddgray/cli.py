@@ -16,15 +16,13 @@ the first malformed one, and marks the vertices seen in a bitmap of one bit
 per value (k = 11: 1.2-1.5 s and 17 MB on a 2-vCPU Xeon; a k whose bitmap
 exceeds physical memory exits 2 before a line is read).
 
-Exit codes: 0 success, 1 verification failure, 2 bad arguments. The
-environment variable ODDGRAY_MAX_K lowers the accepted k ceiling (default
-``words.MAX_K``, 30), which keeps accidental huge runs out of CI.
+Exit codes: 0 success, 1 verification failure, 2 bad arguments, among them a
+k above ``words.MAX_K`` (30).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from itertools import islice
@@ -39,16 +37,6 @@ from .words import MAX_K, column_lines, enumerate_dyck, line_renderer, subset_li
 BLOCK_LINES = 4096
 
 
-def _ceiling() -> int:
-    raw = os.environ.get("ODDGRAY_MAX_K")
-    if raw is None:
-        return MAX_K
-    try:
-        return max(1, min(MAX_K, int(raw)))
-    except ValueError:
-        raise ValueError(f"ODDGRAY_MAX_K must be an integer, got {raw!r}") from None
-
-
 def _write_blocks(out: IO[str], lines: Iterable[str]) -> None:
     """Write lines (each ending in a newline) BLOCK_LINES at a time, one ``out.write`` per block."""
     lines = iter(lines)
@@ -58,8 +46,8 @@ def _write_blocks(out: IO[str], lines: Iterable[str]) -> None:
 
 def _cmd_gen(args, parser, out: IO[str]) -> int:
     k = args.k
-    if k > _ceiling():
-        parser.error(f"gen needs 3 <= k <= {_ceiling()}")
+    if k > MAX_K:
+        parser.error(f"gen needs 3 <= k <= {MAX_K}")
     walk = assembly.odd_walk(k, args.family)
     n = 2 * k + 1
     if args.format == "subsets":
@@ -74,8 +62,8 @@ def _cmd_gen(args, parser, out: IO[str]) -> int:
 
 def _cmd_middle(args, parser, out: IO[str]) -> int:
     k = args.k
-    if not 1 <= k <= _ceiling():
-        parser.error(f"middle needs 1 <= k <= {_ceiling()}")
+    if not 1 <= k <= MAX_K:
+        parser.error(f"middle needs 1 <= k <= {MAX_K}")
     for lines in column_lines(2 * k + 1, *assembly.middle_walk(k, args.family)):
         out.write(lines)
     return 0
@@ -83,8 +71,8 @@ def _cmd_middle(args, parser, out: IO[str]) -> int:
 
 def _cmd_factor(args, parser, out: IO[str]) -> int:
     k = args.k
-    if not 1 <= k <= _ceiling():
-        parser.error(f"factor needs 1 <= k <= {_ceiling()}")
+    if not 1 <= k <= MAX_K:
+        parser.error(f"factor needs 1 <= k <= {MAX_K}")
     render = line_renderer(2 * k, ",")
     # each vertex renders with a trailing comma; the line's last becomes its newline
     paths = zip(enumerate_dyck(k), flip_sequences(k))
@@ -95,8 +83,8 @@ def _cmd_factor(args, parser, out: IO[str]) -> int:
 
 def _cmd_tree(args, parser, out: IO[str]) -> int:
     k = args.k
-    if not 3 <= k <= _ceiling():
-        parser.error(f"tree needs 3 <= k <= {_ceiling()}")
+    if not 3 <= k <= MAX_K:
+        parser.error(f"tree needs 3 <= k <= {MAX_K}")
     import json
 
     from .checking import tree_json
@@ -111,8 +99,8 @@ def _cmd_verify(args, parser, out: IO[str]) -> int:
     from . import verify
 
     k = args.k
-    if not 1 <= k <= _ceiling():
-        parser.error(f"verify needs 1 <= k <= {_ceiling()}")
+    if not 1 <= k <= MAX_K:
+        parser.error(f"verify needs 1 <= k <= {MAX_K}")
     stdin = args.input == "-"
     try:
         # a byte outside ASCII decodes to a lone surrogate, which fails the line format
@@ -130,11 +118,10 @@ def _cmd_verify(args, parser, out: IO[str]) -> int:
 def _cmd_selfcheck(args, parser, out: IO[str]) -> int:
     from .verify import selfcheck
 
-    max_k = min(args.max_k, _ceiling())
-    if max_k < 1:
+    if args.max_k < 1:
         parser.error("selfcheck needs --max-k >= 1")
     ok = True
-    for label, report in selfcheck(max_k):
+    for label, report in selfcheck(args.max_k):
         status = "ok" if report.passed else "FAIL"
         out.write(f"{label}: {status}\n")
         if not report.passed:
@@ -147,8 +134,8 @@ def _cmd_selfcheck(args, parser, out: IO[str]) -> int:
 
 def _cmd_bench(args, parser, out: IO[str]) -> int:
     k = args.k
-    if not 3 <= k <= _ceiling():
-        parser.error(f"bench needs 3 <= k <= {_ceiling()}")
+    if not 3 <= k <= MAX_K:
+        parser.error(f"bench needs 3 <= k <= {MAX_K}")
     if args.repeat < 1:
         parser.error("bench needs --repeat >= 1")
     total = comb(2 * k + 1, k)

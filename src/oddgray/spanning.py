@@ -83,11 +83,6 @@ class SpanningTree:
 
         return tuple(TreeEntry(Derivation.of_support(p, s, self.n)) for p, _, s in self.packed)
 
-    def spans_dyck(self, k: int) -> bool:
-        """Whether the base set is every Dyck word of semilength k."""
-        words = enumerate_dyck(k)
-        return self.words is words or self.base == frozenset(words)
-
 
 _TEN = Bits.parse("10")
 _1100 = Bits.parse("1100")

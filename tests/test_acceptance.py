@@ -13,7 +13,7 @@ from math import comb
 
 from oddgray.assembly import hamilton_middle_levels, hamilton_odd
 from oddgray.checking import (
-    base_witness,
+    Context,
     conflict_violations,
     derivations,
     enumerate_tuples,
@@ -22,6 +22,7 @@ from oddgray.checking import (
     is_witness,
     path,
     validate_tree,
+    witness,
 )
 from oddgray.factor import flip_sequence
 from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
@@ -91,7 +92,7 @@ def test_criterion_03_flip_sequence_properties():
 
 def test_criterion_04_base_witnesses():
     for p in (fan(), fan(B("10")), BRIDGE, PATCH, QUAD):
-        assert is_witness(p.tuple(), base_witness(p)), str(p)
+        assert is_witness(p.tuple(), witness(p, Context())), str(p)
     report(4, "all five seed patterns are witnessed by their literal cycles")
 
 

@@ -104,22 +104,6 @@ def test_gen_family_masks_differ():
     assert sorted(a.stdout.splitlines()) == sorted(b.stdout.splitlines())
 
 
-def test_max_k_env_lowers_ceiling():
-    import os
-
-    env = dict(os.environ, ODDGRAY_MAX_K="4")
-    res = run_cli("gen", "--k", "5", env=env)
-    assert res.returncode == 2
-    res = run_cli("gen", "--k", "4", env=env)
-    assert res.returncode == 0
-    # a value that is not an integer is refused, not replaced by the default
-    env = dict(os.environ, ODDGRAY_MAX_K="abc")
-    res = run_cli("gen", "--k", "3", env=env)
-    assert res.returncode == 2
-    assert res.stdout == ""
-    assert "ODDGRAY_MAX_K" in res.stderr and "'abc'" in res.stderr
-
-
 def test_middle_k1_golden():
     res = run_cli("middle", "--k", "1")
     assert res.stdout.splitlines() == ["100", "110", "010", "011", "001", "101"]
@@ -305,17 +289,11 @@ def test_verify_non_ascii_stdin_is_a_format_failure():
 
 
 def test_verify_checks_k_against_ceiling(tmp_path):
-    import os
-
     path = tmp_path / "one.txt"
     path.write_text("1" * 63 + "\n")
     res = run_cli("verify", "--k", "31", "--target", "odd", "--input", str(path))
     assert (res.returncode, res.stdout) == (2, "")
     assert "verify needs 1 <= k <= 30" in res.stderr
-    env = dict(os.environ, ODDGRAY_MAX_K="4")
-    res = run_cli("verify", "--k", "5", "--target", "odd", "--input", str(path), env=env)
-    assert (res.returncode, res.stdout) == (2, "")
-    assert "verify needs 1 <= k <= 4" in res.stderr
 
 
 def test_selfcheck_small():

@@ -5,7 +5,6 @@ from oddgray.checking import (
     FlippableTuple,
     MarkedWord,
     apply_context,
-    base_witness,
     canonical_witness,
     conflict_violations,
     derivations,
@@ -43,17 +42,20 @@ def test_pattern_literals():
 
 
 def test_base_witness_literals():
-    assert [str(v) for v in base_witness(BRIDGE)] == [
+    assert [str(v) for v in witness(BRIDGE, Context())] == [
         "111000", "111001", "011001", "011011", "011010", "111010",
     ]
-    assert [str(v) for v in base_witness(fan())] == [
+    assert [str(v) for v in witness(fan(), Context())] == [
         "100101", "100111", "100110", "110110", "110100", "110101",
     ]
-    assert [str(v) for v in base_witness(PATCH)] == [
+    assert [str(v) for v in witness(PATCH, Context())] == [
         "11011100", "10011100", "10011101", "10011001", "11011001", "11011000",
     ]
-    assert [str(v) for v in base_witness(QUAD)] == [
+    assert [str(v) for v in witness(QUAD, Context())] == [
         "111000", "111001", "110001", "110011", "010011", "011011", "011010", "111010",
+    ]
+    assert [str(v) for v in witness(fan(B("10")), Context())] == [
+        "11000101", "11000111", "11000110", "11010110", "11010100", "11010101",
     ]
 
 
@@ -67,7 +69,7 @@ def test_seeds_mark_their_first_two_members_differently():
 
 def test_base_witnesses_verify():
     for p in (fan(), fan(B("10")), BRIDGE, PATCH, QUAD):
-        assert is_witness(p.tuple(), base_witness(p))
+        assert is_witness(p.tuple(), witness(p, Context()))
 
 
 def test_marked_word_validation():
@@ -139,7 +141,7 @@ def test_apply_context_odd_prefix_matches_memberwise_mirror():
 
 def test_witness_append():
     got = witness(fan(), Context(EMPTY, B("10")))
-    assert got == tuple(y + B("10") for y in base_witness(fan()))
+    assert got == tuple(y + B("10") for y in witness(fan(), Context()))
     assert is_witness(apply_context(fan().tuple(), Context(EMPTY, B("10"))), got)
 
 
@@ -150,10 +152,6 @@ def test_witness_mirror_wrap():
         "11110001", "10110001", "10110011", "10010011", "11010011", "11010001",
     ]
     assert is_witness(apply_context(BRIDGE.tuple(), Context(B("1"), B("0"))), got)
-
-
-def test_witness_identity_context():
-    assert witness(fan(B("10")), Context()) == base_witness(fan(B("10")))
 
 
 def test_witness_general_contexts():
@@ -170,15 +168,15 @@ def test_witness_general_contexts():
 
 
 def test_is_witness_rejects_size_mismatch():
-    assert not is_witness(BRIDGE.tuple(), base_witness(QUAD))
+    assert not is_witness(BRIDGE.tuple(), witness(QUAD, Context()))
 
 
 def test_is_witness_rejects_wrong_cycle():
-    w = list(base_witness(BRIDGE))
+    w = list(witness(BRIDGE, Context()))
     w[0], w[1] = w[1], w[0]  # breaks single-bit adjacency
     assert not is_witness(BRIDGE.tuple(), tuple(w))
     # a genuine cycle witnessing a different tuple
-    assert not is_witness(fan().tuple(), base_witness(BRIDGE))
+    assert not is_witness(fan().tuple(), witness(BRIDGE, Context()))
 
 
 def test_enumerate_tuples_small():

@@ -20,7 +20,6 @@ from oddgray.checking import (
     steep_tree,
     tree_family,
     tree_json,
-    tuple_set,
     validate_tree,
 )
 from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
@@ -28,6 +27,10 @@ from oddgray.spanning import counting_tree, full_tree, mask_width
 from oddgray.words import ONE, ZERO, Bits, EMPTY, cat, complement, enumerate_dyck, mirror
 
 B = Bits.parse
+
+
+def tuple_set(tree):
+    return frozenset(e.tup for e in tree.entries)
 
 
 def catalan(k):

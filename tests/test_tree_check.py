@@ -6,9 +6,10 @@ from ``stream_gplus_vals`` before that check moved into the placement pass:
 one broken tree per failure kind of ``validate_tree``, one whose words close
 a cycle with no mark repeated (which only the union-find catches), a tree
 that does not span, and one that is both invalid and too small, whose
-invalidity is reported first. A mark outside 1..2k, a failure kind added
-later, has a test of its own. A hypothesis property then mutates built
-trees, and ``assembly._splice_hops`` must reject exactly the mutants that
+invalidity is reported first. A mark outside 1..2k and a support without
+one member per named edge, failure kinds added later, have tests of their
+own. A hypothesis property then mutates built trees, and
+``assembly._splice_hops`` must reject exactly the mutants that
 ``validate_tree`` rejects, with its text, also those whose witnesses are
 misplaced too; a mutant it accepts may still fail placement with an
 ``AssemblyError``.
@@ -210,6 +211,52 @@ def test_a_tuple_whose_first_marks_fit_no_context_is_shown_packed(mark, copies, 
     assert str(err.value) == text
 
 
+def with_support(entry, support):
+    pattern, cycle, _ = entry
+    return pattern, cycle, support
+
+
+def one_member(packed):
+    # entry 0 keeps one member, 11010010 under the mark 6 that entry 3 gives it
+    return [with_support(packed[0], ((75, 6),)), *packed[1:]]
+
+
+def moved_to_entry_4(packed):
+    # entry 0's three members join entry 4's: words, count and joins all hold
+    moved = with_support(packed[4], packed[4][2] + packed[0][2])
+    return [with_support(packed[0], ()), *packed[1:4], moved, *packed[5:]]
+
+
+@pytest.mark.parametrize(
+    "k, edit, text",
+    [
+        (
+            4,
+            one_member,
+            "{11010010:6} has 1 members; fan(10) names 3; tuples {11010010:6} and "
+            "{1[1]001010, 11010[0]10, 1110[0]010} mark 11010010 identically; "
+            "tuple-size accounting: sum(size - 1) = 11, expected 13; "
+            "incidence structure has 3 components",
+        ),
+        (
+            5,
+            moved_to_entry_4,
+            "{} has 0 members; fan() names 3; {1101001010:4, 1101010010:8, 1101100010:7, "
+            "1100110010:6, 1100110100:10, 1100111000:9} has 6 members; fan(10) names 3",
+        ),
+    ],
+    ids=["one-member", "moved-to-entry-4"],
+)
+def test_a_support_without_one_member_per_named_edge_is_an_invalid_tree(k, edit, text):
+    # Such an entry's first two marks cannot name its tuple, so it is shown
+    # by its packed members, as word:mark.
+    tree = packed_tree(k, edit(list(built_packed(k))))
+    assert "; ".join(validate_tree(tree).failures) == text
+    with pytest.raises(ValueError) as err:
+        stream_gplus_vals(k, tree)
+    assert str(err.value) == INVALID + text
+
+
 @lru_cache(maxsize=None)
 def built_packed(k):
     return full_tree(k).packed
@@ -218,12 +265,13 @@ def built_packed(k):
 @st.composite
 def mutants(draw):
     """(k, packed entries) of ``full_tree(k)`` with one or two mutations: an
-    entry dropped or duplicated, a member re-marked (also outside 1..2k) or
-    moved to another word, or a witness rotated or taken from another entry
-    of its length."""
+    entry dropped or duplicated, its support (and witness) emptied, members
+    moved to another entry, a member re-marked (also outside 1..2k) or moved
+    to another word, or a witness rotated or taken from another entry of its
+    length."""
     k = draw(st.integers(4, 8))
     packed = list(built_packed(k))
-    kinds = ["drop", "duplicate", "mark", "word", "rotate", "swap"]
+    kinds = ["drop", "duplicate", "empty", "move", "mark", "word", "rotate", "swap"]
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2)):
         mutate(draw, k, packed, kind)
     return k, packed
@@ -237,13 +285,21 @@ def mutate(draw, k, packed, kind):
     elif kind == "duplicate":
         packed.insert(draw(st.integers(0, len(packed))), packed[i])
     elif kind == "rotate":
-        packed[i] = pattern, (*cycle[1:], cycle[0]), support
+        packed[i] = pattern, (*cycle[1:], *cycle[:1]), support
     elif kind == "swap":
         j = draw(st.sampled_from([j for j, e in enumerate(packed) if len(e[1]) == len(cycle)]))
         packed[i] = pattern, packed[j][1], support
-    else:
-        # Members from position 2 on: ``Derivation.of_support``, which
-        # renders a failing tuple, reads the marks of the first two.
+    elif kind == "empty":  # the support, and half the time the witness too
+        packed[i] = pattern, draw(st.sampled_from([cycle, ()])), ()
+    elif kind == "move":  # the members from a cut on, at least one if any, go to entry j
+        j = draw(st.sampled_from([j for j in range(len(packed)) if j != i]))
+        cut = draw(st.integers(0, max(len(support) - 1, 0)))
+        packed[j] = with_support(packed[j], packed[j][2] + support[cut:])
+        packed[i] = with_support(packed[i], support[:cut])
+    elif len(support) > 2:
+        # Members from position 2 on, if an earlier mutation left any:
+        # ``Derivation.of_support``, which renders a failing tuple, reads
+        # the marks of the first two.
         pos = draw(st.integers(2, len(support) - 1))
         x, m = support[pos]
         if kind == "word":

@@ -27,7 +27,6 @@ from oddgray.checking import (
     Derivation,
     FlippableTuple,
     apply_context,
-    base_witness,
     is_witness,
     mirror_tuple,
     witness,
@@ -61,7 +60,7 @@ def reference_witness(pattern, ctx):
     """The recursive peel on ``Bits``: the reference for the packed one."""
     u, v = ctx.prefix, ctx.suffix
     if u.n == 0:
-        return tuple(y + v for y in base_witness(pattern))
+        return tuple(y + v for y in witness(pattern, Context()))
     p = first_return(u + v)
     if p <= u.n:
         inner = reference_witness(pattern, Context(u.slice(p + 1, u.n), v))
