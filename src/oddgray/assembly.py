@@ -9,7 +9,7 @@ and never loads ``checking``; failure messages read the tuples there.
 
 A witness of a t-tuple has 2t vertices and meets each member's path in
 exactly its named edge, at witness positions {2r, 2r + 1} in the support's
-member order (``flippable.Pattern.named_edges``):
+member order (``flippable.Pattern.named_edges``, lower end first):
 
   fan     (3, 2), (4, 5), (0, 1)
   bridge  (5, 4), (2, 3), (0, 1)
@@ -20,18 +20,19 @@ So every witness vertex ends a named edge, and its other witness edge, from
 2r + 1 to 2r + 2 or from 2r to 2r - 1 (mod 2t), is its hop: toggling the
 witness swaps the named edges for the hops. The named edge of member (x, m)
 flips m at index i = seq.index(m) of the path of x, from its lower end at
-index i to its upper end at i + 1.
+index i to its upper end at i + 1; the entry carries no witness, as its
+members fix every vertex.
 
 The splice (``_splice_hops``) is one pass over the members. It checks the
-tree by a union-find over origin numbers, a mask of named edges per path, in
-which member (x, m) sets bit seq.index(m) once, and a membership count; that
-each named position holds its end of the named edge; and that each hop flips
-one bit, at position p. Each hop end then goes to a slot of one flat array,
-addressed by the masks, which holds the far end's address and p. The pass
-stops at the first bad entry, and ``_reject`` reports it: an invalid tree,
-wherever its defect lies, raises the ``ValueError`` of ``validate_tree``;
-else that entry's witness of the wrong length or off its named edges (the
-count is the entry's), or then its hop flipping other than one bit, raises
+tree by each support's size, a union-find over origin numbers, a mask of
+named edges per path, in which member (x, m) sets bit seq.index(m) once, and
+a membership count. It writes each member's named edge into the witness at
+its positions, and checks that each hop flips one bit, at position p: that
+is what makes the tuple flippable. Each hop end then goes to a slot of one
+flat array, addressed by the masks, which holds the far end's address and
+p. The pass stops at the first bad entry, and ``_reject`` reports it: an
+invalid tree, wherever its defect lies, raises the ``ValueError`` of
+``validate_tree``; else that entry's hop flipping other than one bit raises
 an ``AssemblyError`` naming the tuple, the Dyck origin and the vertices. A
 walk cut after the target's number of vertices, or back too early, raises
 one naming the paths it missed and the tuples at the first. Once the splice
@@ -130,13 +131,12 @@ def _splice_hops(k: int, tree: spanning.SpanningTree) -> tuple[array, array, arr
         _reject(tree)
     last = 2 * k
     full = (1 << last) - 1
-    # The check: every member is a Dyck word with a mark in 1..2k, no path has
-    # an edge named twice (a flip sequence is a permutation of 1..2k, so no word
-    # is marked twice), joining each support's words in a union-find over
-    # origin numbers never joins two words already joined, and each support
-    # has one member per named edge: an unreadable entry with members fails
-    # at its first, and one with none joins nothing, so the count falls short.
-    # With sum(|support| - 1) == |words| - 1 that is all seven of
+    # The check: each support has one member per named edge of its pattern,
+    # every member is a Dyck word with a mark in 1..2k, no path has an edge
+    # named twice (a flip sequence is a permutation of 1..2k, so no word is
+    # marked twice), and joining each support's words in a union-find over
+    # origin numbers never joins two words already joined. With
+    # sum(|support| - 1) == |words| - 1 that is all seven of
     # ``validate_tree``'s conditions.
     origin_of = {x.val: o for o, x in enumerate(dyck)}
     parent = array("l", range(len(dyck)))
@@ -144,14 +144,14 @@ def _splice_hops(k: int, tree: spanning.SpanningTree) -> tuple[array, array, arr
     nears, fars = array("Q"), array("Q")  # each hop's two ends, packed
     count = 0
     bit = _BIT.__getitem__
-    for idx, (pattern, cycle, support) in enumerate(tree.packed):
+    for idx, (pattern, support) in enumerate(tree.packed):
         named = pattern.named_edges
+        if len(support) != len(named):
+            _reject(tree)
         count += len(support) - 1
-        readable = len(cycle) == 2 * len(support) == 2 * len(named)
-        # the entry's vertices off their named edges; the first member's with one, as (origin,
-        # index, (that vertex,)), () for an empty witness; and the root of its words
-        misplaced, first, root = 0, None, None
-        ends = [0] * len(cycle)  # per witness position, its packed end
+        root = None  # the root of the entry's words
+        cycle = [0] * (2 * len(named))  # the witness: per position, its vertex
+        ends = [0] * len(cycle)  # and its packed end
         for (x, mark), (a, b) in zip(support, named):
             o = origin_of.get(x)
             if o is None or not 0 < mark <= last:
@@ -171,28 +171,12 @@ def _splice_hops(k: int, tree: spanning.SpanningTree) -> tuple[array, array, arr
                 _reject(tree)
             else:
                 parent[r] = root
-            if not readable:  # the first member stands for every vertex
-                misplaced, first = len(cycle), (o, i, cycle[:1])
-                break
             # The named edge joins index i, after the first i flips of seq
             # (or all flips but the last 2k - i), to index i + 1.
             low = x ^ sum(map(bit, seq[:i])) if i <= k else x ^ full ^ sum(map(bit, seq[i:]))
-            high = low ^ _BIT[mark]
-            if cycle[a] != low:
-                a, b = b, a
-            if cycle[a] != low or cycle[b] != high:
-                off = [y for y in (cycle[b], cycle[a]) if y != low and y != high] or [cycle[b]]
-                misplaced += len(off)
-                first = first or (o, i, off[:1])
-                continue
+            cycle[a], cycle[b] = low, low ^ _BIT[mark]
             ends[a] = (o << 6 | i) << 7
             ends[b] = ((o << 6 | i + 1) << 1 | 1) << 6
-        if first:
-            o, i, v = first
-            what = f"{misplaced} witness vertices lie on no factor path at a named edge, e.g. "
-            what = f"{what}{Bits(v[0], last)!r}" if v else "a witness is empty"
-            where = f"names the edge from index {i} to {i + 1} on the factor path of {dyck[o]}"
-            _reject(tree, idx, what, where)
         # Position 2r + 1 hops to 2r + 2, and the last position to 0. A hop
         # joins the paths of two members, and no earlier witness has it: a
         # tuple with both paths would have joined them in the union-find. So
@@ -203,7 +187,7 @@ def _splice_hops(k: int, tree: spanning.SpanningTree) -> tuple[array, array, arr
             u, w = Bits(cycle[2 * r + 1], last), Bits(cycle[2 * r + 1] ^ hops[r], last)
             where = f"hops from {u!r} on the factor path of {dyck[ends[2 * r + 1] >> 13]} to {w!r}"
             _reject(tree, idx, f"a hop flips {hops[r].bit_count()} bits", where)
-        ends += ends[:1]  # none for an empty witness
+        ends += ends[:1]
         nears.extend(map(or_, ends[1::2], map(int.bit_length, hops)))  # with p; fars without
         fars.extend(ends[2::2])
     if count != len(dyck) - 1:

@@ -8,13 +8,14 @@ neither ``dataclasses`` nor ``inspect``.
 
 A ``FlippableTuple`` holds ``MarkedWord`` members in canonical order, and
 ``apply_context`` wraps a seed tuple in a ``Context``. A ``Derivation``
-(seed pattern, context) gets its witness and support from the context peel,
-which reduces an arbitrary context to the moves of ``flippable`` by
-repeatedly resolving where the prefix's leading 1 closes (the total context
-length shrinks each round, so the peel terminates); ``Derivation.of_support``
-reads a derivation back from a packed support. ``SpanningTree.entries``
-holds each tree tuple as a ``TreeEntry``, a failure text reads back only
-the entries it names (``tuple_text``), and ``hand_tree`` peels derivations.
+(seed pattern, context) gets its support from the context peel, which
+reduces an arbitrary context to the moves of ``flippable`` by repeatedly
+resolving where the prefix's leading 1 closes (the total context length
+shrinks each round, so the peel terminates), and its witness from the
+support, as the splice does; ``Derivation.of_support`` reads a derivation
+back from a packed support. ``SpanningTree.entries`` holds each tree tuple
+as a ``TreeEntry``, a failure text names an entry by the members it holds
+(``tuple_text``), and ``hand_tree`` peels derivations.
 
 The searches find instead of deriving: ``derivations`` finds every (pattern,
 context) pair reproducing a tuple, ``canonical_witness`` takes the witness
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .factor import _path_vals, flip_sequence, flip_sequences
+from .factor import _flip_seq, _path_vals, flip_sequence, flip_sequences
 from .flippable import BRIDGE, IDENTITY, PATCH, QUAD, PackedEntry, Pattern, fan, leaf
 from .flippable import appended, shifted, wrapped
 from .spanning import SpanningTree, flat, full_tree, steep
@@ -77,8 +78,12 @@ class MarkedWord:
         return self._key() < other._key()
 
     def __str__(self) -> str:
-        s = str(self.word)
-        return s[: self.mark - 1] + "[" + s[self.mark - 1] + "]" + s[self.mark :]
+        return _marked_text(str(self.word), self.mark)
+
+
+def _marked_text(s: str, mark: int) -> str:
+    """The word s with its mark bracketed, or as s:mark for a mark outside 1..|s|."""
+    return f"{s[: mark - 1]}[{s[mark - 1]}]{s[mark:]}" if 0 < mark <= len(s) else f"{s}:{mark}"
 
 
 def wrap_marked(m: MarkedWord, u: Bits, v: Bits) -> MarkedWord:
@@ -162,7 +167,7 @@ def apply_context(t: FlippableTuple, ctx: Context) -> FlippableTuple:
 def seed_tuple(pattern: Pattern) -> FlippableTuple:
     """``pattern.tuple()``: the seed's packed members as marked words."""
     n = pattern.word_length
-    return FlippableTuple.of(MarkedWord(Bits(x, n), m) for x, m in leaf(pattern, IDENTITY)[2])
+    return FlippableTuple.of(MarkedWord(Bits(x, n), m) for x, m in leaf(pattern, IDENTITY)[1])
 
 
 def _peel(pattern: Pattern, ctx: Context) -> tuple[PackedEntry, int]:
@@ -196,10 +201,25 @@ def _peel(pattern: Pattern, ctx: Context) -> tuple[PackedEntry, int]:
     return leaf(pattern, appended(f, Bits(v, vn), n)), total
 
 
+def _witness_vals(
+    pattern: Pattern, support: tuple[tuple[int, int], ...], n: int
+) -> tuple[int, ...]:
+    """The witness of a packed entry: member r's named edge, from index i = seq.index(m) of
+    the factor path of x to i + 1, with its lower end at a and its upper end at b for
+    ``pattern.named_edges[r] = (a, b)``. The members' flip sequences share one memo."""
+    memo = {1: b""}
+    ys = [0] * (2 * len(support))
+    for (x, mark), (a, b) in zip(support, pattern.named_edges):
+        seq = _flip_seq(x, n, memo)
+        low = x ^ sum(1 << p - 1 for p in seq[: seq.index(mark)])
+        ys[a], ys[b] = low, low ^ 1 << mark - 1
+    return tuple(ys)
+
+
 def witness(pattern: Pattern, ctx: Context) -> tuple[Bits, ...]:
     """A witness cycle for ``apply_context(pattern.tuple(), ctx)``."""
-    (_, vals, _), n = _peel(pattern, ctx)
-    return tuple(Bits(y, n) for y in vals)
+    entry, n = _peel(pattern, ctx)
+    return tuple(Bits(y, n) for y in _witness_vals(*entry, n))
 
 
 @dataclass(frozen=True)
@@ -220,10 +240,15 @@ class Derivation:
         The first member's word holds u below position |u| + 1 and the suffix
         above position |u| + L.
         """
-        (_, s0), (_, s1) = leaf(pattern, IDENTITY)[2][:2]
+        if len(support) != len(pattern.named_edges):
+            named = len(pattern.named_edges)
+            raise ValueError(f"support has {len(support)} members; {pattern} names {named}")
+        (_, s0), (_, s1) = leaf(pattern, IDENTITY)[1][:2]
         size = pattern.word_length
         (x, m0), (_, m1) = support[0], support[1]
         un = m0 - s0 if m1 - m0 == s1 - s0 else m0 + s0 - size - 1
+        if not 0 <= un <= n - size:
+            raise ValueError(f"marks {m0} and {m1} fit no context of {pattern}")
         u, v = Bits(x & (1 << un) - 1, un), Bits(x >> (un + size), n - un - size)
         return Derivation(pattern, Context(u, v))
 
@@ -232,7 +257,7 @@ class Derivation:
 
     def support_vals(self) -> tuple[tuple[tuple[int, int], ...], int]:
         """``tuple()`` as packed ``(word_val, mark)`` members in seed order, and the word length."""
-        (_, _, support), n = _peel(self.pattern, self.context)
+        (_, support), n = _peel(self.pattern, self.context)
         return support, n
 
     def witness(self) -> tuple[Bits, ...]:
@@ -240,7 +265,8 @@ class Derivation:
 
     def witness_vals(self) -> tuple[int, ...]:
         """The witness cycle as packed vertex values, without building ``Bits``."""
-        return _peel(self.pattern, self.context)[0][1]
+        entry, n = _peel(self.pattern, self.context)
+        return _witness_vals(*entry, n)
 
     def sort_key(self) -> tuple:
         return (str(self.context.prefix), str(self.context.suffix), *self.pattern.sort_key())
@@ -477,16 +503,10 @@ def hand_tree(base: Iterable[Bits], derivations: Iterable[Derivation]) -> Spanni
 
 
 def tuple_text(tree: SpanningTree, idx: int) -> str:
-    """Entry idx's tuple as failure texts name it, read back from its first two marks alone,
-    or, if it has not one member per named edge of its pattern or its marks fit no context
-    of the pattern, its packed members as word:mark."""
-    pattern, _, support = tree.packed[idx]
-    if len(support) == len(pattern.named_edges):
-        try:
-            return str(Derivation.of_support(pattern, support, tree.n).tuple())
-        except ValueError:
-            pass
-    return "{" + ", ".join(f"{bitstring(x, tree.n)}:{m}" for x, m in support) + "}"
+    """Entry idx's tuple as failure texts name it: the members it holds, sorted by (word, mark),
+    each with its mark bracketed, or as word:mark for a mark outside 1..n."""
+    members = sorted((bitstring(x, tree.n), m) for x, m in tree.packed[idx][1])
+    return "{" + ", ".join(_marked_text(s, m) for s, m in members) + "}"
 
 
 def tree_json(tree: SpanningTree) -> dict:
@@ -504,11 +524,9 @@ def walk_failure(k: int, tree: SpanningTree, reached: bytearray, count: int, tot
     missed = [o for o, r in enumerate(reached) if not r]
     where = ""
     if missed:
+        # every witness vertex lies on its member's path: those on x's are its tuples'
         x = dyck[missed[0]]
-        path = set(_path_vals(x.val, flip_sequences(k)[missed[0]]))
-        tuples = [
-            tuple_text(tree, i) for i, (_, c, _) in enumerate(tree.packed) if not path.isdisjoint(c)
-        ]
+        tuples = [tuple_text(tree, i) for i, (_, s) in enumerate(tree.packed) if x.val in dict(s)]
         where = f"; the witnesses of {len(tuples)} tuples meet the factor path of {x}: "
         where += ", ".join(tuples)
     return (
@@ -601,7 +619,7 @@ def validate_tree(t: SpanningTree) -> TreeReport:
     by_word: dict[int, list[tuple[int, int]]] = {}
     count = 0
     stop = 1 << t.n
-    for idx, (pattern, _, members) in enumerate(t.packed):
+    for idx, (pattern, members) in enumerate(t.packed):
         count += len(members) - 1
         if len(members) != len(pattern.named_edges):
             failures.append(

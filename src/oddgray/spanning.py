@@ -31,12 +31,13 @@ total, each yielding a different Hamilton cycle downstream.
 Four generator functions make every tree: ``full``, ``flat`` and ``steep``
 of order j, and ``alt_flat_4``, the alternate order-4 block. Each takes a
 map (``flippable.Map``) that wraps every entry it makes, and yields packed
-entries (``flippable.PackedEntry``: seed pattern, witness values, support)
-in tree order. A subtree placed behind a shift, a wrap or an append is made
-by calling its generator with that move composed into the map, and a leaf
-applies the composed map to its seed's literals (``flippable.leaf``), so
-no context is ever peeled and no subtree is held: a steep tree's stage j
-makes the flat and steep trees of order j-1 again for every inner word v.
+entries (``flippable.PackedEntry``: seed pattern and support, which fixes
+the witness) in tree order. A subtree placed behind a shift, a wrap or an
+append is made by calling its generator with that move composed into the
+map, and a leaf applies the composed map to its seed's members
+(``flippable.leaf``), so no context is ever peeled and no subtree is held:
+a steep tree's stage j makes the flat and steep trees of order j-1 again
+for every inner word v.
 
 Generation builds only ``full_tree`` and ``counting_tree``; the flat and
 steep trees on their own and ``validate_tree`` serve the checks, in
@@ -44,11 +45,10 @@ steep trees on their own and ``validate_tree`` serve the checks, in
 
 A tree is its words, its packed entries and its word length, however it
 was made. Its derivations are read back from the packed supports by
-``checking``, which generation never loads: all at once as
-``SpanningTree.entries`` for the ``tree`` command, the verifiers and
-perfbench, and for a failure text only the entries it names. Reading them
-runs no recursion, and the tests check that peeling each one gives its
-packed entry back. ``checking.hand_tree`` makes a tree by hand by peeling.
+``checking``, which generation never loads, as ``SpanningTree.entries``
+for the ``tree`` command, the verifiers and perfbench; a failure text names
+an entry by its members alone. Reading them runs no recursion, and the
+tests check that peeling each one gives its packed entry back. ``checking.hand_tree`` makes a tree by hand by peeling.
 """
 
 from __future__ import annotations
@@ -78,10 +78,10 @@ class SpanningTree:
 
     @cached_property
     def entries(self) -> tuple:
-        """Every entry as a ``checking.TreeEntry``; a failure text reads one (``tuple_text``)."""
+        """Every entry as a ``checking.TreeEntry``, its derivation read back from its support."""
         from .checking import Derivation, TreeEntry
 
-        return tuple(TreeEntry(Derivation.of_support(p, s, self.n)) for p, _, s in self.packed)
+        return tuple(TreeEntry(Derivation.of_support(p, s, self.n)) for p, s in self.packed)
 
 
 _TEN = Bits.parse("10")

@@ -292,9 +292,9 @@ def verify_tuple_closure(k: int) -> VerificationReport:
 def verify_tree(k: int, mask: int | None = None) -> VerificationReport:
     """The (counting) tree validates, re-derives, and has edge-disjoint witnesses.
 
-    Each entry's derivation must be the only derivation of its tuple, so the
-    witness the splice takes from it is the canonical one, and each packed
-    entry, which the splice reads, must be what peeling that derivation gives.
+    Each entry's derivation must be the only derivation of its tuple, and each
+    packed entry, which the splice reads, must be what peeling that derivation
+    gives; so the witness the splice reads off its support is the canonical one.
     """
     from .checking import derivations, is_witness, validate_tree
     from .spanning import counting_tree, full_tree
@@ -309,7 +309,7 @@ def verify_tree(k: int, mask: int | None = None) -> VerificationReport:
         t, d = entry.tup, entry.derivation
         if derivations(t) != [d]:
             failures.append(("closure-membership", str(t)))
-        if packed != (d.pattern, d.witness_vals(), d.support_vals()[0]):
+        if packed != (d.pattern, d.support_vals()[0]):
             failures.append(("packed-entry", str(t)))
         cycle = d.witness()
         if k <= 7 and not is_witness(t, cycle):

@@ -76,9 +76,9 @@ def test_generation_runs_no_derivation_search():
 
 
 def test_generation_runs_no_peel_and_makes_no_derivation():
-    # The tree is built as packed entries, whose witnesses and supports the
-    # recursion carries, so generation neither peels a context nor makes a
-    # Derivation object.
+    # The tree is built as packed entries, whose supports the recursion
+    # carries and whose witnesses the splice reads off the factor paths, so
+    # generation neither peels a context nor makes a Derivation object.
     code = (
         "import io\n"
         "from oddgray import checking, cli\n"

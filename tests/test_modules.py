@@ -25,9 +25,9 @@ from oddgray import checking, cli
 PACKAGE = Path(oddgray.__file__).parent
 # The lines of the oddgray modules ``gen --k 8`` may load, and of all of them.
 # With no cached bytecode, every cold ``gen`` child compiles each line it
-# loads: about 16 ms for these 1,499 (Python 3.11, 2.1-GHz Xeon).
-GEN_LINE_BUDGET = 1499
-SRC_LINE_BUDGET = 2494
+# loads: about 16 ms for these 1,465 (Python 3.11, 2.1-GHz Xeon).
+GEN_LINE_BUDGET = 1465
+SRC_LINE_BUDGET = 2478
 
 RUNS = {
     "gen": ("-m", "oddgray", "gen", "--k", "8"),

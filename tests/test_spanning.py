@@ -129,15 +129,12 @@ def test_tree_entries_carry_their_derivations():
 
 def peeled(tree):
     """Each entry as the context peel derives it: the reference for the packed recursion."""
-    return tuple(
-        (e.derivation.pattern, e.derivation.witness_vals(), e.derivation.support_vals()[0])
-        for e in tree.entries
-    )
+    return tuple((e.derivation.pattern, e.derivation.support_vals()[0]) for e in tree.entries)
 
 
 @pytest.mark.parametrize("k", range(3, 11))
 def test_packed_entries_match_the_peel(k):
-    # The carry laws give every witness and support the peel gives, in tree order.
+    # The carry laws give every support the peel gives, in tree order.
     tree = full_tree(k)
     assert tree.packed == peeled(tree)
     if k < 9:
@@ -156,15 +153,26 @@ def test_packed_entries_match_the_peel_on_random_masks(data):
 
 # The list recursion on ``Bits``: the reference for the composed maps. Its
 # three moves are the carry laws of ``flippable``'s docstring, written on
-# whole entries (pattern, witness, ((word, mark), ...)).
+# whole entries (pattern, witness, ((word, mark), ...)). The generation path
+# carries no witness; here each seed's literal witness is moved along with its
+# support, and must equal the witness derived from the entry's support.
+
+SEED_WITNESSES = {
+    "bridge": "111000 111001 011001 011011 011010 111010",
+    "patch": "11011100 10011100 10011101 10011001 11011001 11011000",
+    "quad": "111000 111001 110001 110011 010011 011011 011010 111010",
+}
+FAN_TAILS = "00101 00111 00110 10110 10100 10101"  # fan(w)'s witness is 1 w t for these t
 
 
 def ref_seed(p):
-    """The seed's entry in the empty context, its members in seed order."""
-    d, n = Derivation(p), p.word_length
-    members = d.support_vals()[0]
-    witness = tuple(Bits(y, n) for y in d.witness_vals())
-    return p, witness, tuple((Bits(x, n), m) for x, m in members)
+    """The seed's entry in the empty context: its literal witness, its members in seed order."""
+    if p.family == "fan":
+        witness = tuple(cat(ONE, p.inner, B(t)) for t in FAN_TAILS.split())
+    else:
+        witness = tuple(map(B, SEED_WITNESSES[p.family].split()))
+    n = p.word_length
+    return p, witness, tuple((Bits(x, n), m) for x, m in Derivation(p).support_vals()[0])
 
 
 def ref_shift(entries, p):
@@ -255,9 +263,15 @@ def ref_full(j, chosen=frozenset()):
 
 
 def packed(entries):
-    return tuple(
-        (pat, tuple(y.val for y in ws), tuple((x.val, m) for x, m in ss)) for pat, ws, ss in entries
-    )
+    return tuple((pat, tuple((x.val, m) for x, m in ss)) for pat, _, ss in entries)
+
+
+def assert_matches(tree, entries):
+    """The tree's packed entries are the reference's, and each witness derived from an entry's
+    support is the literal witness the reference moved along."""
+    assert tree.packed == packed(entries)
+    derived = [e.derivation.witness_vals() for e in tree.entries]
+    assert derived == [tuple(y.val for y in ws) for _, ws, _ in entries]
 
 
 def chosen_words(k, mask):
@@ -266,13 +280,13 @@ def chosen_words(k, mask):
 
 @pytest.mark.parametrize("k", range(3, 11))
 def test_full_tree_matches_the_list_recursion(k):
-    assert full_tree(k).packed == packed(ref_full(k))
+    assert_matches(full_tree(k), ref_full(k))
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_flat_and_steep_trees_match_the_list_recursion(k):
-    assert flat_tree(k).packed == packed(ref_flat(k))
-    assert steep_tree(k).packed == packed(ref_steep(k))
+    assert_matches(flat_tree(k), ref_flat(k))
+    assert_matches(steep_tree(k), ref_steep(k))
 
 
 @settings(deadline=None, max_examples=12)
@@ -280,7 +294,7 @@ def test_flat_and_steep_trees_match_the_list_recursion(k):
 def test_counting_trees_match_the_list_recursion(data):
     k = data.draw(st.integers(6, 9))
     mask = data.draw(st.integers(0, (1 << mask_width(k)) - 1))
-    assert counting_tree(k, mask).packed == packed(ref_full(k, chosen_words(k, mask)))
+    assert_matches(counting_tree(k, mask), ref_full(k, chosen_words(k, mask)))
 
 
 def test_full_tree_holds_no_memo_while_building():

@@ -9,22 +9,20 @@ coordinates it must give the gplus cycle mapped vertex by vertex with
 ``odd_val``, and with each closing edge replaced by its detour
 (``reference_middle``, the earlier middle-levels stream).
 
-``assembly._splice_hops`` is the only splice, and a tree fails it in one of
-three ways, each tried here on broken trees: an invalid tree raises
-``validate_tree``'s ``ValueError``, wherever its defect lies; else the first
-bad entry in tree order raises an ``AssemblyError`` naming its tuple: if a
-witness position does not hold an end of its member's named edge, or the
-witness is empty, with the Dyck origin, the index, the entry's own count of
-such vertices and the first (if any); else, if a hop flips other than one
-bit, with its two vertices; and a walk that does not return
-after the target's number of vertices, or returns early, raises an
-``AssemblyError`` naming the Dyck origins it missed and the tuples whose
-witnesses meet the first of them. Once every witness sits at its named
-edges, every vertex of the toggled graph has degree 2, which the reference
-adjacency shows on random masks.
+An entry carries no witness: ``witness_of`` below reads each member's named
+edge off its factor path, lower end at its first named position, as the
+splice does. ``assembly._splice_hops`` is the only splice, and a tree fails
+it in one of three ways, each tried here on broken trees: an invalid tree
+raises ``validate_tree``'s ``ValueError``, wherever its defect lies; else the
+first entry in tree order whose witness has a hop flipping other than one
+bit raises an ``AssemblyError`` naming its tuple and the hop's two vertices;
+and a walk that does not return after the target's number of vertices, or
+returns early, raises an ``AssemblyError`` naming the Dyck origins it missed
+and the tuples whose witnesses meet the first of them. Every vertex of the
+toggled graph has degree 2, which the reference adjacency shows on random
+masks, and a re-marked tree the splice accepts gives a Hamilton cycle.
 """
 
-import re
 from array import array
 from itertools import accumulate
 
@@ -44,10 +42,23 @@ from oddgray.assembly import (
     stream_gplus_vals,
     walk_vals,
 )
-from oddgray.checking import Context, Derivation, hand_tree, locate, validate_tree, walk_failure
+from oddgray.checking import hand_tree, tuple_text, validate_tree, walk_failure
 from oddgray.factor import _path_vals, flip_sequence, flip_sequences
 from oddgray.spanning import SpanningTree, counting_tree, full_tree, mask_width
+from oddgray.verify import verify_cycle
 from oddgray.words import Bits, enumerate_dyck
+
+
+def witness_of(k, entry):
+    """An entry's witness: each member's named edge, read off its factor path, at its
+    pattern's named positions, lower end first."""
+    pattern, support = entry
+    cycle = [0] * (2 * len(support))
+    for (x, mark), (a, b) in zip(support, pattern.named_edges):
+        seq = flip_sequence(Bits(x, 2 * k))
+        i = seq.index(mark)
+        cycle[a], cycle[b] = _path_vals(x, seq)[i : i + 2]
+    return cycle
 
 
 def reference_adjacency(k, tree):
@@ -58,7 +69,8 @@ def reference_adjacency(k, tree):
         for a, b in zip(vals, vals[1:] + vals[:1]):
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
-    for _, cycle, _ in tree.packed:
+    for entry in tree.packed:
+        cycle = witness_of(k, entry)
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             if b in adj[a]:
                 adj[a].remove(b)
@@ -111,14 +123,6 @@ def component_of_start(k, tree):
             seen.add(v)
             todo.extend(adj[v])
     return seen
-
-
-def with_witness(tree, idx, cycle):
-    """``tree`` with packed entry idx keeping its pattern and support but splicing ``cycle``."""
-    packed = list(tree.packed)
-    pattern, _, support = packed[idx]
-    packed[idx] = pattern, tuple(cycle), support
-    return SpanningTree(tree.words, tuple(packed), tree.n)
 
 
 @pytest.mark.parametrize("k", range(3, 9))
@@ -186,13 +190,10 @@ def packed_end(o, j, up, p):
     return ((o << 6 | j) << 1 | up) << 6 | p
 
 
-def witness_hops(tree):
+def witness_hops(k, tree):
     """Each witness's hop edges, from position 2r + 1 to 2r + 2 and from the last to 0."""
-    return {
-        frozenset((a, b))
-        for _, cycle, _ in tree.packed
-        for a, b in zip(cycle[1::2], cycle[2::2] + cycle[:1])
-    }
+    cycles = [witness_of(k, entry) for entry in tree.packed]
+    return {frozenset(hop) for c in cycles for hop in zip(c[1::2], c[2::2] + c[:1])}
 
 
 def slot_invariants(k, tree):
@@ -202,21 +203,21 @@ def slot_invariants(k, tree):
     # each path's mask holds the index of each of its marks
     origin = {x.val: o for o, x in enumerate(dyck)}
     expected = [0] * len(dyck)
-    for _, _, support in tree.packed:
+    for _, support in tree.packed:
         for x, mark in support:
             expected[origin[x]] |= 1 << seqs[origin[x]].index(mark)
     assert list(masks) == expected
     # two slots per member, each path's from its offset on, and every one
     # filled: a packed end is never 0, as its position is not
     addresses = slot_addresses(masks)
-    assert len(slots) == len(addresses) == 2 * sum(len(s) for _, _, s in tree.packed)
+    assert len(slots) == len(addresses) == 2 * sum(len(s) for _, s in tree.packed)
     assert all(slots)
     assert list(offset) == [0, *accumulate(2 * m.bit_count() for m in masks)]
     slot_of = {address: s for s, address in enumerate(addresses)}
     paths = [_path_vals(x.val, seqs[o]) for o, x in enumerate(dyck)]
     # every witness vertex ends one named edge or two
     near = [paths[o][e + up] for o, e, up in addresses]
-    assert set(near) == {v for _, cycle, _ in tree.packed for v in cycle}
+    assert set(near) == {v for entry in tree.packed for v in witness_of(k, entry)}
     hops = set()
     for s, (o, e, up) in enumerate(addresses):
         # the far end is a named-edge end on another path
@@ -230,7 +231,7 @@ def slot_invariants(k, tree):
         assert near[s] ^ far == 1 << p - 1
         hops.add(frozenset((near[s], far)))
     # the hop edges are the witnesses' own
-    assert hops == witness_hops(tree)
+    assert hops == witness_hops(k, tree)
 
 
 @pytest.mark.parametrize("k", range(3, 10))
@@ -245,66 +246,44 @@ def test_hop_splice_invariants_on_random_masks(data):
     slot_invariants(k, counting_tree(k, data.draw(st.integers(0, (1 << mask_width(k)) - 1))))
 
 
-def first_bad_entry(k, tree):
-    """The first entry, in tree order, whose witness is misplaced or has a hop of other than one
-    bit, found with ``locate``: (its index, its vertices off their named edges, or None for a
-    wide hop), or None. A witness of the wrong length has every vertex off; at a member's two
-    named positions, each vertex off the member's named edge counts, and two on one end count
-    once."""
-    for idx, (pattern, cycle, support) in enumerate(tree.packed):
-        if len(cycle) != 2 * len(support):
-            return idx, len(cycle)
-        off = 0
-        for (x, mark), (a, b) in zip(support, pattern.named_edges):
-            w = Bits(x, 2 * k)
-            i = flip_sequence(w).index(mark)
-            held = [locate(Bits(cycle[a], 2 * k)), locate(Bits(cycle[b], 2 * k))]
-            off += sum(h not in {(w, i), (w, i + 1)} for h in held) or held[0] == held[1]
-        if off:
-            return idx, off
-        if any((u ^ v).bit_count() != 1 for u, v in zip(cycle[1::2], cycle[2::2] + cycle[:1])):
-            return idx, None
+def first_wide_hop(k, tree):
+    """The index of the first entry, in tree order, whose witness has a hop of other than one
+    bit, or None."""
+    for idx, entry in enumerate(tree.packed):
+        c = witness_of(k, entry)
+        if any((u ^ v).bit_count() != 1 for u, v in zip(c[1::2], c[2::2] + c[:1])):
+            return idx
     return None
 
 
 def mutate(draw, k, packed, kind):
     """Apply one mutation of ``kind`` to a random entry of ``packed``, in place."""
     i = draw(st.integers(0, len(packed) - 1))
-    pattern, cycle, support = packed[i]
+    pattern, support = packed[i]
     if kind == "drop":
         del packed[i]
     elif kind == "duplicate":
         packed.insert(i, packed[i])
-    elif kind == "mark":
-        pos = draw(st.integers(2, len(support) - 1))
+    else:
+        pos = draw(st.integers(0, len(support) - 1))
         x, m = support[pos]
         m = draw(st.sampled_from([a for a in range(1, 2 * k + 1) if a != m]))
-        packed[i] = pattern, cycle, (*support[:pos], (x, m), *support[pos + 1 :])
-    elif kind == "rotate":
-        packed[i] = pattern, (*cycle[1:], cycle[0]), support
-    elif kind == "reverse":
-        packed[i] = pattern, cycle[::-1], support
-    else:
-        j = draw(st.sampled_from([j for j, e in enumerate(packed) if len(e[1]) == len(cycle)]))
-        packed[i] = pattern, packed[j][1], support
+        packed[i] = pattern, (*support[:pos], (x, m), *support[pos + 1 :])
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_hop_splice_fails_as_the_reference_fails(data):
     # A built tree with one or two mutations: an entry dropped or
-    # duplicated, a member re-marked, or a witness rotated, reversed or
-    # taken from another entry of its length (or its own). An invalid tree
-    # raises ``validate_tree``'s text. In a valid one, the first entry in
-    # tree order with a witness off its named edges or a hop of more than
-    # one bit is named, with that entry's count of misplaced vertices, or
-    # the hop; placement comes before the hop within an entry. Any other
-    # gives the reference cycle, or fails the count exactly when the
-    # reference is not one cycle.
+    # duplicated, or a member re-marked. An invalid tree raises
+    # ``validate_tree``'s text. In a valid one, the first entry in tree order
+    # whose witness has a hop of more than one bit is named. Any other gives
+    # the reference cycle, or fails the count exactly when the reference is
+    # not one cycle.
     k = data.draw(st.integers(4, 7))
     packed = list(full_tree(k).packed)
-    kinds = ["drop", "duplicate", "mark", "rotate", "reverse", "swap"]
-    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2)):
+    kinds = st.lists(st.sampled_from(["drop", "duplicate", "mark"]), min_size=1, max_size=2)
+    for kind in data.draw(kinds):
         mutate(data.draw, k, packed, kind)
     tree = SpanningTree(enumerate_dyck(k), tuple(packed), 2 * k)
     report = validate_tree(tree)
@@ -313,14 +292,12 @@ def test_hop_splice_fails_as_the_reference_fails(data):
             stream_gplus_vals(k, tree)
         assert str(err.value) == "invalid spanning tree: " + "; ".join(report.failures)
         return
-    bad = first_bad_entry(k, tree)
-    if bad is not None:
-        idx, off = bad
+    idx = first_wide_hop(k, tree)
+    if idx is not None:
         with pytest.raises(AssemblyError) as err:
             stream_gplus_vals(k, tree)
-        what = "a hop flips" if off is None else f"{off} witness vertices lie on no factor path "
-        assert str(err.value).startswith(what)
-        assert f": tuple {tree.entries[idx].tup} " in str(err.value)
+        assert str(err.value).startswith("a hop flips")
+        assert f": tuple {tuple_text(tree, idx)} " in str(err.value)
         return
     adj = reference_adjacency(k, tree)
     assert all(len(nb) == 2 for nb in adj.values())
@@ -331,13 +308,35 @@ def test_hop_splice_fails_as_the_reference_fails(data):
             list(stream_gplus_vals(k, tree))
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_a_re_marked_tree_the_splice_accepts_gives_a_hamilton_cycle(data):
+    # The splice checks no witness but its hops: each witness is read off
+    # the factor paths at its named edges. Re-marking members can make the
+    # tree invalid or a hop wide; whenever the splice and the walk accept,
+    # the independent verifier must pass the cycle. (No re-marking of one
+    # entry of the k = 4 or k = 5 tree but the built one gives a witness
+    # whose hops all flip one bit, so an accepted tree is mostly the built
+    # one, re-marked back.)
+    k = data.draw(st.integers(4, 7))
+    packed = list(full_tree(k).packed)
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate(data.draw, k, packed, "mark")
+    tree = SpanningTree(enumerate_dyck(k), tuple(packed), 2 * k)
+    try:
+        vals = list(stream_gplus_vals(k, tree))
+    except (ValueError, AssemblyError):
+        return
+    assert verify_cycle(k, TARGET_GPLUS, vals).passed
+
+
 @settings(deadline=None, max_examples=6)
 @given(st.data())
 def test_accepted_trees_leave_every_vertex_of_degree_2(data):
-    # Why the splice needs no degree check: once every witness position
-    # holds an end of its member's named edge, each named edge has one
-    # owner, a vertex ends at most named edges i - 1 and i of its own path,
-    # and the union-find keeps hop edges distinct.
+    # Why the splice needs no degree check: every witness position holds an
+    # end of its member's named edge, each named edge has one owner, a
+    # vertex ends at most named edges i - 1 and i of its own path, and the
+    # union-find keeps hop edges distinct.
     k = data.draw(st.integers(6, 9))
     tree = counting_tree(k, data.draw(st.integers(0, (1 << mask_width(k)) - 1)))
     _splice_hops(k, tree)
@@ -480,75 +479,46 @@ def test_rerouted_hops_fail_the_count_check():
     )
     o = dyck.index(missed[0])
     on_path = set(paths[o])
-    named = [str(e.tup) for e, (_, c, _) in zip(tree.entries, tree.packed) if on_path & set(c)]
+    named = [
+        str(e.tup)
+        for e, entry in zip(tree.entries, tree.packed)
+        if on_path & set(witness_of(k, entry))
+    ]
     assert msg.endswith(f"meet the factor path of {missed[0]}: {', '.join(named)}")
 
 
-def test_duplicated_derivation_fails_placement():
-    # Entry 0, a fan, splices entry 1's patch witness: its tuple still
-    # validates, but none of the six vertices at the fan's named positions
-    # ends the named edge of its member. The first is at position 3, where
-    # the fan's first member 110[1]0010 names the edge from index 1 to 2.
-    k = 4
-    tree = full_tree(k)
-    witness = tree.packed[1][1]
-    broken = with_witness(tree, 0, witness)
-    with pytest.raises(AssemblyError) as err:
-        stream_gplus_vals(k, broken)
-    tup, x, v = tree.entries[0].tup, Bits.parse("11010010"), Bits.parse("10011001")
-    assert str(err.value) == (
-        "6 witness vertices lie on no factor path at a named edge, e.g. Bits('10011001'): "
-        "tuple {110[1]0010, 1101010[0], 110110[0]0} names the edge from index 1 to 2 "
-        "on the factor path of 11010010"
-    )
-    assert str(tup) == "{110[1]0010, 1101010[0], 110110[0]0}"
-    assert tree.packed[0][0].named_edges[0] == (3, 2) and witness[3] == v.val
-    assert flip_sequence(x).index(tup.mark_of(x)) == 1
-    assert locate(v) not in {(x, 1), (x, 2)}
+def re_marked(tree):
+    """``tree`` with entry 0's member 11010010 re-marked from 4 to 5."""
+    packed = list(tree.packed)
+    pattern, support = packed[0]
+    assert support[0] == (Bits.parse("11010010").val, 4)
+    packed[0] = pattern, ((support[0][0], 5), *support[1:])
+    return SpanningTree(tree.words, tuple(packed), tree.n)
 
 
-def test_only_the_first_misplaced_entry_is_counted():
-    # Entry 0 splices entry 1's witness, as above, and entry 3 its own
-    # witness rotated: the splice stops at entry 0, and the count covers
-    # entry 0's six vertices only.
+def test_hop_that_flips_two_bits_fails_the_splice():
+    # The fan {110[1]0010, 1101010[0], 110110[0]0} of the k = 4 tree with its
+    # first member re-marked to 5: the tree still validates, and every
+    # witness position holds an end of its member's named edge, but the hop
+    # from the fan's last member to its re-marked first flips two bits.
     k = 4
-    tree = full_tree(k)
-    cycle = tree.packed[3][1]
-    broken = with_witness(with_witness(tree, 0, tree.packed[1][1]), 3, (*cycle[1:], cycle[0]))
-    assert first_bad_entry(k, broken) == (0, 6)
+    broken = re_marked(full_tree(k))
+    assert validate_tree(broken).passed
+    assert first_wide_hop(k, broken) == 0
     with pytest.raises(AssemblyError) as err:
         stream_gplus_vals(k, broken)
     assert str(err.value) == (
-        "6 witness vertices lie on no factor path at a named edge, e.g. Bits('10011001'): "
-        "tuple {110[1]0010, 1101010[0], 110110[0]0} names the edge from index 1 to 2 "
-        "on the factor path of 11010010"
+        "a hop flips 2 bits: tuple {1101[0]010, 1101010[0], 110110[0]0} hops from "
+        "Bits('11000111') on the factor path of 11011000 to Bits('11001110')"
     )
 
 
-def test_a_wide_hop_before_a_misplaced_entry_is_reported():
-    # Entry 2, the bridge, has its positions 2 and 3 swapped, so two of its
-    # hops flip two bits (see below), and entry 3 splices its own witness
-    # rotated, off its named edges: the earlier entry is reported.
+def test_an_invalid_tree_is_reported_before_a_wide_hop():
+    # Entry 0 re-marked, as above, and entry 4 dropped: the splice stops at
+    # entry 0's hop, before the entry is missed, but the tree is invalid, so
+    # ``validate_tree``'s text is raised.
     k = 4
-    tree = full_tree(k)
-    cycle = tree.packed[3][1]
-    broken = with_witness(tree, 2, (143, 141, 201, 205, 203, 139))
-    broken = with_witness(broken, 3, (*cycle[1:], cycle[0]))
-    assert first_bad_entry(k, broken) == (2, None)
-    with pytest.raises(AssemblyError) as err:
-        stream_gplus_vals(k, broken)
-    assert str(err.value) == (
-        "a hop flips 2 bits: tuple {110101[0]0, 11[1]00100, 1[1]110000} hops from "
-        "Bits('10110001') on the factor path of 11110000 to Bits('10010011')"
-    )
-
-
-def test_an_invalid_tree_is_reported_before_a_misplaced_entry():
-    # Entry 0 splices entry 1's witness and entry 4 is dropped: the splice
-    # stops at entry 0, before the entry is missed, but the tree is invalid,
-    # so ``validate_tree``'s text is raised.
-    k = 4
-    packed = with_witness(full_tree(k), 0, full_tree(k).packed[1][1]).packed
+    packed = re_marked(full_tree(k)).packed
     broken = SpanningTree(enumerate_dyck(k), packed[:4] + packed[5:], 2 * k)
     report = validate_tree(broken)
     assert not report.passed
@@ -557,113 +527,11 @@ def test_an_invalid_tree_is_reported_before_a_misplaced_entry():
     assert str(err.value) == "invalid spanning tree: " + "; ".join(report.failures)
 
 
-def test_rewrapped_derivation_fails_placement():
-    # The bridge entry of the k = 4 tree splices the witness of its pattern
-    # wrapped in (10, empty) instead of its own context (1, 0). Its tuple
-    # still validates, but the witness sits on other factor edges, and none
-    # of its six vertices ends the named edge of its member. The first is at
-    # position 5, where the bridge's first member 110101[0]0 names the edge
-    # from index 2 to 3.
-    k = 4
-    tree = full_tree(k)
-    idx = next(
-        i for i, e in enumerate(tree.entries) if str(e.derivation.pattern) == "bridge"
-    )
-    old = tree.entries[idx].derivation
-    assert (str(old.context.prefix), str(old.context.suffix)) == ("1", "0")
-    ctx = Context(Bits.parse("10"), Bits.parse(""))
-    witness = Derivation(old.pattern, ctx).witness_vals()
-    broken = with_witness(tree, idx, witness)
-    with pytest.raises(AssemblyError) as err:
-        stream_gplus_vals(k, broken)
-    tup, x, v = tree.entries[idx].tup, Bits.parse("11010100"), Bits.parse("01111010")
-    assert str(err.value) == (
-        "6 witness vertices lie on no factor path at a named edge, e.g. Bits('01111010'): "
-        "tuple {110101[0]0, 11[1]00100, 1[1]110000} names the edge from index 2 to 3 "
-        "on the factor path of 11010100"
-    )
-    assert str(tup) == "{110101[0]0, 11[1]00100, 1[1]110000}"
-    assert tree.packed[idx][0].named_edges[0] == (5, 4) and witness[5] == v.val
-    assert flip_sequence(x).index(tup.mark_of(x)) == 2
-    assert locate(v) not in {(x, 2), (x, 3)}
-
-
-def test_hop_that_flips_two_bits_fails_the_splice():
-    # The bridge of the k = 4 tree, (143, 141, 205, 201, 203, 139), with
-    # positions 2 and 3 swapped: every position still holds an end of its
-    # member's named edge, but the hops 141-201 and 205-203 each flip two
-    # bits. Without the hop check the walk streamed all 126 vertices with
-    # 201 next to 141 and 205 next to 203.
-    k = 4
-    tree = full_tree(k)
-    idx = next(i for i, (pattern, _, _) in enumerate(tree.packed) if pattern.family == "bridge")
-    cycle = tree.packed[idx][1]
-    assert cycle == (143, 141, 205, 201, 203, 139)
-    broken = with_witness(tree, idx, (143, 141, 201, 205, 203, 139))
-    with pytest.raises(AssemblyError) as err:
-        stream_gplus_vals(k, broken)
-    assert str(err.value) == (
-        "a hop flips 2 bits: tuple {110101[0]0, 11[1]00100, 1[1]110000} hops from "
-        "Bits('10110001') on the factor path of 11110000 to Bits('10010011')"
-    )
-    assert Bits.parse("10110001").val == 141 and Bits.parse("10010011").val == 201
-
-
-def test_witness_vertex_off_the_factor_fails():
-    # a witness that leaves the two middle layers
-    tree = full_tree(4)
-    broken = with_witness(tree, 0, (0b0000_0000, 0b0000_0001, 0b0000_0011))
-    with pytest.raises(AssemblyError, match="lie on no factor path"):
-        stream_gplus_vals(4, broken)
-
-
-def test_misplaced_witness_vertex_names_its_tuple():
-    # The rotated witness toggles the same edges, so every degree stays 2,
-    # but its vertices no longer sit at their family's named-edge positions.
-    k = 5
-    tree = full_tree(k)
-    idx = 7
-    cycle = tree.packed[idx][1]
-    broken = with_witness(tree, idx, (*cycle[1:], cycle[0]))
-    with pytest.raises(AssemblyError, match="lie on no factor path") as err:
-        stream_gplus_vals(k, broken)
-    m = re.search(
-        r"e\.g\. Bits\('([01]+)'\): tuple (\{.*\}) names the edge from index (\d+) to (\d+) "
-        r"on the factor path of ([01]+)$",
-        str(err.value),
-    )
-    assert m, str(err.value)
-    vertex, tup, low, high, origin = m.groups()
-    x, i = Bits.parse(origin), int(low)
-    entry = tree.entries[idx].tup
-    assert tup == str(entry)
-    assert i == flip_sequence(x).index(entry.mark_of(x))
-    assert int(high) == i + 1
-    assert Bits.parse(vertex).val in tree.entries[idx].derivation.witness_vals()
-    assert locate(Bits.parse(vertex)) not in {(x, i), (x, i + 1)}
-
-
 def test_bad_tree_raises_at_call_time():
     # The table is built eagerly, so the error comes before any iteration.
     tree = full_tree(4)
     with pytest.raises(ValueError, match="invalid spanning tree"):
         stream_gplus_vals(4, hand_tree(tree.base, [e.derivation for e in tree.entries[1:]]))
-
-
-def test_empty_witness_names_its_tuple():
-    # An empty witness holds no vertex off its named edges, but it must still
-    # fail at placement, naming its tuple, rather than in the walk.
-    k, idx = 5, 7
-    tree = full_tree(k)
-    x, mark = tree.packed[idx][2][0]
-    w = Bits(x, 2 * k)
-    i = flip_sequence(w).index(mark)
-    with pytest.raises(AssemblyError) as err:
-        stream_gplus_vals(k, with_witness(tree, idx, ()))
-    assert str(err.value) == (
-        f"a witness is empty: tuple {tree.entries[idx].tup} names the edge from index {i} "
-        f"to {i + 1} on the factor path of {w}"
-    )
 
 
 def test_unknown_target_raises_at_call_time():

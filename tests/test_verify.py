@@ -170,17 +170,20 @@ def test_property_suites_pass_small():
 
 
 def test_verify_tree_checks_the_packed_entries(monkeypatch):
-    # The splice reads tree.packed; one witness there rotated by a vertex must
-    # be reported, though the entry's derivation and tuple stay the same.
+    # The splice reads tree.packed; a quad there with its last two members
+    # swapped, so that each names the other's witness positions, must be
+    # reported, though the entry's derivation and tuple stay the same.
     from oddgray import spanning
 
     tree = spanning.full_tree(5)
     packed = list(tree.packed)
-    pattern, cycle, support = packed[3]
-    packed[3] = (pattern, cycle[1:] + cycle[:1], support)
+    idx = next(i for i, (pattern, _) in enumerate(packed) if pattern.family == "quad")
+    pattern, (*head, a, b) = packed[idx]
+    packed[idx] = (pattern, (*head, b, a))
     broken = spanning.SpanningTree(tree.base, tuple(packed), 10)
+    assert broken.entries[idx] == tree.entries[idx]
     monkeypatch.setattr(spanning, "full_tree", lambda k: broken)
-    assert verify_tree(5).failures == (("packed-entry", str(tree.entries[3].tup)),)
+    assert verify_tree(5).failures == (("packed-entry", str(tree.entries[idx].tup)),)
     monkeypatch.setattr(spanning, "full_tree", lambda k: tree)
     assert verify_tree(5).passed
 

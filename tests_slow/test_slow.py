@@ -11,16 +11,17 @@ marks the vertices seen in a bitmap of one bit per value (4 MB at k = 12);
 the k = 12 file is piped to ``verify --input -``. At both sizes the table
 of flip sequences, built one semilength at a time, must equal
 ``flip_sequence`` word by word. Peak RSS is taken from ``os.wait4``: the
-``gen --k 12`` child must stay at or below 175 MB, and peaks at about
-154 MB (Python 3.11, x86-64); the ``verify --k 12`` child must stay at or
+``gen --k 12`` child must stay at or below 143 MB, and peaks at about
+124 MB (Python 3.11, x86-64); the ``verify --k 12`` child must stay at or
 below 60 MB, and peaks at about 20 MB. A fresh child that builds and
 checks ``hamilton_odd(10, 1234567)`` must peak at or below 45 MB, and one
 for ``hamilton_middle_levels(10)`` at or below 48 MB; they peak at about 33
 and 36 MB, with each certificate held packed, where a tuple of k-tuples and
 one of ``Bits`` peaked at 75 and 90 MB. ``full_tree(11)`` must equal, entry
 by entry and in order, the list recursion kept in ``tests/test_spanning.py``
-as the reference. On a 2-vCPU Xeon the tier takes about 30 s and peaks at
-about 154 MB, in ``gen --k 12``. The digests were
+as the reference, and each witness derived from an entry's support must be
+the literal witness that recursion moved along. On a 2-vCPU Xeon the tier
+takes about 30 s and peaks at about 124 MB, in ``gen --k 12``. The digests were
 recorded before the flip-sequence recursion dropped its mirror step. The
 ``middle --k 10`` digest was recorded before the tree build switched to
 packed entries and the splice to direct placement of witness vertices.
@@ -45,7 +46,7 @@ from oddgray.words import enumerate_dyck
 
 # The list recursion that ``full_tree`` must reproduce lives with the tier-1 tests.
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
-from test_spanning import packed, ref_full  # noqa: E402
+from test_spanning import assert_matches, ref_full  # noqa: E402
 
 GOLDEN = {
     11: "f3a87234ba90ca4f3e7adb3d2f13675072ba8fa90c0eb2ea4673b2474950da18",
@@ -138,7 +139,7 @@ def test_gen_k12_verifies(gen_k12):
 
 
 def test_gen_k12_peak_rss(gen_k12_run):
-    assert gen_k12_run[1] <= 175
+    assert gen_k12_run[1] <= 143
 
 
 @pytest.mark.parametrize(
@@ -183,4 +184,4 @@ def test_flip_sequences_table_matches_the_per_word_recursion(k):
 
 
 def test_full_tree_11_matches_the_list_recursion():
-    assert full_tree(11).packed == packed(ref_full(11))
+    assert_matches(full_tree(11), ref_full(11))
