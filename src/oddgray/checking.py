@@ -8,14 +8,15 @@ neither ``dataclasses`` nor ``inspect``.
 
 A ``FlippableTuple`` holds ``MarkedWord`` members in canonical order, and
 ``apply_context`` wraps a seed tuple in a ``Context``. A ``Derivation``
-(seed pattern, context) gets its support from the context peel, which
-reduces an arbitrary context to the moves of ``flippable`` by repeatedly
-resolving where the prefix's leading 1 closes (the total context length
-shrinks each round, so the peel terminates), and its witness from the
-support, as the splice does; ``Derivation.of_support`` reads a derivation
-back from a packed support. ``SpanningTree.entries`` holds each tree tuple
-as a ``TreeEntry``, a failure text names an entry by the members it holds
-(``tuple_text``), and ``hand_tree`` peels derivations.
+(seed pattern, context) gets its support from the wrap's closed form: an
+even prefix u turns each seed member (x, m) into (u x v, |u| + m), an odd
+one into (u mirror(x) v, |u| + L + 1 - m) for the seed's word length L,
+which is one map of ``flippable.leaf`` and none of the moves the spanning
+recursion composes. Its witness comes from the support, as the splice
+reads it; ``Derivation.of_support`` inverts the closed form, reading a
+derivation back from a packed support. ``SpanningTree.entries`` holds each
+tree tuple as a ``TreeEntry``, a failure text names an entry by the members
+it holds (``tuple_text``), and ``hand_tree`` wraps derivations.
 
 The searches find instead of deriving: ``derivations`` finds every (pattern,
 context) pair reproducing a tuple, ``canonical_witness`` takes the witness
@@ -41,7 +42,6 @@ from typing import Iterable, Iterator
 
 from .factor import _flip_seq, _path_vals, flip_sequence, flip_sequences
 from .flippable import BRIDGE, IDENTITY, PATCH, QUAD, PackedEntry, Pattern, fan, leaf
-from .flippable import appended, shifted, wrapped
 from .spanning import SpanningTree, flat, full_tree, steep
 from .words import (
     MAX_K,
@@ -53,10 +53,8 @@ from .words import (
     cat,
     complement,
     enumerate_dyck,
-    first_return_val,
     is_dyck,
     mirror,
-    mirror_val,
 )
 
 
@@ -170,35 +168,19 @@ def seed_tuple(pattern: Pattern) -> FlippableTuple:
     return FlippableTuple.of(MarkedWord(Bits(x, n), m) for x, m in leaf(pattern, IDENTITY)[1])
 
 
-def _peel(pattern: Pattern, ctx: Context) -> tuple[PackedEntry, int]:
+def _wrap(pattern: Pattern, ctx: Context) -> tuple[PackedEntry, int]:
     """The packed entry of ``apply_context(pattern.tuple(), ctx)``, with its word length.
 
-    Peels the context into the moves of ``flippable``, outermost first, and
-    composes each into the map that wraps the seed. With u the prefix and v
-    the suffix, the leading 1 of u closes either inside u (u = 1a0b with a
-    Dyck: the word is 1a0 shifted ahead of the rest, so go on with (b, v))
-    or inside v (v = v'0d: the word u.tuple.v equals 1 mirror(tuple') 0 d
-    for the context (mirror(v'), mirror(u minus its leading 1)) wrapped
-    around the same seed, so append d, wrap, and go on there). Each round
-    shortens the context, and once the prefix is empty the remaining suffix
-    is appended to the seed.
+    With u the prefix, v the suffix and L the seed's word length, member (x, m)
+    becomes (u x v, |u| + m) for an even |u| and (u mirror(x) v, |u| + L + 1 - m)
+    for an odd one. As mirror(x) is x reversed XOR ones(L), that is ``leaf``
+    with the map (rev, |u|, u | v << (|u| + L)) for rev = |u| odd, and with
+    ones(L) << |u| XORed into its constant when rev is set.
     """
-    u, un = ctx.prefix.val, ctx.prefix.n
-    v, vn = ctx.suffix.val, ctx.suffix.n
-    total = n = un + vn + pattern.word_length
-    f = IDENTITY
-    while un:
-        p = first_return_val(u | v << un, un + vn)
-        if p <= un:
-            f = shifted(f, Bits(u & (1 << p) - 1, p), n)
-            u, un, n = u >> p, un - p, n - p
-        else:
-            q = p - un
-            f = wrapped(appended(f, Bits(v >> q, vn - q), n), n - vn + q)
-            n -= vn - q + 2
-            head, body = v & ((1 << (q - 1)) - 1), u >> 1
-            u, un, v, vn = mirror_val(head, q - 1), q - 1, mirror_val(body, un - 1), un - 1
-    return leaf(pattern, appended(f, Bits(v, vn), n)), total
+    u, v, size = ctx.prefix, ctx.suffix, pattern.word_length
+    rev = u.n % 2 == 1
+    c = u.val | ((1 << size) - 1 if rev else 0) << u.n | v.val << u.n + size
+    return leaf(pattern, (rev, u.n, c)), u.n + size + v.n
 
 
 def _witness_vals(
@@ -218,7 +200,7 @@ def _witness_vals(
 
 def witness(pattern: Pattern, ctx: Context) -> tuple[Bits, ...]:
     """A witness cycle for ``apply_context(pattern.tuple(), ctx)``."""
-    entry, n = _peel(pattern, ctx)
+    entry, n = _wrap(pattern, ctx)
     return tuple(Bits(y, n) for y in _witness_vals(*entry, n))
 
 
@@ -257,7 +239,7 @@ class Derivation:
 
     def support_vals(self) -> tuple[tuple[tuple[int, int], ...], int]:
         """``tuple()`` as packed ``(word_val, mark)`` members in seed order, and the word length."""
-        (_, support), n = _peel(self.pattern, self.context)
+        (_, support), n = _wrap(self.pattern, self.context)
         return support, n
 
     def witness(self) -> tuple[Bits, ...]:
@@ -265,7 +247,7 @@ class Derivation:
 
     def witness_vals(self) -> tuple[int, ...]:
         """The witness cycle as packed vertex values, without building ``Bits``."""
-        entry, n = _peel(self.pattern, self.context)
+        entry, n = _wrap(self.pattern, self.context)
         return _witness_vals(*entry, n)
 
     def sort_key(self) -> tuple:
@@ -493,13 +475,13 @@ class TreeEntry:
 
 
 def hand_tree(base: Iterable[Bits], derivations: Iterable[Derivation]) -> SpanningTree:
-    """A tree made by hand over the words ``base``, its packed entries peeled from ``derivations``.
+    """A tree made by hand over the words ``base``, its packed entries wrapped from ``derivations``.
 
     The derivations' words share one length, which the tree takes.
     """
-    peeled = [_peel(d.pattern, d.context) for d in derivations]
-    n = peeled[0][1] if peeled else 0
-    return SpanningTree(frozenset(base), tuple(e for e, _ in peeled), n)
+    wrapped = [_wrap(d.pattern, d.context) for d in derivations]
+    n = wrapped[0][1] if wrapped else 0
+    return SpanningTree(frozenset(base), tuple(e for e, _ in wrapped), n)
 
 
 def tuple_text(tree: SpanningTree, idx: int) -> str:

@@ -42,7 +42,7 @@ support fixes the witness, and no entry carries one. The spanning recursion
 passes composed maps down and makes each tree entry with ``leaf``.
 
 The tuple model on ``Bits`` (marked words, tuples, contexts), the context
-peel, the derivation search and the witness test live in ``checking``,
+wrap, the derivation search and the witness test live in ``checking``,
 which generation never imports; ``Pattern.tuple()`` reads the seed there.
 """
 

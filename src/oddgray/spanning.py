@@ -35,7 +35,7 @@ entries (``flippable.PackedEntry``: seed pattern and support, which fixes
 the witness) in tree order. A subtree placed behind a shift, a wrap or an
 append is made by calling its generator with that move composed into the
 map, and a leaf applies the composed map to its seed's members
-(``flippable.leaf``), so no context is ever peeled and no subtree is held:
+(``flippable.leaf``), so no ``Context`` is ever built and no subtree is held:
 a steep tree's stage j makes the flat and steep trees of order j-1 again
 for every inner word v.
 
@@ -48,7 +48,8 @@ was made. Its derivations are read back from the packed supports by
 ``checking``, which generation never loads, as ``SpanningTree.entries``
 for the ``tree`` command, the verifiers and perfbench; a failure text names
 an entry by its members alone. Reading them runs no recursion, and the
-tests check that peeling each one gives its packed entry back. ``checking.hand_tree`` makes a tree by hand by peeling.
+tests check that wrapping each one's seed in its context, by one map that
+composes no move, gives its packed entry back, as ``checking.hand_tree`` does.
 """
 
 from __future__ import annotations

@@ -15,14 +15,13 @@ genuine exception at k = 2.
 from __future__ import annotations
 
 import mmap
-import os
 from collections import namedtuple
 from itertools import chain, combinations, islice, repeat
 from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .words import Bits, Vertices, bitstring, enumerate_dyck, positions
+from .words import Bits, Vertices, bitstring, check_memory, enumerate_dyck, positions
 
 BRUTE_FORCE_CAP = 40
 # Lines ``verify_lines`` checks and packs at a time.
@@ -43,12 +42,7 @@ def _bitmap(k: int, n: int) -> mmap.mmap:
     A bitmap larger than physical memory is refused before any vertex is read.
     """
     size = max(1, 1 << n >> 3)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if size > have:
-        raise ValueError(
-            f"k = {k} needs a bitmap of {size >> 20:,} MB, one bit per {n}-bit value; "
-            f"this machine has {have >> 20:,} MB of physical memory"
-        )
+    check_memory(size, f"k = {k} needs a bitmap of {size >> 20:,} MB, one bit per {n}-bit value")
     return mmap.mmap(-1, size)
 
 
@@ -293,8 +287,8 @@ def verify_tree(k: int, mask: int | None = None) -> VerificationReport:
     """The (counting) tree validates, re-derives, and has edge-disjoint witnesses.
 
     Each entry's derivation must be the only derivation of its tuple, and each
-    packed entry, which the splice reads, must be what peeling that derivation
-    gives; so the witness the splice reads off its support is the canonical one.
+    packed entry, which the splice reads, must be the closed-form wrap of that
+    derivation; so the witness the splice reads off its support is the canonical one.
     """
     from .checking import derivations, is_witness, validate_tree
     from .spanning import counting_tree, full_tree

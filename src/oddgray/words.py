@@ -25,8 +25,8 @@ MAX_LEN = 62
 # Largest semilength served: an odd-graph vertex has 2k+1 <= MAX_LEN bits.
 MAX_K = (MAX_LEN - 1) // 2
 # Peak memory of a run per Dyck word of its semilength: ``gen --k 12`` peaked at 182.3 MB
-# (of 2^20 bytes) for its 208,012 words (Python 3.11, x86-64) before the slot splice cut
-# it to about 154 MB; the older figure keeps the refusal conservative.
+# (of 2^20 bytes) for its 208,012 words (Python 3.11, x86-64), and about 124 MB since the
+# slot splice and entries without witnesses; the older figure keeps the refusal conservative.
 BYTES_PER_DYCK_WORD = 919
 
 
@@ -195,14 +195,9 @@ def reverse(x: Bits) -> Bits:
     return Bits(reverse_val(x.val, x.n), x.n)
 
 
-def mirror_val(val: int, n: int) -> int:
-    """``mirror`` on a packed value of length n."""
-    return reverse_val(val, n) ^ ((1 << n) - 1)
-
-
 def mirror(x: Bits) -> Bits:
     """The complement of the reverse; an involution mapping Dyck words to Dyck words."""
-    return Bits(mirror_val(x.val, x.n), x.n)
+    return Bits(reverse_val(x.val, x.n) ^ ((1 << x.n) - 1), x.n)
 
 
 def _position_table(width: int, offset: int) -> list[tuple[int, ...]]:
@@ -307,6 +302,13 @@ def decompose(x: Bits) -> tuple[Bits, Bits]:
     return x.slice(2, p - 1), x.slice(p + 1, x.n)
 
 
+def check_memory(need: int, what: str) -> None:
+    """Refuse more than physical memory: a ``ValueError``, ``what`` then the memory's size."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"{what}; this machine has {have >> 20:,} MB of physical memory")
+
+
 @cache
 def enumerate_dyck(k: int) -> tuple[Bits, ...]:
     """All Dyck words of semilength k, in descending lexicographic order with '1' ranked above '0'.
@@ -322,12 +324,9 @@ def enumerate_dyck(k: int) -> tuple[Bits, ...]:
         raise ValueError(f"semilength {k} exceeds the packing limit")
     count = comb(2 * k, k) // (k + 1)
     need = count * BYTES_PER_DYCK_WORD
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"semilength {k} has {count:,} Dyck words, which need about {need >> 20:,} MB; "
-            f"this machine has {have >> 20:,} MB of physical memory"
-        )
+    check_memory(
+        need, f"semilength {k} has {count:,} Dyck words, which need about {need >> 20:,} MB"
+    )
     out: list[Bits] = []
 
     def rec(val: int, pos: int, ones: int, height: int) -> None:

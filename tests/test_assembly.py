@@ -75,28 +75,28 @@ def test_generation_runs_no_derivation_search():
     assert res.stdout.split() == ["0", "0", "False", "1"]
 
 
-def test_generation_runs_no_peel_and_makes_no_derivation():
+def test_generation_runs_no_wrap_and_makes_no_derivation():
     # The tree is built as packed entries, whose supports the recursion
     # carries and whose witnesses the splice reads off the factor paths, so
-    # generation neither peels a context nor makes a Derivation object.
+    # generation neither wraps a derivation's context nor makes a Derivation object.
     code = (
         "import io\n"
         "from oddgray import checking, cli\n"
-        "calls = {'peel': 0, 'derivation': 0}\n"
-        "peel, init = checking._peel, checking.Derivation.__init__\n"
-        "def counted_peel(*args):\n"
-        "    calls['peel'] += 1\n"
-        "    return peel(*args)\n"
+        "calls = {'wrap': 0, 'derivation': 0}\n"
+        "wrap, init = checking._wrap, checking.Derivation.__init__\n"
+        "def counted_wrap(*args):\n"
+        "    calls['wrap'] += 1\n"
+        "    return wrap(*args)\n"
         "def counted_init(self, *args, **kw):\n"
         "    calls['derivation'] += 1\n"
         "    init(self, *args, **kw)\n"
-        "checking._peel = counted_peel\n"
+        "checking._wrap = counted_wrap\n"
         "checking.Derivation.__init__ = counted_init\n"
         "for argv in (['gen', '--k', '8'], ['gen', '--k', '7', '--family', '3'],"
         " ['middle', '--k', '6']):\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0\n"
-        "print(calls['peel'], calls['derivation'])\n"
-        "print(checking.Derivation(checking.QUAD).witness_vals() and calls['peel'],"
+        "print(calls['wrap'], calls['derivation'])\n"
+        "print(checking.Derivation(checking.QUAD).witness_vals() and calls['wrap'],"
         " calls['derivation'])\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

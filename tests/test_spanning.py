@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddgray import flippable
 from oddgray.checking import (
     Context,
     Derivation,
@@ -127,19 +128,20 @@ def test_tree_entries_carry_their_derivations():
             assert n == e.tup.word_length
 
 
-def peeled(tree):
-    """Each entry as the context peel derives it: the reference for the packed recursion."""
+def wrapped_entries(tree):
+    """Each entry as its derivation's closed-form wrap gives it: the reference for the packed
+    recursion."""
     return tuple((e.derivation.pattern, e.derivation.support_vals()[0]) for e in tree.entries)
 
 
 @pytest.mark.parametrize("k", range(3, 11))
 def test_packed_entries_match_the_peel(k):
-    # The carry laws give every support the peel gives, in tree order.
+    # The carry laws give every support the closed-form wrap gives, in tree order.
     tree = full_tree(k)
-    assert tree.packed == peeled(tree)
+    assert tree.packed == wrapped_entries(tree)
     if k < 9:
         for part in (flat_tree(k), steep_tree(k)):
-            assert part.packed == peeled(part)
+            assert part.packed == wrapped_entries(part)
 
 
 @settings(deadline=None, max_examples=12)
@@ -148,7 +150,7 @@ def test_packed_entries_match_the_peel_on_random_masks(data):
     k = data.draw(st.integers(6, 9))
     mask = data.draw(st.integers(0, (1 << mask_width(k)) - 1))
     tree = counting_tree(k, mask)
-    assert tree.packed == peeled(tree)
+    assert tree.packed == wrapped_entries(tree)
 
 
 # The list recursion on ``Bits``: the reference for the composed maps. Its
@@ -310,10 +312,27 @@ def test_full_tree_holds_no_memo_while_building():
     assert peak <= 1.05 * held, (peak, held)
 
 
-def test_hand_built_tree_peels_its_derivations():
+def test_hand_built_tree_wraps_its_derivations():
     tree = counting_tree(7, 3)
     hand = hand_tree(tree.base, [e.derivation for e in tree.entries])
     assert (hand.packed, hand.n) == (tree.packed, tree.n)
+
+
+def test_wrapping_a_derivation_composes_no_move(monkeypatch):
+    # The checking side wraps a seed in its context by the closed form, so it
+    # shares no map composition with the recursion whose entries it checks.
+    tree = counting_tree(7, 3)
+    ds = [e.derivation for e in tree.entries]
+    d = Derivation(BRIDGE, Context(ONE, cat(ZERO, ONE, ZERO)))
+    witness = d.witness_vals()
+
+    def composed(*args):
+        raise AssertionError("a move was composed")
+
+    monkeypatch.setattr(flippable, "compose", composed)
+    hand = hand_tree(tree.base, ds)
+    assert (hand.packed, hand.n) == (tree.packed, tree.n)
+    assert d.witness_vals() == witness
 
 
 def test_tree_tuples_are_pool_members():

@@ -1,13 +1,14 @@
-"""Property tests of the witness peel over random seeds and contexts.
+"""Property tests of the closed-form wrap over random seeds and contexts.
 
-``witness`` peels a context on packed integers. Here random seed patterns
-are wrapped in random Dyck contexts (wrapped word length at most 16), and
-each witness is checked three ways: by ``is_witness``, which rests on the
-independent ``factor.locate``; against the recursive peel on ``Bits`` kept
-below as the reference; and against the three wrapping moves the peel is
-built from. The packed support ``validate_tree`` checks is compared with the
-wrapped tuple on ``Bits``, and ``Derivation.of_support`` must read each
-derivation back from it. The table-driven renderers of packed values,
+``witness`` wraps a seed in its context on packed integers, by one map.
+Here random seed patterns are wrapped in random Dyck contexts (wrapped word
+length at most 16), and each witness is checked three ways: by
+``is_witness``, which rests on the independent ``factor.locate``; against
+the recursive peel on ``Bits`` kept below as the reference; and against the
+laws of the three wrapping moves (shift, mirror-wrap and append) the
+spanning recursion composes. The packed support ``validate_tree`` checks
+is compared with the wrapped tuple on ``Bits``, and ``Derivation.of_support``
+must read each derivation back from it. The table-driven renderers of packed values,
 ``line_renderer``, ``subset_mapper`` and ``subset_line_renderer``, and the bit
 loop ``positions`` are compared with ``bitstring`` and with the peel kept below
 as the reference, and ``column_lines``, which renders the values a walk of
@@ -57,7 +58,7 @@ relaxed = settings(deadline=None)
 
 
 def reference_witness(pattern, ctx):
-    """The recursive peel on ``Bits``: the reference for the packed one."""
+    """The recursive peel on ``Bits``: the reference for the packed closed form."""
     u, v = ctx.prefix, ctx.suffix
     if u.n == 0:
         return tuple(y + v for y in witness(pattern, Context()))

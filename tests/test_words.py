@@ -1,8 +1,10 @@
+import os
 from math import comb
 
 import pytest
 
 from oddgray.words import (
+    BYTES_PER_DYCK_WORD,
     Bits,
     EMPTY,
     cat,
@@ -150,8 +152,14 @@ def test_enumerate_rejects_oversize():
 
 def test_enumerate_refuses_a_semilength_too_large_for_memory():
     # Catalan(30) words fit the packing but no memory: refused before enumerating.
-    with pytest.raises(ValueError, match="semilength 30 has 3,814,986,502,092,304 Dyck words"):
+    with pytest.raises(ValueError) as refused:
         enumerate_dyck(30)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert str(refused.value) == (
+        "semilength 30 has 3,814,986,502,092,304 Dyck words, which need about "
+        f"{catalan(30) * BYTES_PER_DYCK_WORD >> 20:,} MB; "
+        f"this machine has {have >> 20:,} MB of physical memory"
+    )
 
 
 def test_concat_and_slice():
