@@ -28,7 +28,7 @@ from .assembly import (
 _CHECKING = """Context Derivation FactorPath FlippableTuple MarkedWord Partition TreeEntry
     TreeReport apply_context canonical_witness conflict_violations cycle_factor derivations
     enumerate_tuples flat_tree flip_edge is_witness locate mirror_marked mirror_tuple partition
-    path steep_tree tree_family validate_tree witness wrap_marked""".split()
+    path steep_tree validate_tree witness wrap_marked""".split()
 _VERIFY = """VerificationReport brute_force_hamilton verify_certificate verify_factor
     verify_flip_properties verify_tree verify_tuple_closure""".split()
 

@@ -19,8 +19,11 @@ tree tuple as a ``TreeEntry``, a failure text names an entry by the members
 it holds (``tuple_text``), and ``hand_tree`` wraps derivations.
 
 The searches find instead of deriving: ``derivations`` finds every (pattern,
-context) pair reproducing a tuple, ``canonical_witness`` takes the witness
-of the least one, ``is_witness`` tests a cycle against a tuple through
+context) pair reproducing a tuple, on its sorted packed (word value, mark)
+members: each context split's window, mirrored for an odd prefix, is looked
+up among the seeds of its length, keyed by their sorted packed members.
+``canonical_witness`` takes the witness of the least derivation,
+``is_witness`` tests a cycle against a tuple through
 ``locate``, which finds the (Dyck origin, index) of a vertex on the cycle
 factor, and ``enumerate_tuples(k)`` is the pool of wrapped seeds on
 semilength k. Two pool tuples whose supports share exactly one word mark it
@@ -37,12 +40,12 @@ its own check of the tree fails or its walk misses a factor path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator
 
 from .factor import _flip_seq, _path_vals, flip_sequence, flip_sequences
 from .flippable import BRIDGE, IDENTITY, PATCH, QUAD, PackedEntry, Pattern, fan, leaf
-from .spanning import SpanningTree, flat, full_tree, steep
+from .spanning import SpanningTree, flat, steep
 from .words import (
     MAX_K,
     Bits,
@@ -55,6 +58,7 @@ from .words import (
     enumerate_dyck,
     is_dyck,
     mirror,
+    reverse_val,
 )
 
 
@@ -262,66 +266,54 @@ class Derivation:
         }
 
 
-def _match_seed(cand: FlippableTuple, word_length: int) -> Iterator[Pattern]:
-    if len(cand.members) == 4:
-        if word_length == 6 and cand == QUAD.tuple():
-            yield QUAD
-        return
-    if word_length == 6 and cand == BRIDGE.tuple():
-        yield BRIDGE
-    if word_length == 8 and cand == PATCH.tuple():
-        yield PATCH
-    for w in sorted({m.word.slice(2, word_length - 5) for m in cand.members}):
-        if is_dyck(w) and fan(w).tuple() == cand:
-            yield fan(w)
-            return
+@cache
+def _seeds(size: int) -> dict[tuple[tuple[int, int], ...], Pattern]:
+    """The seeds of word length ``size``, keyed by their sorted packed members: every ``fan(w)``
+    with |w| = size - 6, and ``BRIDGE`` and ``QUAD`` at 6 and ``PATCH`` at 8."""
+    pats = [fan(w) for w in enumerate_dyck(size // 2 - 3)]
+    pats += {6: [BRIDGE, QUAD], 8: [PATCH]}.get(size, [])
+    return {tuple(sorted(leaf(p, IDENTITY)[1])): p for p in pats}
 
 
 @lru_cache(maxsize=None)
-def _derivations(t: FlippableTuple) -> tuple[Derivation, ...]:
-    total = t.word_length
-    members = t.members
-    # A context split (|prefix| = s, |suffix| = e) needs the prefix/suffix to
-    # be common to all member words and every mark to fall inside the window.
-    prefix_cap = total
-    suffix_cap = total
-    base = members[0].word.val
-    for m in members[1:]:
-        d = base ^ m.word.val
-        prefix_cap = min(prefix_cap, (d & -d).bit_length() - 1)
-        suffix_cap = min(suffix_cap, total - d.bit_length())
-    s_max = min(prefix_cap, min(m.mark for m in members) - 1, total - 6)
-    e_cap = min(suffix_cap, total - max(m.mark for m in members))
-    first = members[0].word
+def _derivations(members: tuple[tuple[int, int], ...], n: int) -> tuple[Derivation, ...]:
+    # Members are sorted (value, mark) pairs of length n. A split (|prefix| = s,
+    # |suffix| = e) needs the prefix and suffix common to all member words and
+    # every mark inside the window, which must read as a seed (mirrored if s odd).
+    first = members[0][0]
+    diff = 0
+    for x, _ in members:
+        diff |= first ^ x
+    marks = [m for _, m in members]
+    s_max = min((diff & -diff).bit_length() - 1, min(marks) - 1)
+    e_max = min(n - diff.bit_length(), n - max(marks))
     out = []
-    for s in range(0, s_max + 1):
-        u = first.slice(1, s)
-        for e in range(s % 2, e_cap + 1, 2):
-            plen = total - s - e
-            if plen < 6:
-                break
-            v = first.slice(total - e + 1, total)
+    for s in range(s_max + 1):
+        for e in range(s % 2, min(e_max, n - s - 6) + 1, 2):
+            size = n - s - e
+            u, v = Bits(first & (1 << s) - 1, s), Bits(first >> n - e, e)
             if not is_dyck(u + v):
                 continue
-            mids = FlippableTuple.of(
-                MarkedWord(m.word.slice(s + 1, s + plen), m.mark - s) for m in members
-            )
-            cand = mids if s % 2 == 0 else mirror_tuple(mids)
-            for pat in _match_seed(cand, plen):
-                out.append(Derivation(pat, Context(u, v)))
-    out.sort(key=Derivation.sort_key)
-    return tuple(out)
+            ones = (1 << size) - 1
+            window = [(x >> s & ones, m - s) for x, m in members]
+            if s % 2:
+                window = [(reverse_val(x, size) ^ ones, size + 1 - m) for x, m in window]
+            pattern = _seeds(size).get(tuple(sorted(window)))
+            if pattern is not None:
+                out.append(Derivation(pattern, Context(u, v)))
+    return tuple(sorted(out, key=Derivation.sort_key))
 
 
 def derivations(t: FlippableTuple) -> list[Derivation]:
     """All (pattern, context) pairs reproducing t, in canonical order."""
-    return list(_derivations(t))
+    members = tuple(sorted((m.word.val, m.mark) for m in t.members))
+    return list(_derivations(members, t.word_length))
 
 
 @lru_cache(maxsize=None)
 def canonical_witness(t: FlippableTuple) -> tuple[Bits, ...]:
     """The fixed witness of t: the one derived from its least derivation."""
-    ds = _derivations(t)
+    ds = derivations(t)
     if not ds:
         raise ValueError(f"{t} is not a context-wrapped seed pattern")
     return ds[0].witness()
@@ -547,12 +539,6 @@ def flat_tree(k: int) -> SpanningTree:
 
 def steep_tree(k: int) -> SpanningTree:
     return SpanningTree(partition(k).steep, tuple(steep(k, IDENTITY)), 2 * k)
-
-
-def tree_family(k: int) -> tuple[SpanningTree | None, SpanningTree, SpanningTree]:
-    """(full, flat, steep) trees of one semilength; full is None for k == 2."""
-    full = full_tree(k) if k >= 3 else None
-    return full, flat_tree(k), steep_tree(k)
 
 
 @dataclass(frozen=True)

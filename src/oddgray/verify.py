@@ -286,31 +286,35 @@ def verify_tuple_closure(k: int) -> VerificationReport:
 def verify_tree(k: int, mask: int | None = None) -> VerificationReport:
     """The (counting) tree validates, re-derives, and has edge-disjoint witnesses.
 
-    Each entry's derivation must be the only derivation of its tuple, and each
-    packed entry, which the splice reads, must be the closed-form wrap of that
-    derivation; so the witness the splice reads off its support is the canonical one.
+    Each entry's derivation, read back from its packed support, must be the
+    only derivation of the support's members, and the support, which the
+    splice reads, must be the closed-form wrap of that derivation; so the
+    witness the splice reads off the support is the canonical one. The checks
+    run on packed values, witness edges keyed as (lower, upper) vertex value
+    pairs; a tuple of ``Bits`` is built only for ``is_witness``, at k <= 7,
+    and for a failure text.
     """
-    from .checking import derivations, is_witness, validate_tree
+    from .checking import Derivation, _derivations, is_witness, validate_tree
     from .spanning import counting_tree, full_tree
 
-    failures: list[tuple[str, str]] = []
     tree = full_tree(k) if mask is None else counting_tree(k, mask)
-    report = validate_tree(tree)
-    for f in report.failures:
-        failures.append(("tree", f))
-    seen_edges: set[frozenset] = set()
-    for entry, packed in zip(tree.entries, tree.packed):
-        t, d = entry.tup, entry.derivation
-        if derivations(t) != [d]:
-            failures.append(("closure-membership", str(t)))
-        if packed != (d.pattern, d.support_vals()[0]):
-            failures.append(("packed-entry", str(t)))
-        cycle = d.witness()
-        if k <= 7 and not is_witness(t, cycle):
-            failures.append(("witness", str(t)))
-        for e in map(frozenset, zip(cycle, cycle[1:] + cycle[:1])):
+    failures = [("tree", f) for f in validate_tree(tree).failures]
+    n = tree.n
+    seen_edges: set[tuple[int, int]] = set()
+    for pattern, support in tree.packed:
+        d = Derivation.of_support(pattern, support, n)
+        wrapped = d.support_vals()[0]
+        if _derivations(tuple(sorted(wrapped)), n) != (d,):
+            failures.append(("closure-membership", str(d.tuple())))
+        if support != wrapped:
+            failures.append(("packed-entry", str(d.tuple())))
+        cycle = d.witness_vals()
+        if k <= 7 and not is_witness(d.tuple(), tuple(Bits(y, n) for y in cycle)):
+            failures.append(("witness", str(d.tuple())))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            e = (a, b) if a < b else (b, a)
             if e in seen_edges:
-                failures.append(("witness-overlap", str(t)))
+                failures.append(("witness-overlap", str(d.tuple())))
             seen_edges.add(e)
     return _report(failures)
 
@@ -325,7 +329,7 @@ def selfcheck(max_k: int) -> Iterator[tuple[str, VerificationReport]]:
         yield f"flip-sequences k={k}", verify_flip_properties(k)
     for k in range(2, min(max_k, 6) + 1):
         yield f"tuple-pool k={k}", verify_tuple_closure(k)
-    for k in range(3, min(max_k, 9) + 1):
+    for k in range(3, min(max_k, 11) + 1):
         yield f"tree k={k}", verify_tree(k)
     for k in range(6, min(max_k, 7) + 1):
         for mask in range(1 << mask_width(k)):

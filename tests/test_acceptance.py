@@ -103,14 +103,14 @@ def test_criterion_05_pool_is_conflict_free():
 
 
 def test_criterion_06_trees_validate():
-    for k in range(3, 10):
+    for k in range(3, 11):
         r = verify_tree(k)
         assert r.passed, (k, r.failures[:3])
     for k in (6, 7):
         for mask in range(1 << mask_width(k)):
             r = verify_tree(k, mask)
             assert r.passed, (k, mask, r.failures[:3])
-    report(6, "trees k=3..9 and all counting trees k=6,7 validate with "
+    report(6, "trees k=3..10 and all counting trees k=6,7 validate with "
               "edge-disjoint witnesses")
 
 

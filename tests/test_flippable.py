@@ -2,6 +2,7 @@ import pytest
 
 from oddgray.checking import (
     Context,
+    Derivation,
     FlippableTuple,
     MarkedWord,
     apply_context,
@@ -244,6 +245,21 @@ def test_derivations_found_for_pool():
             assert len(ds) == 1, str(t)
             for d in ds:
                 assert d.tuple() == t
+
+
+def test_derivations_find_every_wrap_of_the_pool():
+    # The search is complete: each (pattern, context) pair of the pool's loop
+    # is among the derivations of its wrap, so a search that missed a second
+    # derivation, or the only one, fails here.
+    for k in (3, 4, 5, 6):
+        for j in range(3, k + 1):
+            pats = [fan(w) for w in enumerate_dyck(j - 3)]
+            pats += {3: [BRIDGE, QUAD], 4: [PATCH]}.get(j, [])
+            for c in enumerate_dyck(k - j):
+                for s in range(c.n + 1):
+                    ctx = Context(c.slice(1, s), c.slice(s + 1, c.n))
+                    for p in pats:
+                        assert Derivation(p, ctx) in derivations(apply_context(p.tuple(), ctx))
 
 
 def test_derivations_empty_for_foreign_tuple():

@@ -19,7 +19,6 @@ from oddgray.checking import (
     hand_tree,
     partition,
     steep_tree,
-    tree_family,
     tree_json,
     validate_tree,
 )
@@ -111,11 +110,10 @@ def test_tuple_size_accounting():
 
 def test_trees_validate():
     for k in range(2, 9):
-        full, flat, steep = tree_family(k)
-        assert validate_tree(flat).passed, k
-        assert validate_tree(steep).passed, k
+        assert validate_tree(flat_tree(k)).passed, k
+        assert validate_tree(steep_tree(k)).passed, k
         if k >= 3:
-            assert validate_tree(full).passed, k
+            assert validate_tree(full_tree(k)).passed, k
 
 
 def test_tree_entries_carry_their_derivations():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from oddgray import verify
 from oddgray.assembly import CycleCertificate, hamilton_odd, stream_gplus_vals
 from oddgray.checking import cycle_factor
-from oddgray.spanning import full_tree
+from oddgray.spanning import full_tree, mask_width
 from oddgray.verify import (
     brute_force_hamilton,
     verify_certificate,
@@ -186,6 +186,34 @@ def test_verify_tree_checks_the_packed_entries(monkeypatch):
     assert verify_tree(5).failures == (("packed-entry", str(tree.entries[idx].tup)),)
     monkeypatch.setattr(spanning, "full_tree", lambda k: tree)
     assert verify_tree(5).passed
+
+
+def test_verify_tree_names_a_repeated_witness_edge(monkeypatch):
+    # A quad entered twice breaks the tree, and every edge of its second
+    # witness repeats one of its first: one witness-overlap per edge, each
+    # naming the tuple, after the tree's own failures.
+    from oddgray import spanning
+
+    tree = spanning.full_tree(5)
+    packed = list(tree.packed)
+    idx = next(i for i, (pattern, _) in enumerate(packed) if pattern.family == "quad")
+    packed.insert(idx + 1, packed[idx])
+    broken = spanning.SpanningTree(tree.base, tuple(packed), 10)
+    monkeypatch.setattr(spanning, "full_tree", lambda k: broken)
+    quad = "{110101[0]010, 1110[0]10010, 11[1]0100010, 1[1]11000010}"
+    assert verify_tree(5).failures == (
+        ("tree", f"tuples {quad} and {quad} share 4 words"),
+        ("tree", "tuple-size accounting: sum(size - 1) = 44, expected 41"),
+        *[("witness-overlap", quad)] * 8,
+    )
+
+
+@settings(deadline=None, max_examples=4)
+@given(st.data())
+def test_verify_tree_passes_on_random_masks(data):
+    k = data.draw(st.integers(8, 9))
+    mask = data.draw(st.integers(0, (1 << mask_width(k)) - 1))
+    assert verify_tree(k, mask).passed, (k, mask)
 
 
 def test_verify_certificate_is_independent_of_construction_modules():

@@ -20,8 +20,12 @@ and 36 MB, with each certificate held packed, where a tuple of k-tuples and
 one of ``Bits`` peaked at 75 and 90 MB. ``full_tree(11)`` must equal, entry
 by entry and in order, the list recursion kept in ``tests/test_spanning.py``
 as the reference, and each witness derived from an entry's support must be
-the literal witness that recursion moved along. On a 2-vCPU Xeon the tier
-takes about 30 s and peaks at about 124 MB, in ``gen --k 12``. The digests were
+the literal witness that recursion moved along. ``verify_tree(12)`` must pass:
+each of the 98,481 entries of the k = 12 tree has exactly one derivation, and
+the witnesses are edge-disjoint. On a 2-vCPU Xeon the tier takes about 50 s,
+of which ``verify_tree(12)`` takes about 25 s. It runs last and in process,
+where it adds about 240 MB to the k = 12 tables the tests before it left
+cached, so the tier peaks at about 340 MB. The digests were
 recorded before the flip-sequence recursion dropped its mirror step. The
 ``middle --k 10`` digest was recorded before the tree build switched to
 packed entries and the splice to direct placement of witness vertices.
@@ -42,6 +46,7 @@ import pytest
 
 from oddgray.factor import flip_sequence, flip_sequences
 from oddgray.spanning import full_tree
+from oddgray.verify import verify_tree
 from oddgray.words import enumerate_dyck
 
 # The list recursion that ``full_tree`` must reproduce lives with the tier-1 tests.
@@ -185,3 +190,8 @@ def test_flip_sequences_table_matches_the_per_word_recursion(k):
 
 def test_full_tree_11_matches_the_list_recursion():
     assert_matches(full_tree(11), ref_full(11))
+
+
+def test_verify_tree_12():
+    report = verify_tree(12)
+    assert report.passed, report.failures[:3]
