@@ -26,9 +26,8 @@ from .assembly import (
 # Names served on first use by the module that defines them, so that
 # importing the package loads neither ``checking`` nor ``verify``.
 _CHECKING = """Context Derivation FactorPath FlippableTuple MarkedWord Partition TreeEntry
-    TreeReport apply_context canonical_witness conflict_violations cycle_factor derivations
-    enumerate_tuples flat_tree flip_edge is_witness locate mirror_marked mirror_tuple partition
-    path steep_tree validate_tree witness wrap_marked""".split()
+    TreeReport canonical_witness conflict_violations cycle_factor derivations enumerate_tuples
+    flat_tree flip_edge is_witness locate partition path steep_tree validate_tree""".split()
 _VERIFY = """VerificationReport brute_force_hamilton verify_certificate verify_factor
     verify_flip_properties verify_tree verify_tuple_closure""".split()
 

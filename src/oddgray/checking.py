@@ -6,15 +6,16 @@ splice's failure messages import it inside the call that needs it. It is
 the one module that declares dataclasses, so a generation run imports
 neither ``dataclasses`` nor ``inspect``.
 
-A ``FlippableTuple`` holds ``MarkedWord`` members in canonical order, and
-``apply_context`` wraps a seed tuple in a ``Context``. A ``Derivation``
-(seed pattern, context) gets its support from the wrap's closed form: an
-even prefix u turns each seed member (x, m) into (u x v, |u| + m), an odd
-one into (u mirror(x) v, |u| + L + 1 - m) for the seed's word length L,
-which is one map of ``flippable.leaf`` and none of the moves the spanning
-recursion composes. Its witness comes from the support, as the splice
-reads it; ``Derivation.of_support`` inverts the closed form, reading a
-derivation back from a packed support. ``SpanningTree.entries`` holds each
+A ``FlippableTuple`` holds ``MarkedWord`` members in canonical order. A
+seed wraps in a ``Context`` one way only, as a ``Derivation`` (seed pattern,
+context), ``Derivation(pattern)`` being the bare seed. Its support comes
+from the wrap's closed form: an even prefix u turns each seed member (x, m)
+into (u x v, |u| + m), an odd one into (u mirror(x) v, |u| + L + 1 - m) for
+the seed's word length L, which is one map of ``flippable.leaf`` and none
+of the moves the spanning recursion composes. Its tuple is that support on
+``Bits``, and its witness comes from the support, as the splice reads it;
+``Derivation.of_support`` inverts the closed form, reading a derivation
+back from a packed support. ``SpanningTree.entries`` holds each
 tree tuple as a ``TreeEntry``, a failure text names an entry by the members
 it holds (``tuple_text``), and ``hand_tree`` wraps derivations.
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .factor import _flip_seq, _path_vals, flip_sequence, flip_sequences
@@ -88,15 +90,9 @@ def _marked_text(s: str, mark: int) -> str:
     return f"{s[: mark - 1]}[{s[mark - 1]}]{s[mark:]}" if 0 < mark <= len(s) else f"{s}:{mark}"
 
 
-def wrap_marked(m: MarkedWord, u: Bits, v: Bits) -> MarkedWord:
-    """u (x, mark) v = (u x v, |u| + mark); requires uv Dyck."""
-    if not is_dyck(u + v):
-        raise ValueError(f"context {u!r}, {v!r} does not concatenate to a Dyck word")
-    return MarkedWord(cat(u, m.word, v), u.n + m.mark)
-
-
-def mirror_marked(m: MarkedWord) -> MarkedWord:
-    return MarkedWord(mirror(m.word), m.word.n + 1 - m.mark)
+def _tuple_text(members: Iterable[tuple[str, int]]) -> str:
+    """A tuple's (bitstring, mark) members, sorted and marked as ``_marked_text``, in braces."""
+    return "{" + ", ".join(_marked_text(s, m) for s, m in sorted(members)) + "}"
 
 
 @dataclass(frozen=True)
@@ -135,14 +131,10 @@ class FlippableTuple:
         return tuple(m._key() for m in self.members) < tuple(m._key() for m in other.members)
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(m) for m in self.members) + "}"
+        return _tuple_text((str(m.word), m.mark) for m in self.members)
 
     def to_json(self) -> dict:
         return {"members": [{"word": str(m.word), "mark": m.mark} for m in self.members]}
-
-
-def mirror_tuple(t: FlippableTuple) -> FlippableTuple:
-    return FlippableTuple.of(mirror_marked(m) for m in t.members)
 
 
 @dataclass(frozen=True)
@@ -159,21 +151,13 @@ class Context:
             )
 
 
-def apply_context(t: FlippableTuple, ctx: Context) -> FlippableTuple:
-    """Wrap t (even prefix length) or its mirror (odd prefix length) in the context."""
-    base = t if ctx.prefix.n % 2 == 0 else mirror_tuple(t)
-    return FlippableTuple.of(wrap_marked(m, ctx.prefix, ctx.suffix) for m in base.members)
-
-
-@lru_cache(maxsize=None)
-def seed_tuple(pattern: Pattern) -> FlippableTuple:
-    """``pattern.tuple()``: the seed's packed members as marked words."""
-    n = pattern.word_length
-    return FlippableTuple.of(MarkedWord(Bits(x, n), m) for x, m in leaf(pattern, IDENTITY)[1])
+def _as_tuple(support: Iterable[tuple[int, int]], n: int) -> FlippableTuple:
+    """Packed (word value, mark) members of words of length n as a ``FlippableTuple``."""
+    return FlippableTuple.of(MarkedWord(Bits(x, n), m) for x, m in support)
 
 
 def _wrap(pattern: Pattern, ctx: Context) -> tuple[PackedEntry, int]:
-    """The packed entry of ``apply_context(pattern.tuple(), ctx)``, with its word length.
+    """The packed entry of the seed ``pattern`` wrapped in ``ctx``, with its word length.
 
     With u the prefix, v the suffix and L the seed's word length, member (x, m)
     becomes (u x v, |u| + m) for an even |u| and (u mirror(x) v, |u| + L + 1 - m)
@@ -200,12 +184,6 @@ def _witness_vals(
         low = x ^ sum(1 << p - 1 for p in seq[: seq.index(mark)])
         ys[a], ys[b] = low, low ^ 1 << mark - 1
     return tuple(ys)
-
-
-def witness(pattern: Pattern, ctx: Context) -> tuple[Bits, ...]:
-    """A witness cycle for ``apply_context(pattern.tuple(), ctx)``."""
-    entry, n = _wrap(pattern, ctx)
-    return tuple(Bits(y, n) for y in _witness_vals(*entry, n))
 
 
 @dataclass(frozen=True)
@@ -239,7 +217,7 @@ class Derivation:
         return Derivation(pattern, Context(u, v))
 
     def tuple(self) -> FlippableTuple:
-        return apply_context(self.pattern.tuple(), self.context)
+        return _as_tuple(*self.support_vals())
 
     def support_vals(self) -> tuple[tuple[tuple[int, int], ...], int]:
         """``tuple()`` as packed ``(word_val, mark)`` members in seed order, and the word length."""
@@ -247,7 +225,9 @@ class Derivation:
         return support, n
 
     def witness(self) -> tuple[Bits, ...]:
-        return witness(self.pattern, self.context)
+        """A witness cycle for ``tuple()``."""
+        entry, n = _wrap(self.pattern, self.context)
+        return tuple(Bits(y, n) for y in _witness_vals(*entry, n))
 
     def witness_vals(self) -> tuple[int, ...]:
         """The witness cycle as packed vertex values, without building ``Bits``."""
@@ -280,7 +260,14 @@ def _derivations(members: tuple[tuple[int, int], ...], n: int) -> tuple[Derivati
     # Members are sorted (value, mark) pairs of length n. A split (|prefix| = s,
     # |suffix| = e) needs the prefix and suffix common to all member words and
     # every mark inside the window, which must read as a seed (mirrored if s odd).
+    # Every member of a wrapped seed is a Dyck word, so the first must be; its
+    # prefix and suffix then join into a Dyck word exactly when its heights after
+    # s and n - e agree. A window that reads as a seed leaves them equal, so the
+    # test only skips windows that cannot match.
     first = members[0][0]
+    heights = list(accumulate(((first >> i & 1) * 2 - 1 for i in range(n)), initial=0))
+    if min(heights) < 0 or heights[-1]:
+        return ()
     diff = 0
     for x, _ in members:
         diff |= first ^ x
@@ -290,16 +277,16 @@ def _derivations(members: tuple[tuple[int, int], ...], n: int) -> tuple[Derivati
     out = []
     for s in range(s_max + 1):
         for e in range(s % 2, min(e_max, n - s - 6) + 1, 2):
-            size = n - s - e
-            u, v = Bits(first & (1 << s) - 1, s), Bits(first >> n - e, e)
-            if not is_dyck(u + v):
+            if heights[s] != heights[n - e]:
                 continue
+            size = n - s - e
             ones = (1 << size) - 1
             window = [(x >> s & ones, m - s) for x, m in members]
             if s % 2:
                 window = [(reverse_val(x, size) ^ ones, size + 1 - m) for x, m in window]
             pattern = _seeds(size).get(tuple(sorted(window)))
             if pattern is not None:
+                u, v = Bits(first & (1 << s) - 1, s), Bits(first >> n - e, e)
                 out.append(Derivation(pattern, Context(u, v)))
     return tuple(sorted(out, key=Derivation.sort_key))
 
@@ -426,7 +413,7 @@ def enumerate_tuples(k: int) -> list[FlippableTuple]:
             for s in range(0, c.n + 1):
                 ctx = Context(c.slice(1, s), c.slice(s + 1, c.n))
                 for p in pats:
-                    seen.add(apply_context(p.tuple(), ctx))
+                    seen.add(Derivation(p, ctx).tuple())
     return sorted(seen)
 
 
@@ -479,8 +466,7 @@ def hand_tree(base: Iterable[Bits], derivations: Iterable[Derivation]) -> Spanni
 def tuple_text(tree: SpanningTree, idx: int) -> str:
     """Entry idx's tuple as failure texts name it: the members it holds, sorted by (word, mark),
     each with its mark bracketed, or as word:mark for a mark outside 1..n."""
-    members = sorted((bitstring(x, tree.n), m) for x, m in tree.packed[idx][1])
-    return "{" + ", ".join(_marked_text(s, m) for s, m in members) + "}"
+    return _tuple_text((bitstring(x, tree.n), m) for x, m in tree.packed[idx][1])
 
 
 def tree_json(tree: SpanningTree) -> dict:

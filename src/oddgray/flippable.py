@@ -41,9 +41,9 @@ upper end at b for the seed's ``Pattern.named_edges[r] = (a, b)``: the
 support fixes the witness, and no entry carries one. The spanning recursion
 passes composed maps down and makes each tree entry with ``leaf``.
 
-The tuple model on ``Bits`` (marked words, tuples, contexts), the context
-wrap, the derivation search and the witness test live in ``checking``,
-which generation never imports; ``Pattern.tuple()`` reads the seed there.
+The tuple model on ``Bits`` (marked words, tuples, contexts), derivations,
+each a seed wrapped in its context by one map, the derivation search and
+the witness test live in ``checking``, which generation never imports.
 """
 
 from __future__ import annotations
@@ -99,12 +99,6 @@ class Pattern(namedtuple("Pattern", "family inner")):
     @property
     def word_length(self) -> int:
         return _SEEDS[self.family][0] + self._head()[1]
-
-    def tuple(self):
-        """The seed as a ``checking.FlippableTuple``."""
-        from .checking import seed_tuple
-
-        return seed_tuple(self)
 
     @property
     def named_edges(self) -> tuple[tuple[int, int], ...]:

@@ -13,7 +13,7 @@ from math import comb
 
 from oddgray.assembly import hamilton_middle_levels, hamilton_odd
 from oddgray.checking import (
-    Context,
+    Derivation,
     conflict_violations,
     derivations,
     enumerate_tuples,
@@ -22,7 +22,6 @@ from oddgray.checking import (
     is_witness,
     path,
     validate_tree,
-    witness,
 )
 from oddgray.factor import flip_sequence
 from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
@@ -92,7 +91,8 @@ def test_criterion_03_flip_sequence_properties():
 
 def test_criterion_04_base_witnesses():
     for p in (fan(), fan(B("10")), BRIDGE, PATCH, QUAD):
-        assert is_witness(p.tuple(), witness(p, Context())), str(p)
+        d = Derivation(p)
+        assert is_witness(d.tuple(), d.witness()), str(p)
     report(4, "all five seed patterns are witnessed by their literal cycles")
 
 
@@ -163,7 +163,7 @@ def test_criterion_09_oracle_cross_check():
             assert [d.tuple() for d in ds] == list(sub)
             if validate_tree(hand_tree(base, ds)).passed:
                 valid.append(set(sub))
-    assert {fan().tuple(), BRIDGE.tuple()} in valid
+    assert {Derivation(fan()).tuple(), Derivation(BRIDGE).tuple()} in valid
     report(9, "Petersen graph has no Hamilton cycle, the order-3 odd graph does, "
               "and the published two-tuple tree is found exhaustively")
 

@@ -13,7 +13,7 @@ from oddgray.assembly import (
     stream_middle_vals,
     to_odd_vertex,
 )
-from oddgray.checking import derivations, hand_tree
+from oddgray.checking import Derivation, hand_tree
 from oddgray.flippable import fan
 from oddgray.spanning import full_tree
 from oddgray.verify import brute_force_hamilton, verify_certificate
@@ -40,9 +40,7 @@ def test_hamilton_gplus_4():
 
 def test_hamilton_gplus_rejects_invalid_tree():
     base = frozenset(enumerate_dyck(3))
-    d = derivations(fan().tuple())[0]
-    assert d.tuple() == fan().tuple()
-    broken = hand_tree(base, [d])
+    broken = hand_tree(base, [Derivation(fan())])
     with pytest.raises(ValueError):
         hamilton_gplus(3, broken)
 
@@ -50,29 +48,32 @@ def test_hamilton_gplus_rejects_invalid_tree():
 def test_generation_runs_no_derivation_search():
     # The splice takes each witness from the derivation its tree entry
     # stores, so a fresh process never fills the derivation-search cache;
-    # the tree is built and validated on derivations, so it wraps no tuple;
+    # the tree is built and validated on packed entries, so it makes no tuple
+    # of ``Bits``;
     # flip sequences come from the one shared table, and flip_sequence, which
     # caches nothing, is never called.
     code = (
         "import io\n"
         "from oddgray import checking, cli, factor\n"
         "wraps = 0\n"
-        "apply_context = checking.apply_context\n"
+        "as_tuple = checking._as_tuple\n"
         "def counted(*args):\n"
         "    global wraps\n"
         "    wraps += 1\n"
-        "    return apply_context(*args)\n"
-        "checking.apply_context = counted\n"
+        "    return as_tuple(*args)\n"
+        "checking._as_tuple = counted\n"
         "for argv in (['gen', '--k', '8'], ['gen', '--k', '7', '--family', '3'],"
         " ['middle', '--k', '6']):\n"
         "    assert cli.main(argv, out=io.StringIO()) == 0\n"
         "print(checking._derivations.cache_info().misses, wraps,"
         " hasattr(factor.flip_sequence, 'cache_info'),"
         " factor.flip_sequences.cache_info().currsize)\n"
+        "print(checking.Derivation(checking.QUAD).tuple() and wraps)\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["0", "0", "False", "1"]
+    # the last line shows that the tuple counter counts
+    assert res.stdout.split() == ["0", "0", "False", "1", "1"]
 
 
 def test_generation_runs_no_wrap_and_makes_no_derivation():

@@ -5,21 +5,22 @@ from oddgray.checking import (
     Derivation,
     FlippableTuple,
     MarkedWord,
-    apply_context,
     canonical_witness,
     conflict_violations,
     derivations,
     enumerate_tuples,
     is_witness,
-    mirror_marked,
-    mirror_tuple,
-    witness,
-    wrap_marked,
 )
 from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
 from oddgray.words import Bits, EMPTY, enumerate_dyck
 
+from test_witness_properties import mirror_marked, mirror_tuple, reference_tuple, wrap_marked
+
 B = Bits.parse
+
+
+def seed(pattern):
+    return Derivation(pattern).tuple()
 
 
 def marked(text, mark):
@@ -31,31 +32,31 @@ def tup(*pairs):
 
 
 def test_pattern_literals():
-    assert fan().tuple() == tup(("111000", 5), ("110100", 6), ("110010", 2))
-    assert BRIDGE.tuple() == tup(("111000", 6), ("101100", 5), ("101010", 1))
-    assert PATCH.tuple() == tup(("11001100", 2), ("11011000", 8), ("11101000", 6))
-    assert QUAD.tuple() == tup(
+    assert seed(fan()) == tup(("111000", 5), ("110100", 6), ("110010", 2))
+    assert seed(BRIDGE) == tup(("111000", 6), ("101100", 5), ("101010", 1))
+    assert seed(PATCH) == tup(("11001100", 2), ("11011000", 8), ("11101000", 6))
+    assert seed(QUAD) == tup(
         ("111000", 6), ("110100", 5), ("101100", 3), ("101010", 1)
     )
-    assert fan(B("10")).tuple() == tup(
+    assert seed(fan(B("10"))) == tup(
         ("11011000", 7), ("11010100", 8), ("11010010", 4)
     )
 
 
 def test_base_witness_literals():
-    assert [str(v) for v in witness(BRIDGE, Context())] == [
+    assert [str(v) for v in Derivation(BRIDGE).witness()] == [
         "111000", "111001", "011001", "011011", "011010", "111010",
     ]
-    assert [str(v) for v in witness(fan(), Context())] == [
+    assert [str(v) for v in Derivation(fan()).witness()] == [
         "100101", "100111", "100110", "110110", "110100", "110101",
     ]
-    assert [str(v) for v in witness(PATCH, Context())] == [
+    assert [str(v) for v in Derivation(PATCH).witness()] == [
         "11011100", "10011100", "10011101", "10011001", "11011001", "11011000",
     ]
-    assert [str(v) for v in witness(QUAD, Context())] == [
+    assert [str(v) for v in Derivation(QUAD).witness()] == [
         "111000", "111001", "110001", "110011", "010011", "011011", "011010", "111010",
     ]
-    assert [str(v) for v in witness(fan(B("10")), Context())] == [
+    assert [str(v) for v in Derivation(fan(B("10"))).witness()] == [
         "11000101", "11000111", "11000110", "11010110", "11010100", "11010101",
     ]
 
@@ -64,13 +65,13 @@ def test_seeds_mark_their_first_two_members_differently():
     # Derivation.of_support tells an odd prefix from an even one by this.
     fans = [fan(w) for j in range(5) for w in enumerate_dyck(j)]
     for p in (BRIDGE, PATCH, QUAD, *fans):
-        first, second = p.tuple().members[:2]
+        first, second = seed(p).members[:2]
         assert first.mark != second.mark, p
 
 
 def test_base_witnesses_verify():
     for p in (fan(), fan(B("10")), BRIDGE, PATCH, QUAD):
-        assert is_witness(p.tuple(), witness(p, Context()))
+        assert is_witness(seed(p), Derivation(p).witness())
 
 
 def test_marked_word_validation():
@@ -81,17 +82,18 @@ def test_marked_word_validation():
 
 
 def test_wrap_marked():
+    # the test-side reference wrap of one member; no derivation has a non-Dyck u v
     m = marked("101100", 5)
     assert wrap_marked(m, B("1"), B("010")) == marked("1101100010", 6)
     assert wrap_marked(m, EMPTY, EMPTY) == m
     with pytest.raises(ValueError):
-        wrap_marked(m, B("01"), EMPTY)
+        Derivation(BRIDGE, Context(B("01"), EMPTY))
 
 
 def test_mirror_marked():
     assert mirror_marked(marked("101100", 5)) == marked("110010", 2)
     # involution
-    for m in BRIDGE.tuple().members:
+    for m in seed(BRIDGE).members:
         assert mirror_marked(mirror_marked(m)) == m
 
 
@@ -119,21 +121,20 @@ def test_context_validation():
 
 
 def test_apply_context_examples():
-    assert apply_context(BRIDGE.tuple(), Context(EMPTY, B("10"))) == tup(
+    assert Derivation(BRIDGE, Context(EMPTY, B("10"))).tuple() == tup(
         ("11100010", 6), ("10110010", 5), ("10101010", 1)
     )
-    assert apply_context(BRIDGE.tuple(), Context(B("1"), B("0"))) == tup(
+    assert Derivation(BRIDGE, Context(B("1"), B("0"))).tuple() == tup(
         ("11110000", 2), ("11100100", 3), ("11010100", 7)
     )
-    t = QUAD.tuple()
-    assert apply_context(t, Context()) == t
+    assert Derivation(QUAD, Context()).tuple() == seed(QUAD)
 
 
 def test_apply_context_odd_prefix_matches_memberwise_mirror():
     for p in (fan(), BRIDGE, QUAD, PATCH):
-        t = p.tuple()
+        t = seed(p)
         for prefix, suffix in ((B("1"), B("0")), (B("101"), B("0")), (B("1"), B("100"))):
-            via_context = apply_context(t, Context(prefix, suffix))
+            via_context = Derivation(p, Context(prefix, suffix)).tuple()
             memberwise = FlippableTuple.of(
                 wrap_marked(mirror_marked(m), prefix, suffix) for m in t.members
             )
@@ -141,18 +142,20 @@ def test_apply_context_odd_prefix_matches_memberwise_mirror():
 
 
 def test_witness_append():
-    got = witness(fan(), Context(EMPTY, B("10")))
-    assert got == tuple(y + B("10") for y in witness(fan(), Context()))
-    assert is_witness(apply_context(fan().tuple(), Context(EMPTY, B("10"))), got)
+    d = Derivation(fan(), Context(EMPTY, B("10")))
+    got = d.witness()
+    assert got == tuple(y + B("10") for y in Derivation(fan()).witness())
+    assert is_witness(d.tuple(), got)
 
 
 def test_witness_mirror_wrap():
     # computed by hand from the mirror-wrap rule: vertex y becomes 1 mirror(y) 1
-    got = witness(BRIDGE, Context(B("1"), B("0")))
+    d = Derivation(BRIDGE, Context(B("1"), B("0")))
+    got = d.witness()
     assert [str(v) for v in got] == [
         "11110001", "10110001", "10110011", "10010011", "11010011", "11010001",
     ]
-    assert is_witness(apply_context(BRIDGE.tuple(), Context(B("1"), B("0"))), got)
+    assert is_witness(d.tuple(), got)
 
 
 def test_witness_general_contexts():
@@ -164,43 +167,35 @@ def test_witness_general_contexts():
             for s in range(0, len(c) + 1):
                 ctx = Context(c.slice(1, s), c.slice(s + 1, len(c)))
                 for p in (fan(), BRIDGE, QUAD, PATCH):
-                    t = apply_context(p.tuple(), ctx)
-                    assert is_witness(t, witness(p, ctx)), (str(p), str(c), s)
+                    d = Derivation(p, ctx)
+                    assert is_witness(d.tuple(), d.witness()), (str(p), str(c), s)
 
 
 def test_is_witness_rejects_size_mismatch():
-    assert not is_witness(BRIDGE.tuple(), witness(QUAD, Context()))
+    assert not is_witness(seed(BRIDGE), Derivation(QUAD).witness())
 
 
 def test_is_witness_rejects_wrong_cycle():
-    w = list(witness(BRIDGE, Context()))
+    w = list(Derivation(BRIDGE).witness())
     w[0], w[1] = w[1], w[0]  # breaks single-bit adjacency
-    assert not is_witness(BRIDGE.tuple(), tuple(w))
+    assert not is_witness(seed(BRIDGE), tuple(w))
     # a genuine cycle witnessing a different tuple
-    assert not is_witness(fan().tuple(), witness(BRIDGE, Context()))
+    assert not is_witness(seed(fan()), Derivation(BRIDGE).witness())
 
 
 def test_enumerate_tuples_small():
     assert enumerate_tuples(2) == []
-    assert set(enumerate_tuples(3)) == {fan().tuple(), BRIDGE.tuple(), QUAD.tuple()}
+    assert set(enumerate_tuples(3)) == {seed(fan()), seed(BRIDGE), seed(QUAD)}
 
 
 def test_enumerate_tuples_semilength_4():
     pool = set(enumerate_tuples(4))
     assert len(pool) == 11
     ten = B("10")
-    named = {
-        PATCH.tuple(),
-        fan(ten).tuple(),
-        apply_context(fan().tuple(), Context(EMPTY, ten)),
-        apply_context(fan().tuple(), Context(ten, EMPTY)),
-        apply_context(fan().tuple(), Context(B("1"), B("0"))),
-        apply_context(BRIDGE.tuple(), Context(EMPTY, ten)),
-        apply_context(BRIDGE.tuple(), Context(ten, EMPTY)),
-        apply_context(BRIDGE.tuple(), Context(B("1"), B("0"))),
-        apply_context(QUAD.tuple(), Context(EMPTY, ten)),
-        apply_context(QUAD.tuple(), Context(ten, EMPTY)),
-        apply_context(QUAD.tuple(), Context(B("1"), B("0"))),
+    named = {seed(PATCH), seed(fan(ten))} | {
+        reference_tuple(p, ctx)
+        for p in (fan(), BRIDGE, QUAD)
+        for ctx in (Context(EMPTY, ten), Context(ten, EMPTY), Context(B("1"), B("0")))
     }
     assert pool == named
 
@@ -217,7 +212,7 @@ def test_conflict_free_pool():
 
 
 def test_conflict_example_shared_word_distinct_marks():
-    t1, t2 = fan().tuple(), BRIDGE.tuple()
+    t1, t2 = seed(fan()), seed(BRIDGE)
     shared = t1.support & t2.support
     assert shared == {B("111000")}
     assert t1.mark_of(B("111000")) == 5
@@ -259,14 +254,18 @@ def test_derivations_find_every_wrap_of_the_pool():
                 for s in range(c.n + 1):
                     ctx = Context(c.slice(1, s), c.slice(s + 1, c.n))
                     for p in pats:
-                        assert Derivation(p, ctx) in derivations(apply_context(p.tuple(), ctx))
+                        assert Derivation(p, ctx) in derivations(reference_tuple(p, ctx))
 
 
 def test_derivations_empty_for_foreign_tuple():
-    t = tup(("111000", 1), ("110100", 1), ("101010", 2))
-    assert derivations(t) == []
-    with pytest.raises(ValueError):
-        canonical_witness(t)
+    # Dyck words that match no seed, and the bridge wrapped in the context (0, 1),
+    # whose split the search must drop before it builds a context of non-Dyck u v.
+    dyck = tup(("111000", 1), ("110100", 1), ("101010", 2))
+    off_dyck = tup(("01110001", 2), ("01100101", 3), ("01010101", 7))
+    for t in (dyck, off_dyck):
+        assert derivations(t) == []
+        with pytest.raises(ValueError):
+            canonical_witness(t)
 
 
 def test_mirror_tuple_involution():

@@ -25,9 +25,9 @@ from oddgray import checking, cli
 PACKAGE = Path(oddgray.__file__).parent
 # The lines of the oddgray modules ``gen --k 8`` may load, and of all of them.
 # With no cached bytecode, every cold ``gen`` child compiles each line it
-# loads: about 16 ms for these 1,465 (Python 3.11, 2.1-GHz Xeon).
-GEN_LINE_BUDGET = 1465
-SRC_LINE_BUDGET = 2444
+# loads: about 16 ms for these 1,458 (Python 3.11, 2.1-GHz Xeon).
+GEN_LINE_BUDGET = 1458
+SRC_LINE_BUDGET = 2423
 
 RUNS = {
     "gen": ("-m", "oddgray", "gen", "--k", "8"),
@@ -43,9 +43,8 @@ RUNS = {
 EXPORTED = """
     Bits cat complement decompose enumerate_dyck is_dyck mirror
     FactorPath cycle_factor flip_edge flip_sequence locate path
-    BRIDGE Context Derivation FlippableTuple MarkedWord PATCH Pattern QUAD apply_context
+    BRIDGE Context Derivation FlippableTuple MarkedWord PATCH Pattern QUAD
     canonical_witness conflict_violations derivations enumerate_tuples fan is_witness
-    mirror_marked mirror_tuple witness wrap_marked
     Partition SpanningTree TreeEntry TreeReport counting_tree flat_tree full_tree mask_width
     partition steep_tree validate_tree
     AssemblyError CycleCertificate hamilton_gplus hamilton_middle_levels hamilton_odd

@@ -11,7 +11,6 @@ from oddgray import flippable
 from oddgray.checking import (
     Context,
     Derivation,
-    apply_context,
     canonical_witness,
     derivations,
     enumerate_tuples,
@@ -20,6 +19,7 @@ from oddgray.checking import (
     partition,
     steep_tree,
     tree_json,
+    tuple_text,
     validate_tree,
 )
 from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
@@ -31,6 +31,10 @@ B = Bits.parse
 
 def tuple_set(tree):
     return frozenset(e.tup for e in tree.entries)
+
+
+def wrap(pattern, ctx=Context()):
+    return Derivation(pattern, ctx).tuple()
 
 
 def catalan(k):
@@ -80,15 +84,15 @@ def test_partition_rejects_tiny():
 
 
 def test_full_tree_3_is_the_published_pair():
-    assert tuple_set(full_tree(3)) == {fan().tuple(), BRIDGE.tuple()}
+    assert tuple_set(full_tree(3)) == {wrap(fan()), wrap(BRIDGE)}
 
 
 def test_steep_tree_4_literals():
     expected = {
-        fan(B("10")).tuple(),
-        PATCH.tuple(),
-        apply_context(BRIDGE.tuple(), Context(B("1"), B("0"))),
-        apply_context(fan().tuple(), Context(EMPTY, B("10"))),
+        wrap(fan(B("10"))),
+        wrap(PATCH),
+        wrap(BRIDGE, Context(B("1"), B("0"))),
+        wrap(fan(), Context(EMPTY, B("10"))),
     }
     assert tuple_set(steep_tree(4)) == expected
 
@@ -96,8 +100,8 @@ def test_steep_tree_4_literals():
 def test_flat_tree_4_is_shifted_full_tree_3():
     ten = B("10")
     expected = {
-        apply_context(fan().tuple(), Context(ten, EMPTY)),
-        apply_context(BRIDGE.tuple(), Context(ten, EMPTY)),
+        wrap(fan(), Context(ten, EMPTY)),
+        wrap(BRIDGE, Context(ten, EMPTY)),
     }
     assert tuple_set(flat_tree(4)) == expected
 
@@ -350,21 +354,21 @@ def test_full_tree_rejects_tiny():
 
 def test_validate_rejects_undersized():
     base = frozenset(enumerate_dyck(3))
-    r = validate_tree(tree_of(base, [fan().tuple()]))
+    r = validate_tree(tree_of(base, [wrap(fan())]))
     assert not r.passed
     assert any("accounting" in f or "components" in f for f in r.failures)
 
 
 def test_validate_rejects_overlapping_supports():
     base = frozenset(enumerate_dyck(3))
-    r = validate_tree(tree_of(base, [fan().tuple(), QUAD.tuple()]))
+    r = validate_tree(tree_of(base, [wrap(fan()), wrap(QUAD)]))
     assert not r.passed
     assert any("share" in f for f in r.failures)
 
 
 def test_validate_rejects_foreign_support():
     base = frozenset(enumerate_dyck(3)) - {B("101010")}
-    r = validate_tree(tree_of(base, [BRIDGE.tuple()]))
+    r = validate_tree(tree_of(base, [wrap(BRIDGE)]))
     assert not r.passed
     assert any("base set" in f for f in r.failures)
 
@@ -373,7 +377,7 @@ def test_validate_rejects_support_of_another_length():
     # Supports are compared as packed integers. The k = 3 tree must fail
     # both on the k = 4 words and on length-8 words packing to the same
     # values as its own words, where only the length tells them apart.
-    tuples = [fan().tuple(), BRIDGE.tuple()]
+    tuples = [wrap(fan()), wrap(BRIDGE)]
     assert validate_tree(tree_of(frozenset(enumerate_dyck(3)), tuples)).passed
     for base in (
         frozenset(enumerate_dyck(4)),
@@ -463,7 +467,7 @@ def test_unique_conflict_free_tree_at_semilength_3():
         for sub in combinations(pool, r)
         if validate_tree(tree_of(base, sub)).passed
     ]
-    assert winners == [{fan().tuple(), BRIDGE.tuple()}]
+    assert winners == [{wrap(fan()), wrap(BRIDGE)}]
 
 
 # ---------------------------------------------------------------- counting
@@ -483,7 +487,7 @@ def test_counting_tree_mask_zero_is_the_plain_tree():
 
 def test_counting_tree_uses_alternate_connector():
     t = counting_tree(6, 1)
-    connector = apply_context(fan(B("1100")).tuple(), Context(EMPTY, B("10")))
+    connector = wrap(fan(B("1100")), Context(EMPTY, B("10")))
     assert connector in tuple_set(t)
     assert connector not in tuple_set(full_tree(6))
 
@@ -516,6 +520,14 @@ def test_tree_witnesses_edge_disjoint():
                 edge = frozenset((cycle[i], cycle[(i + 1) % m]))
                 assert edge not in seen
                 seen.add(edge)
+
+
+def test_tuple_text_renders_an_entry_as_its_tuple():
+    # Failure texts name an entry by ``tuple_text``, ``verify_tree`` by ``str`` of its tuple.
+    trees = [full_tree(k) for k in range(3, 9)] + [counting_tree(7, m) for m in range(4)]
+    for tree in trees:
+        for i, e in enumerate(tree.entries):
+            assert tuple_text(tree, i) == str(e.tup)
 
 
 def test_tree_json_shape():

@@ -1,14 +1,15 @@
 """Property tests of the closed-form wrap over random seeds and contexts.
 
-``witness`` wraps a seed in its context on packed integers, by one map.
-Here random seed patterns are wrapped in random Dyck contexts (wrapped word
-length at most 16), and each witness is checked three ways: by
+A ``Derivation`` wraps a seed in its context on packed integers, by one
+map. Here random seed patterns are wrapped in random Dyck contexts (wrapped
+word length at most 16), and each witness is checked three ways: by
 ``is_witness``, which rests on the independent ``factor.locate``; against
 the recursive peel on ``Bits`` kept below as the reference; and against the
 laws of the three wrapping moves (shift, mirror-wrap and append) the
 spanning recursion composes. The packed support ``validate_tree`` checks
-is compared with the wrapped tuple on ``Bits``, and ``Derivation.of_support``
-must read each derivation back from it. The table-driven renderers of packed values,
+is compared with the wrap on ``Bits``, member by member, kept below as the
+reference, and ``Derivation.of_support`` must read each derivation back
+from it. The table-driven renderers of packed values,
 ``line_renderer``, ``subset_mapper`` and ``subset_line_renderer``, and the bit
 loop ``positions`` are compared with ``bitstring`` and with the peel kept below
 as the reference, and ``column_lines``, which renders the values a walk of
@@ -23,16 +24,7 @@ from operator import xor
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddgray.checking import (
-    Context,
-    Derivation,
-    FlippableTuple,
-    apply_context,
-    is_witness,
-    mirror_tuple,
-    witness,
-    wrap_marked,
-)
+from oddgray.checking import Context, Derivation, FlippableTuple, MarkedWord, is_witness
 from oddgray.flippable import BRIDGE, PATCH, QUAD, fan
 from oddgray.words import (
     ONE,
@@ -57,11 +49,32 @@ _DYCK = [enumerate_dyck(j) for j in range(MAX_LEN // 2 + 1)]
 relaxed = settings(deadline=None)
 
 
+def wrap_marked(m, u, v):
+    """u (x, mark) v = (u x v, |u| + mark)."""
+    return MarkedWord(cat(u, m.word, v), u.n + m.mark)
+
+
+def mirror_marked(m):
+    return MarkedWord(mirror(m.word), m.word.n + 1 - m.mark)
+
+
+def mirror_tuple(t):
+    return FlippableTuple.of(mirror_marked(m) for m in t.members)
+
+
+def reference_tuple(pattern, ctx):
+    """The wrap on ``Bits``: the seed (its mirror for an odd prefix) wrapped member by member,
+    the reference for ``Derivation.tuple``."""
+    t = Derivation(pattern).tuple()
+    base = t if ctx.prefix.n % 2 == 0 else mirror_tuple(t)
+    return FlippableTuple.of(wrap_marked(m, ctx.prefix, ctx.suffix) for m in base.members)
+
+
 def reference_witness(pattern, ctx):
     """The recursive peel on ``Bits``: the reference for the packed closed form."""
     u, v = ctx.prefix, ctx.suffix
     if u.n == 0:
-        return tuple(y + v for y in witness(pattern, Context()))
+        return tuple(y + v for y in Derivation(pattern).witness())
     p = first_return(u + v)
     if p <= u.n:
         inner = reference_witness(pattern, Context(u.slice(p + 1, u.n), v))
@@ -88,7 +101,7 @@ def wrapped_seeds(draw, max_len=MAX_LEN):
             dyck_words((max_len - 6) // 2).map(fan),
         )
     )
-    c = draw(dyck_words((max_len - pattern.tuple().word_length) // 2))
+    c = draw(dyck_words((max_len - pattern.word_length) // 2))
     s = draw(st.integers(0, c.n))
     return pattern, Context(c.slice(1, s), c.slice(s + 1, c.n))
 
@@ -96,8 +109,8 @@ def wrapped_seeds(draw, max_len=MAX_LEN):
 @relaxed
 @given(wrapped_seeds())
 def test_witness_is_verified(case):
-    pattern, ctx = case
-    assert is_witness(apply_context(pattern.tuple(), ctx), witness(pattern, ctx))
+    d = Derivation(*case)
+    assert is_witness(d.tuple(), d.witness())
 
 
 @relaxed
@@ -106,14 +119,15 @@ def test_packed_peel_matches_reference(case):
     pattern, ctx = case
     ref = reference_witness(pattern, ctx)
     assert Derivation(pattern, ctx).witness_vals() == tuple(y.val for y in ref)
-    assert witness(pattern, ctx) == ref
+    assert Derivation(pattern, ctx).witness() == ref
 
 
 @relaxed
 @given(wrapped_seeds())
 def test_packed_support_matches_tuple(case):
     d = Derivation(*case)
-    t = d.tuple()
+    t = reference_tuple(*case)
+    assert d.tuple() == t
     members, n = d.support_vals()
     assert len(members) == len(t.members)
     assert set(members) == {(m.word.val, m.mark) for m in t.members}
@@ -145,13 +159,12 @@ def test_mirror_wrap_law(case):
     # wrapped tuple is 1 mirror(t) 0 and each witness vertex y becomes 1 mirror(y) 1.
     pattern, ctx = case
     u, v = ctx.prefix, ctx.suffix
-    outer = Context(ONE + mirror(v), cat(mirror(u), ZERO))
-    t = apply_context(pattern.tuple(), ctx)
-    assert apply_context(pattern.tuple(), outer) == FlippableTuple.of(
-        wrap_marked(m, ONE, ZERO) for m in mirror_tuple(t).members
+    inner = Derivation(pattern, ctx)
+    outer = Derivation(pattern, Context(ONE + mirror(v), cat(mirror(u), ZERO)))
+    assert outer.tuple() == FlippableTuple.of(
+        wrap_marked(m, ONE, ZERO) for m in mirror_tuple(inner.tuple()).members
     )
-    wrapped = tuple(cat(ONE, mirror(y), ONE) for y in witness(pattern, ctx))
-    assert witness(pattern, outer) == wrapped
+    assert outer.witness() == tuple(cat(ONE, mirror(y), ONE) for y in inner.witness())
 
 
 @relaxed
@@ -159,11 +172,12 @@ def test_mirror_wrap_law(case):
 def test_prepend_and_append_laws(case, data):
     pattern, ctx = case
     u, v = ctx.prefix, ctx.suffix
-    room = (MAX_LEN - apply_context(pattern.tuple(), ctx).word_length) // 2
+    room = (MAX_LEN - pattern.word_length - u.n - v.n) // 2
     d = data.draw(dyck_words(room))
-    inner = witness(pattern, ctx)
-    assert witness(pattern, Context(d + u, v)) == tuple(complement(d) + y for y in inner)
-    assert witness(pattern, Context(u, v + d)) == tuple(y + d for y in inner)
+    inner = Derivation(pattern, ctx).witness()
+    prepended = Derivation(pattern, Context(d + u, v)).witness()
+    assert prepended == tuple(complement(d) + y for y in inner)
+    assert Derivation(pattern, Context(u, v + d)).witness() == tuple(y + d for y in inner)
 
 
 def reference_positions(val):
